@@ -157,19 +157,29 @@ _SIGMOID_LO = np.nextafter(0.0, 1.0)
 _SIGMOID_HI = np.nextafter(1.0, 0.0)
 
 
+def _sigmoid_data(x: Array) -> Array:
+    """Stable logistic of an array, clipped strictly inside (0, 1).
+
+    One exp over -|x|: the numerator is 1 where x >= 0 (1 / (1 + e^-x)) and
+    e where x < 0 (e^x / (1 + e^x)). Works on 0-d arrays too.
+    """
+    e = np.empty_like(x)
+    np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
+
+
 def sigmoid(a: Node) -> Node:
     """1 / (1 + exp(-x)), computed stably; output strictly inside (0, 1).
 
     Saturated values are nudged to the nearest representable neighbor of
     0/1 so downstream logs of p and 1-p stay finite without special cases.
     """
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    out = np.clip(out, _SIGMOID_LO, _SIGMOID_HI)
+    out = _sigmoid_data(a.data)
 
     def back(g):
         return (g * out * (1.0 - out),)
@@ -215,15 +225,23 @@ def stop_gradient(a: Node) -> Node:
     return Node(a.data, op="stop_gradient")
 
 
+def _scatter_rows(ids: Array, rows: Array, shape: tuple) -> Array:
+    """Sum rows (m, dim) into a zero (n, dim) table at ids (m,).
+
+    One bincount over the flat index id*dim + k; each cell sums its rows in
+    input order, as a per-column bincount would.
+    """
+    n, dim = shape
+    flat = (ids[:, None] * dim + np.arange(dim)).reshape(-1)
+    return np.bincount(flat, weights=rows.reshape(-1), minlength=n * dim).reshape(shape)
+
+
 def embedding(table: Node, ids: Array) -> Node:
     """Row lookup: ids (n,) int -> (n, dim)."""
     ids = np.asarray(ids)
 
     def back(g):
-        grad = np.zeros_like(table.data)
-        for k in range(grad.shape[1]):
-            grad[:, k] = np.bincount(ids, weights=g[:, k], minlength=grad.shape[0])
-        return (grad,)
+        return (_scatter_rows(ids, g, table.data.shape),)
     return Node(table.data[ids], op="embedding", parents=(table,), backward=back)
 
 
@@ -241,12 +259,7 @@ def embedding_bag(table: Node, ids: Array, mask: Array) -> Node:
 
     def back(g):
         contrib = (g / denom[:, None])[:, None, :] * mask[:, :, None]   # (n, L, dim)
-        flat_ids = ids.reshape(-1)
-        flat = contrib.reshape(-1, table.data.shape[1])
-        grad = np.zeros_like(table.data)
-        for k in range(grad.shape[1]):
-            grad[:, k] = np.bincount(flat_ids, weights=flat[:, k], minlength=grad.shape[0])
-        return (grad,)
+        return (_scatter_rows(ids.reshape(-1), contrib, table.data.shape),)
     return Node(pooled, op="embedding_bag", parents=(table,), backward=back)
 
 
@@ -350,8 +363,16 @@ ACTIVATIONS = ("sigmoid", "tanh", "linear")
 
 
 def tanh(a: Node) -> Node:
-    """tanh(x) as 2*sigmoid(2x) - 1: zero-centered, built from the primitive set."""
-    return sub(mul(constant(2.0), sigmoid(mul(constant(2.0), a))), constant(1.0))
+    """tanh(x) as 2*sigmoid(2x) - 1: zero-centered, one node.
+
+    Forward and backward do the arithmetic of the composite
+    sub(mul(2, sigmoid(mul(2, x))), 1), operation for operation.
+    """
+    s = _sigmoid_data(2.0 * a.data)
+
+    def back(g):
+        return ((g * 2.0) * s * (1.0 - s) * 2.0,)
+    return Node(2.0 * s - 1.0, op="tanh", parents=(a,), backward=back)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> Array:
@@ -438,6 +459,11 @@ class Adagrad:
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate parameter names: {sorted(names)}")
         self.accum = {p.name: np.zeros_like(p.data) for p in self._params}
+        # Two scratch buffers as large as the largest parameter; each step
+        # views their head in the parameter's shape instead of allocating.
+        size = max((p.data.size for p in self._params), default=0)
+        self._num = np.empty(size)
+        self._den = np.empty(size)
 
     def step(self, grads: dict[str, Array]) -> None:
         for p in self._params:
@@ -445,8 +471,15 @@ class Adagrad:
             if g is None:
                 continue
             acc = self.accum[p.name]
-            acc += g * g
-            p.data -= self.lr * g / (np.sqrt(acc) + self.eps)
+            num = self._num[:p.data.size].reshape(p.data.shape)
+            den = self._den[:p.data.size].reshape(p.data.shape)
+            np.multiply(g, g, out=num)
+            acc += num
+            np.multiply(self.lr, g, out=num)
+            np.sqrt(acc, out=den)
+            den += self.eps
+            num /= den
+            p.data -= num
 
 
 def adagrad_step(params: Iterable[Parameter], grads: dict[str, Array],

@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import csv
 import logging
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
@@ -295,7 +296,8 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> list[ActionEvent]:
     """Parse an event log, skipping malformed rows up to the schema threshold.
 
     Rows with an unmapped action string are skipped per row (logged, never
-    fatal). Output is sorted ascending by timestamp, ties keeping file order.
+    fatal). A nan or inf price or discount raises DataError naming the row.
+    Output is sorted ascending by timestamp, ties keeping file order.
     """
     schema = schema or CsvSchema()
     needed = [schema.user_col, schema.item_col, schema.category_col,
@@ -322,7 +324,7 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> list[ActionEvent]:
                 unknown_actions += 1
                 continue
             try:
-                events.append(ActionEvent(
+                event = ActionEvent(
                     user_id=row[schema.user_col].strip(),
                     item_id=row[schema.item_col].strip(),
                     category_id=row[schema.category_col].strip(),
@@ -330,9 +332,16 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> list[ActionEvent]:
                     timestamp=int(row[schema.timestamp_col]),
                     price=float(row[schema.price_col]) if schema.price_col is not None else 0.0,
                     discount=float(row[schema.discount_col]) if schema.discount_col is not None else 0.0,
-                ))
+                )
             except (ValueError, DataError):
                 malformed.append(lineno)
+                continue
+            # A non-finite feature would reach every parameter through the
+            # optimizer, so it aborts the load instead of counting as malformed.
+            if not (math.isfinite(event.price) and math.isfinite(event.discount)):
+                raise DataError(f"row {lineno} of {path}: non-finite price {event.price!r} "
+                                f"or discount {event.discount!r}")
+            events.append(event)
     if len(malformed) > schema.max_malformed:
         shown = ", ".join(map(str, malformed[:20]))
         raise DataError(

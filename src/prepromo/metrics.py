@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .autodiff import PROB_EPS
 from .errors import DataError, UsageError
@@ -31,7 +30,8 @@ def auc(pos_scores, neg_scores) -> float:
     """Pairwise win rate of positives over negatives, ties counted half.
 
     Rank-sum implementation, O(n log n); ties share the average rank of
-    their group, which reproduces exact pair counting.
+    their group, which reproduces exact pair counting. Non-finite scores
+    raise DataError.
     """
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_scores, dtype=np.float64)
@@ -40,16 +40,15 @@ def auc(pos_scores, neg_scores) -> float:
     if neg.size == 0:
         raise DataError("auc: negative class is empty")
     scores = np.concatenate([pos, neg])
+    if not np.isfinite(scores).all():
+        raise DataError(f"auc: {int((~np.isfinite(scores)).sum())} non-finite scores")
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
     sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Tie group k spans sorted positions [first[k], last[k]].
+    first = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    last = np.r_[first[1:], scores.size] - 1
+    ranks = np.empty(scores.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     pos_rank_sum = ranks[:pos.size].sum()
     u = pos_rank_sum - pos.size * (pos.size + 1) / 2.0
     return float(u / (pos.size * neg.size))
@@ -156,6 +155,8 @@ def paired_t_test(deltas) -> tuple[float, float]:
     sd = d.std(ddof=1)
     if sd == 0.0:
         return (float("inf") if d.mean() != 0 else 0.0), (0.0 if d.mean() != 0 else 1.0)
+    from scipy import stats  # imported here: loading scipy.stats adds about a second to start-up
+
     t = float(d.mean() / (sd / np.sqrt(d.size)))
     p = float(2.0 * stats.t.sf(abs(t), df=d.size - 1))
     return t, p

@@ -265,7 +265,7 @@ def generate_dataset(world: WorldParams, n: int, mode: str, seed: int,
         sample = ClickSample(
             user_id=user_names[uid], item_id=item_id,
             category_id=cat_names[item],
-            click_ts=ts, click_day=day, price=0.0, discount=disc_l[i],
+            click_ts=ts, click_day=days[i], price=0.0, discount=disc_l[i],
             A=a_l[i],
             y_all=1 if (is_direct or delayed_l[i]) else 0,
             y_delay=1 if delayed_l[i] else 0,

@@ -171,12 +171,175 @@ class TestPrimitiveGradients:
         x = rng.normal(size=(7, 3))
         self.check(lambda: ad.mean(ad.square(ad.add(ad.constant(x), b.node()))), [b])
 
+    def test_tanh(self):
+        rng = np.random.default_rng(12)
+        w = ad.Parameter("w", rng.normal(size=(3, 2)))
+        x = rng.normal(size=(4, 3)) * 2.0
+        self.check(lambda: ad.mean(ad.square(ad.tanh(ad.matmul(ad.constant(x), w.node())))), [w])
+
     def test_clip_passthrough_region(self):
         w = ad.Parameter("w", np.array([0.3, 0.7]))
 
         def build():
             return ad.mean(ad.clip(w.node(), 0.1, 0.9))
         self.check(build, [w])
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the plain forms of the fast primitives (masked
+# sigmoid, composite tanh, per-column bincount, allocating Adagrad). The fast
+# primitives must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+def ref_sigmoid_data(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return np.clip(out, ad._SIGMOID_LO, ad._SIGMOID_HI)
+
+
+def ref_sigmoid(a):
+    out = ref_sigmoid_data(a.data)
+
+    def back(g):
+        return (g * out * (1.0 - out),)
+    return ad.Node(out, op="sigmoid", parents=(a,), backward=back)
+
+
+def ref_tanh(a):
+    return ad.sub(ad.mul(ad.constant(2.0), ref_sigmoid(ad.mul(ad.constant(2.0), a))),
+                  ad.constant(1.0))
+
+
+def ref_scatter(ids, rows, shape):
+    grad = np.zeros(shape)
+    for k in range(shape[1]):
+        grad[:, k] = np.bincount(ids, weights=rows[:, k], minlength=shape[0])
+    return grad
+
+
+def ref_adagrad_step(data, accum, g, lr, eps):
+    accum += g * g
+    data -= lr * g / (np.sqrt(accum) + eps)
+
+
+def bits(a):
+    return np.ascontiguousarray(np.asarray(a, dtype=np.float64)).view(np.int64)
+
+
+def assert_bitwise(a, b):
+    assert np.shape(a) == np.shape(b)
+    assert np.array_equal(bits(a), bits(b))
+
+
+TINY = 5e-324
+EDGE = np.array([0.0, -0.0, 40.0, -40.0, 800.0, -800.0, TINY, -TINY,
+                 2.2e-308, -2.2e-308, 1e-300, -1e-300, 1e-17, -1e-17, 0.5, -0.5,
+                 18.0, -18.0, 36.7, -36.7, 37.5, -37.5, 709.0, -709.0,
+                 710.0, -710.0, 1e300, -1e300])
+
+
+_rng = np.random.default_rng(2024)
+GRID = {"edges": [EDGE],
+        "0-d": [np.asarray(v) for v in EDGE],
+        "256x32": [_rng.normal(size=(256, 32)) * 4.0],
+        "64x512": [_rng.normal(size=(64, 512)) * 20.0],
+        "transposed": [(_rng.normal(size=(32, 256)) * 4.0).T]}
+
+
+class TestBitIdentity:
+    """Fast primitives against the reference arithmetic, compared as int64 bits."""
+
+    @pytest.mark.parametrize("case", GRID)
+    def test_sigmoid_forward_and_backward(self, case):
+        rng = np.random.default_rng(1)
+        for x in GRID[case]:
+            fast = ad.sigmoid(ad.constant(x))
+            ref = ref_sigmoid(ad.constant(x))
+            assert_bitwise(fast.data, ref.data)
+            g = rng.normal(size=np.shape(x))
+            assert_bitwise(fast._backward(g)[0], ref._backward(g)[0])
+
+    @pytest.mark.parametrize("case", GRID)
+    def test_tanh_forward_and_backward(self, case):
+        rng = np.random.default_rng(2)
+        for x in GRID[case]:
+            w = ad.constant(rng.normal(size=np.shape(x)))
+            results = []
+            for build in (ad.tanh, ref_tanh):
+                p = ad.Parameter("x", x.copy())
+                out = build(p.node())
+                results.append((out.data, ad.backward(ad.mean(ad.mul(out, w)), [p])["x"]))
+            (fast_out, fast_grad), (ref_out, ref_grad) = results
+            assert_bitwise(fast_out, ref_out)
+            assert_bitwise(fast_grad, ref_grad)
+
+    def test_tanh_is_one_node(self):
+        x = ad.Parameter("x", np.zeros(3))
+        loss = ad.mean(ad.tanh(x.node()))
+        assert [n.op for n in ad.Tape.trace(loss).nodes] == ["param", "tanh", "mean"]
+
+    @pytest.mark.parametrize("case", ["random", "repeated", "single_row", "edge_values"])
+    def test_embedding_backward(self, case):
+        rng = np.random.default_rng(3)
+        table = ad.constant(rng.normal(size=(9, 5)))
+        if case == "random":
+            ids = rng.integers(0, 9, size=200)
+        elif case == "repeated":
+            ids = np.array([4] * 50 + [0] * 7 + [8])
+        elif case == "single_row":
+            ids = np.array([2])
+        else:
+            ids = rng.integers(0, 9, size=EDGE.size)
+        g = rng.normal(size=(ids.size, 5)) * 10.0
+        if case == "edge_values":
+            g = np.repeat(EDGE[:, None], 5, axis=1)
+        node = ad.embedding(table, ids)
+        assert_bitwise(node._backward(g)[0], ref_scatter(ids, g, table.data.shape))
+
+    @pytest.mark.parametrize("case", ["random", "repeated", "all_zero_masks", "edge_values"])
+    def test_embedding_bag_backward(self, case):
+        rng = np.random.default_rng(4)
+        table = ad.constant(rng.normal(size=(7, 4)))
+        n, length = 64, 10
+        ids = rng.integers(0, 7, size=(n, length))
+        mask = (rng.uniform(size=(n, length)) < 0.6).astype(float)
+        if case == "repeated":
+            ids[:] = 3
+        elif case == "all_zero_masks":
+            mask[::2] = 0.0
+            mask[1::4] = 0.0
+        g = rng.normal(size=(n, 4)) * 3.0
+        if case == "edge_values":
+            g = np.resize(EDGE, (n, 4))
+        node = ad.embedding_bag(table, ids, mask)
+        denom = np.maximum(mask.sum(axis=1), 1.0)
+        contrib = (g / denom[:, None])[:, None, :] * mask[:, :, None]
+        expected = ref_scatter(ids.reshape(-1), contrib.reshape(-1, 4), table.data.shape)
+        assert_bitwise(node._backward(g)[0], expected)
+
+    def test_adagrad_matches_reference_formula(self):
+        rng = np.random.default_rng(5)
+        shapes = {"scalar": (), "vec": (7,), "mat": (256, 32), "wide": (64, 512)}
+        params = [ad.Parameter(k, rng.normal(size=s)) for k, s in shapes.items()]
+        ref = {p.name: (p.data.copy(), np.zeros_like(p.data)) for p in params}
+        opt = ad.Adagrad(params, lr=0.05, eps=1e-10)
+        for step in range(6):
+            grads = {p.name: rng.normal(size=p.data.shape) * 10.0 ** (step - 3)
+                     for p in params}
+            grads["vec"][:3] = [0.0, -0.0, TINY]
+            if step == 2:
+                grads["mat"][:] = 0.0
+            if step == 4:
+                del grads["scalar"]
+            opt.step(grads)
+            for name, g in grads.items():
+                ref_adagrad_step(*ref[name], g, 0.05, 1e-10)
+            for p in params:
+                assert_bitwise(p.data, ref[p.name][0])
+                assert_bitwise(opt.accum[p.name], ref[p.name][1])
 
 
 class TestRandomNetworkGradients:

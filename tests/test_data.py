@@ -253,6 +253,14 @@ class TestCsv:
         schema = CsvSchema(max_malformed=10)
         assert len(ingest_csv(path, schema)) == 1
 
+    @pytest.mark.parametrize("price,discount", [("nan", "0.1"), ("inf", "0.1"),
+                                                ("1.5", "-inf"), ("1.5", "NaN")])
+    def test_non_finite_price_or_discount_names_the_row(self, tmp_path, price, discount):
+        path = tmp_path / "events.csv"
+        path.write_text(f"u1,i1,c1,pv,100,2.0,0.5\nu2,i2,c1,pv,200,{price},{discount}\n")
+        with pytest.raises(DataError, match="row 2 of .*non-finite"):
+            ingest_csv(path, CsvSchema(price_col=5, discount_col=6))
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         events = []

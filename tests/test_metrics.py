@@ -26,6 +26,14 @@ class TestAuc:
         with pytest.raises(DataError, match="negative"):
             auc([0.1], [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(DataError, match="non-finite"):
+            auc([0.9, bad], [0.1, 0.2])
+        with pytest.raises(DataError, match="non-finite"):
+            auc_delay(np.full(100, bad), np.r_[np.zeros(50), np.ones(50)],
+                      np.r_[np.zeros(50), np.ones(50)])
+
     @pytest.mark.parametrize("seed", range(20))
     def test_equals_brute_force_exactly(self, seed):
         rng = np.random.default_rng(seed)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from prepromo.data import build_click_dataset, ingest_csv, write_events_csv, CsvSchema
+from prepromo.data import (SECONDS_PER_DAY, CsvSchema, build_click_dataset, ingest_csv,
+                           write_events_csv)
 from prepromo.errors import ConfigError, UsageError
 from prepromo.synth import (GenConfig, WorldParams, default_calendar,
                             generate_dataset, sample_world, samples_to_events,
@@ -80,6 +81,12 @@ class TestGenerateDataset:
         lo, hi = default_calendar().pre_promo_range
         samples = generate_dataset(world, 2000, "prepromo", seed=3)
         assert all(lo <= s.click_day <= hi for s in samples)
+
+    @pytest.mark.parametrize("mode", ["daily", "prepromo"])
+    def test_click_day_is_the_day_of_click_ts(self, world, mode):
+        samples = generate_dataset(world, 3000, mode, seed=1)
+        assert len({s.click_day for s in samples}) > 1
+        assert all(s.click_day == s.click_ts // SECONDS_PER_DAY for s in samples)
 
     def test_empirical_delay_rate_matches_truth(self, prepromo_200k):
         q = np.array([s.truth.mu1_true if s.A else s.truth.mu0_true
