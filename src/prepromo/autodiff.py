@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, TrainingError, UsageError
 
 Array = np.ndarray
 
@@ -442,6 +442,17 @@ def mlp_forward(mlp: MLP, x: Node) -> list[Node]:
 # ---------------------------------------------------------------------------
 # Optimizer
 # ---------------------------------------------------------------------------
+
+def finite_loss(value: float, stage: str, step: int) -> float:
+    """A step's loss value, checked before the optimizer applies its gradients.
+
+    A nan or inf loss would carry into every parameter through Adagrad's
+    accumulators, so training stops with TrainingError naming stage and step.
+    """
+    if not math.isfinite(value):
+        raise TrainingError(f"{stage}: non-finite loss {value} at step {step}")
+    return value
+
 
 class Adagrad:
     """Per-coordinate Adagrad: accum += g^2; p -= lr * g / (sqrt(accum) + eps).

@@ -115,11 +115,14 @@ def fit_imputation(train: Sequence[ClickSample] | EncodedDataset,
 
     params = model.parameters()
     opt = ad.Adagrad(params, lr=config.learning_rate)
+    step = 0
     for _ in range(config.epochs):
         for batch in fit.batches(config.batch_size, rng):
             p = model._forward(batch.dense, batch.user_idx, batch.A)
             loss = ad.bce(p, batch.y_delay.reshape(-1, 1))
+            ad.finite_loss(float(loss.data), "imputation", step)
             opt.step(ad.backward(loss, params))
+            step += 1
     if n_val:
         val = train.take(val_idx)
         p = model.mu(val)

@@ -167,9 +167,13 @@ def cmd_evaluate(args) -> int:
     try:
         with np.load(args.checkpoint) as blob:
             import json as _json
-            kind = _json.loads(bytes(blob["__meta__"]).decode()).get("kind")
+            # Without metadata the pretrained loader names the problem.
+            kind = (_json.loads(bytes(blob["__meta__"]).decode()).get("kind")
+                    if "__meta__" in blob.files else None)
     except FileNotFoundError as exc:
         raise DataError(f"checkpoint not found: {args.checkpoint}") from exc
+    except ValueError as exc:  # not an .npz archive, or unreadable metadata
+        raise DataError(f"{args.checkpoint} is not a checkpoint: {exc}") from exc
     reports = []
     for seed in cfg.seeds:
         from .experiment import acquire_data

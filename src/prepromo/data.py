@@ -11,16 +11,29 @@ platforms may differ, so `count_intermediate_as_all` flips them to direct.
 A purchase is attributed to the latest preceding click of the same
 (user, item) pair and satisfies at most one click. Clicks inside the daily
 training window only ever receive same-day labels.
+
+Tie rules (timestamps compare as plain integers):
+
+- a purchase at its click's own timestamp counts for that click; of
+  several clicks of the pair at the latest such timestamp, the one last in
+  input order takes it;
+- each click takes its label from the first qualifying purchase attributed
+  to it, in timestamp order, then input order;
+- a cart event at the click's own timestamp counts toward `A` (the window
+  is [click ts, window end));
+- `atc_seq` / `pay_seq` use only events strictly before the click, newest
+  first; events with equal timestamps keep input order.
+
+Assembly is columnar: one stable sort per key plus `np.searchsorted`, so it
+costs O(n log n) in the number of events.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import logging
 import math
-from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -126,8 +139,12 @@ class DatasetSplit:
 
 
 # ---------------------------------------------------------------------------
-# Label derivation
+# Label derivation and dataset assembly
 # ---------------------------------------------------------------------------
+
+_ACTION_CODE = {a: k for k, a in enumerate(ACTIONS)}
+_CLICK, _ATC, _BUY = _ACTION_CODE["click"], _ACTION_CODE["atc"], _ACTION_CODE["buy"]
+
 
 def derive_labels(clicks: Sequence[ActionEvent], purchases: Sequence[ActionEvent],
                   calendar: PromotionCalendar,
@@ -138,110 +155,133 @@ def derive_labels(clicks: Sequence[ActionEvent], purchases: Sequence[ActionEvent
     dropped, but still participate in purchase attribution. Purchases with
     no preceding click of the same (user, item) are ignored.
     """
-    clicks_by_pair: dict[tuple[str, str], list[ActionEvent]] = defaultdict(list)
-    for c in clicks:
-        clicks_by_pair[(c.user_id, c.item_id)].append(c)
-    for pair_clicks in clicks_by_pair.values():
-        pair_clicks.sort(key=lambda e: e.timestamp)
-
-    attributed: dict[int, list[ActionEvent]] = defaultdict(list)
-    for p in sorted(purchases, key=lambda e: e.timestamp):
-        pair_clicks = clicks_by_pair.get((p.user_id, p.item_id))
-        if not pair_clicks:
-            continue
-        ts_list = [c.timestamp for c in pair_clicks]
-        pos = bisect.bisect_right(ts_list, p.timestamp)
-        if pos == 0:
-            continue
-        attributed[id(pair_clicks[pos - 1])].append(p)
-
-    samples: list[ClickSample] = []
-    for c in clicks:
-        day = calendar.day_of(c.timestamp)
-        in_daily = calendar.in_daily(day)
-        if not in_daily and not calendar.in_pre_promo(day):
-            continue
-        y_all, y_delay = 0, 0
-        for p in attributed.get(id(c), ()):
-            p_day = calendar.day_of(p.timestamp)
-            if p_day == day:
-                y_all, y_delay = 1, 0
-                break
-            if in_daily:
-                continue
-            if p_day in calendar.promo_days:
-                y_all, y_delay = 1, 1
-                break
-            if count_intermediate_as_all and p_day > day:
-                y_all, y_delay = 1, 0
-                break
-        samples.append(ClickSample(
-            user_id=c.user_id, item_id=c.item_id, category_id=c.category_id,
-            click_ts=c.timestamp, click_day=day, price=c.price,
-            discount=c.discount, y_all=y_all, y_delay=y_delay))
-    return samples
-
-
-def derive_atc_indicator(click: ClickSample, atc_events: Sequence[ActionEvent],
-                         calendar: PromotionCalendar) -> int:
-    """1 if the same (user, item) was carted between the click and the window end.
-
-    For pre-promotion clicks the window closes when the first promotion day
-    starts; for daily-training clicks it closes at the end of the click's day.
-    """
-    if calendar.in_pre_promo(click.click_day):
-        window_end = calendar.promo_start_ts()
-    else:
-        window_end = calendar.day_start_ts(click.click_day + 1)
-    for e in atc_events:
-        if (e.user_id, e.item_id) != (click.user_id, click.item_id):
-            continue
-        if click.click_ts <= e.timestamp < window_end:
-            return 1
-    return 0
-
-
-def build_behavior_sequences(user_events: Sequence[ActionEvent], click_ts: int,
-                             max_len: int = DEFAULT_MAX_SEQ_LEN,
-                             ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Most recent carted / purchased item ids strictly before the click, newest first."""
-    atc: list[str] = []
-    pay: list[str] = []
-    for e in sorted(user_events, key=lambda e: e.timestamp, reverse=True):
-        if e.timestamp >= click_ts:
-            continue
-        if e.action == "atc" and len(atc) < max_len:
-            atc.append(e.item_id)
-        elif e.action == "buy" and len(pay) < max_len:
-            pay.append(e.item_id)
-        if len(atc) >= max_len and len(pay) >= max_len:
-            break
-    return tuple(atc), tuple(pay)
+    action = np.repeat(np.array([_CLICK, _BUY], dtype=np.int8),
+                       [len(clicks), len(purchases)])
+    return _assemble([*clicks, *purchases], action, calendar, 0,
+                     count_intermediate_as_all)
 
 
 def build_click_dataset(events: Sequence[ActionEvent], calendar: PromotionCalendar,
                         max_seq_len: int = DEFAULT_MAX_SEQ_LEN,
                         count_intermediate_as_all: bool = False) -> list[ClickSample]:
     """Full assembly from a raw event log: labels, ATC indicator, sequences."""
-    clicks = [e for e in events if e.action == "click"]
-    purchases = [e for e in events if e.action == "buy"]
-    atcs = [e for e in events if e.action == "atc"]
-    samples = derive_labels(clicks, purchases, calendar, count_intermediate_as_all)
+    action = np.fromiter((_ACTION_CODE[e.action] for e in events), dtype=np.int8,
+                         count=len(events))
+    return _assemble(events, action, calendar, max_seq_len, count_intermediate_as_all)
 
-    atcs_by_pair: dict[tuple[str, str], list[ActionEvent]] = defaultdict(list)
-    for e in atcs:
-        atcs_by_pair[(e.user_id, e.item_id)].append(e)
-    events_by_user: dict[str, list[ActionEvent]] = defaultdict(list)
-    for e in events:
-        if e.action in ("atc", "buy"):
-            events_by_user[e.user_id].append(e)
 
-    for s in samples:
-        s.A = derive_atc_indicator(
-            s, atcs_by_pair.get((s.user_id, s.item_id), ()), calendar)
-        s.atc_seq, s.pay_seq = build_behavior_sequences(
-            events_by_user.get(s.user_id, ()), s.click_ts, max_seq_len)
-    return samples
+def _dense_codes(keys: Iterable, n: int) -> np.ndarray:
+    """int64 codes of n hashable keys, numbered in order of first appearance."""
+    index: dict = {}
+    return np.fromiter((index.setdefault(k, len(index)) for k in keys),
+                       dtype=np.int64, count=n)
+
+
+def _grouped_order(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable order by the keys (first key major) and a dense code per group.
+
+    Events with equal keys form a group and keep their input order. The codes
+    never fall along the order, so `np.searchsorted` locates an event within
+    any subsequence of it, such as the cart events alone, without packing
+    several keys into one integer.
+    """
+    order = np.lexsort(keys[::-1])
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        ranked = key[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    code = np.empty(len(order), dtype=np.int64)
+    code[order] = np.cumsum(starts) - 1
+    return order, code
+
+
+def _assemble(events: Sequence[ActionEvent], action: np.ndarray,
+              calendar: PromotionCalendar, max_seq_len: int,
+              count_intermediate_as_all: bool) -> list[ClickSample]:
+    """Labels, cart indicator and sequences of every in-window click.
+
+    `action[k]` is the action code of `events[k]`; samples come out in the
+    clicks' input order.
+    """
+    n = len(events)
+    ts = np.fromiter((e.timestamp for e in events), dtype=np.int64, count=n)
+    day = (ts + calendar.tz_offset) // SECONDS_PER_DAY
+    daily = (calendar.daily_train_range[0] <= day) & (day <= calendar.daily_train_range[1])
+    pre = (calendar.pre_promo_range[0] <= day) & (day <= calendar.pre_promo_range[1])
+    sample = np.flatnonzero((action == _CLICK) & (daily | pre))
+    if not len(sample):
+        return []
+    user = _dense_codes((e.user_id for e in events), n)
+    pair = _grouped_order(user, _dense_codes((e.item_id for e in events), n))[1]
+    y_all, y_delay, A = _pair_outcomes(action, pair, ts, day, daily, pre, sample,
+                                       calendar, count_intermediate_as_all)
+    atc_seqs, pay_seqs = _histories(events, action, user, ts, sample, max_seq_len)
+    return [ClickSample(e.user_id, e.item_id, e.category_id, e.timestamp, d,
+                        e.price, e.discount, a, ya, yd, atc, pay)
+            for e, d, a, ya, yd, atc, pay in zip(
+                map(events.__getitem__, sample), day[sample].tolist(),
+                A.tolist(), y_all.tolist(), y_delay.tolist(), atc_seqs, pay_seqs)]
+
+
+def _pair_outcomes(action, pair, ts, day, daily, pre, sample, calendar,
+                   count_intermediate_as_all):
+    """(y_all, y_delay, A) of the sample clicks, from their pair's purchases
+    and cart events."""
+    by_pair, pair_code = _grouped_order(pair, ts)
+    # Clicks by (pair, ts), input order within a timestamp.
+    clicks = by_pair[action[by_pair] == _CLICK]
+
+    # Attribution: each purchase, in (ts, input) order, goes to the last click
+    # of its pair whose (pair, ts) group is not after its own.
+    buys = np.flatnonzero(action == _BUY)
+    buys = buys[np.argsort(ts[buys], kind="stable")]
+    k = np.searchsorted(pair_code[clicks], pair_code[buys], side="right") - 1
+    owner = clicks[np.maximum(k, 0)]
+    found = (k >= 0) & (pair[owner] == pair[buys])
+    owner, buy_day = owner[found], day[buys[found]]
+    same_day = buy_day == day[owner]
+    # A later-day purchase counts only for clicks outside the daily window.
+    later = ~same_day & ~daily[owner]
+    delayed = later & np.isin(buy_day, list(calendar.promo_days))
+    # Each click takes its label from its first qualifying purchase.
+    qualifies = same_day | delayed | (later & count_intermediate_as_all)
+    labelled, first = np.unique(owner[qualifies], return_index=True)
+    y_all = np.zeros(len(action), dtype=np.int8)
+    y_delay = np.zeros(len(action), dtype=np.int8)
+    y_all[labelled] = 1
+    y_delay[labelled] = delayed[qualifies][first]
+
+    # A: the pair's first cart event at or after the click falls before the
+    # window closes (promotion start, or the end of a daily click's day).
+    atcs = by_pair[action[by_pair] == _ATC]
+    A = np.zeros(len(sample), dtype=np.int8)
+    if len(atcs):
+        k = np.searchsorted(pair_code[atcs], pair_code[sample], side="left")
+        nxt = atcs[np.minimum(k, len(atcs) - 1)]
+        window_end = np.where(pre[sample], calendar.promo_start_ts(),
+                              (day[sample] + 1) * SECONDS_PER_DAY - calendar.tz_offset)
+        A[:] = ((k < len(atcs)) & (pair[nxt] == pair[sample])
+                & (ts[nxt] < window_end))
+    return y_all[sample], y_delay[sample], A
+
+
+def _histories(events, action, user, ts, sample, max_seq_len):
+    """Cart and purchase item-id tuples of the sample clicks' users.
+
+    Each user's events run newest first; a click's history starts after its
+    own (user, ts) group and ends with the user's last event.
+    """
+    by_user, user_code = _grouped_order(user, -ts)
+    out = []
+    for code in (_ATC, _BUY):
+        kind = by_user[action[by_user] == code]
+        lo = np.searchsorted(user_code[kind], user_code[sample], side="right")
+        hi = np.minimum(np.searchsorted(user[kind], user[sample], side="right"),
+                        lo + max_seq_len)
+        items = [events[j].item_id for j in kind.tolist()]
+        out.append([tuple(items[a:b]) for a, b in zip(lo, hi)])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +528,13 @@ class FeatureEncoder:
                 dense[i, :ctx] = s.features
             dense[i, ctx] = s.price
             dense[i, ctx + 1] = s.discount
+        # One non-finite input would reach every parameter through the optimizer.
+        bad = np.flatnonzero(~np.isfinite(dense).all(axis=1))
+        if len(bad):
+            s = samples[bad[0]]
+            raise DataError(
+                f"sample {bad[0]} (user {s.user_id!r}, item {s.item_id!r}, "
+                f"ts {s.click_ts}) has a non-finite context feature, price or discount")
 
         price = np.array([s.price for s in samples])
         disc = np.array([s.discount for s in samples])
@@ -535,6 +582,3 @@ class FeatureEncoder:
         enc.dense_dim = d["dense_dim"]
         return enc
 
-
-def clone_sample(sample: ClickSample, **changes) -> ClickSample:
-    return replace(sample, **changes)

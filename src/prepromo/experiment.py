@@ -425,9 +425,9 @@ def run_reuse_baseline(pretrained: PretrainedModel, train: EncodedDataset,
         for batch in train.batches(training.batch_size, rng):
             out = clone.forward(batch)
             loss = ad.bce(out.p_cvr, batch.y_all.reshape(-1, 1))
+            epoch.append(ad.finite_loss(float(loss.data), "reuse_relabel", steps))
             opt.step(ad.backward(loss, params))
             steps += 1
-            epoch.append(float(loss.data))
         trace.append(float(np.mean(epoch)))
     return clone, trace, steps
 

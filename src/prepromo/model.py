@@ -29,7 +29,8 @@ import numpy as np
 from . import autodiff as ad
 from .data import ClickSample, EncodedDataset
 from .errors import ConfigError, DataError
-from .pretrain import CHECKPOINT_VERSION, PretrainConfig, PretrainedModel
+from .pretrain import (CHECKPOINT_VERSION, PretrainConfig, PretrainedModel,
+                       load_parameters, read_checkpoint_meta)
 
 Array = np.ndarray
 
@@ -249,20 +250,16 @@ class DelayModel:
     def load(cls, path) -> "DelayModel":
         from .data import FeatureEncoder
         with np.load(path) as blob:
-            meta = json.loads(bytes(blob["__meta__"]).decode())
-            if meta.get("kind") != "delay":
-                raise DataError(f"{path} is not a delay-model checkpoint")
+            meta = read_checkpoint_meta(blob, path, "delay")
             encoder = FeatureEncoder.from_dict(meta["encoder"])
             pcfg = PretrainConfig(**{**meta["pretrained_config"],
                                      "tower_widths": tuple(meta["pretrained_config"]["tower_widths"])})
             pretrained = PretrainedModel(encoder, pcfg, np.random.default_rng(0))
-            for p in pretrained.parameters():
-                p.data = blob[p.name].copy()
+            load_parameters(blob, pretrained.parameters(), path)
             pretrained.freeze()
             model = cls(pretrained, DelayConfig(**meta["config"]),
                         np.random.default_rng(0))
-            for p in model.parameters():
-                p.data = blob[p.name].copy()
+            load_parameters(blob, model.parameters(), path)
             model.n_steps = meta["n_steps"]
         return model
 
@@ -299,9 +296,9 @@ def finetune(model: DelayModel, train: Sequence[ClickSample] | EncodedDataset,
             mu1_batch = None if mu1 is None else mu1[order[start:start + cfg.batch_size]]
             pred = model.forward(batch)
             total, parts = model.loss(pred, batch, mu1_batch)
+            epoch.append(ad.finite_loss(parts["total"], "finetune", model.n_steps))
             opt.step(ad.backward(total, params))
             model.n_steps += 1
-            epoch.append(parts["total"])
         model.loss_trace.append(float(np.mean(epoch)))
     if model.pretrained.param_hash() != base_hash:
         raise RuntimeError("frozen base parameters changed during fine-tuning")

@@ -121,20 +121,40 @@ class PretrainedModel:
     @classmethod
     def load(cls, path) -> "PretrainedModel":
         with np.load(path) as blob:
-            meta = json.loads(bytes(blob["__meta__"]).decode())
-            if meta.get("kind") != "pretrained":
-                raise DataError(f"{path} is not a pretrained checkpoint")
-            if meta.get("version") != CHECKPOINT_VERSION:
-                raise DataError(f"unsupported checkpoint version {meta.get('version')}")
+            meta = read_checkpoint_meta(blob, path, "pretrained")
             encoder = FeatureEncoder.from_dict(meta["encoder"])
             config = PretrainConfig(**{**meta["config"],
                                        "tower_widths": tuple(meta["config"]["tower_widths"])})
             model = cls(encoder, config, np.random.default_rng(0))
-            for p in model.parameters():
-                p.data = blob[p.name].copy()
+            load_parameters(blob, model.parameters(), path)
         if meta["frozen"]:
             model.freeze()
         return model
+
+
+def read_checkpoint_meta(blob, path, kind: str) -> dict:
+    """A checkpoint's metadata; DataError unless it is a current `kind` one."""
+    if "__meta__" not in blob.files:
+        raise DataError(f"{path} has no checkpoint metadata")
+    meta = json.loads(bytes(blob["__meta__"]).decode())
+    if meta.get("kind") != kind:
+        raise DataError(f"{path} is not a {kind} checkpoint")
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise DataError(f"unsupported checkpoint version {meta.get('version')} in {path}")
+    return meta
+
+
+def load_parameters(blob, params: Sequence[ad.Parameter], path) -> None:
+    """Copy each parameter's array out of a checkpoint, checking it is there
+    and has the parameter's shape (DataError naming the parameter if not)."""
+    for p in params:
+        if p.name not in blob.files:
+            raise DataError(f"{path} has no array for parameter {p.name!r}")
+        data = blob[p.name]
+        if data.shape != p.data.shape:
+            raise DataError(f"{path}: parameter {p.name!r} has shape {data.shape}, "
+                            f"the model expects {p.data.shape}")
+        p.data = data.copy()
 
 
 def _config_dict(config: PretrainConfig) -> dict:
@@ -163,14 +183,16 @@ def pretrain_fit(daily: Sequence[ClickSample] | EncodedDataset,
     params = model.parameters()
     opt = ad.Adagrad(params, lr=config.learning_rate)
     model.loss_trace = []
+    step = 0
     for _ in range(config.epochs):
         epoch_losses = []
         for batch in data.batches(config.batch_size, rng):
             out = model.forward(batch)
             loss = ad.add(ad.bce(out.p_cvr, batch.y_all.reshape(-1, 1)),
                           ad.bce(out.p_atc, batch.A.reshape(-1, 1)))
+            epoch_losses.append(ad.finite_loss(float(loss.data), "pretrain", step))
             opt.step(ad.backward(loss, params))
-            epoch_losses.append(float(loss.data))
+            step += 1
         model.loss_trace.append(float(np.mean(epoch_losses)))
     return model.freeze()
 

@@ -122,3 +122,34 @@ def brute_force_labels(clicks, purchases, calendar, count_intermediate_as_all=Fa
                 break
         labels[id(c)] = (y_all, y_delay)
     return labels
+
+
+def brute_force_atc(click, events, calendar):
+    """Cart indicator of one click by scanning the whole log.
+
+    1 if any cart event of the click's (user, item) falls in
+    [click ts, window end): the first promotion day's start for a
+    pre-promotion click, the end of the click's own day for a daily one.
+    """
+    day = (click.timestamp + calendar.tz_offset) // 86400
+    pre_lo, pre_hi = calendar.pre_promo_range
+    end_day = min(calendar.promo_days) if pre_lo <= day <= pre_hi else day + 1
+    window_end = end_day * 86400 - calendar.tz_offset
+    return int(any(
+        e.action == "atc" and e.user_id == click.user_id and e.item_id == click.item_id
+        and click.timestamp <= e.timestamp < window_end
+        for e in events))
+
+
+def brute_force_sequences(click, events, max_len):
+    """Cart and purchase item ids of the click's user, by scanning the log.
+
+    Only events strictly before the click count; newest first, equal
+    timestamps in input order; each list cut to max_len.
+    """
+    before = [(-e.timestamp, k, e) for k, e in enumerate(events)
+              if e.user_id == click.user_id and e.timestamp < click.timestamp]
+    before.sort(key=lambda t: t[:2])
+    atc = [e.item_id for _, _, e in before if e.action == "atc"]
+    pay = [e.item_id for _, _, e in before if e.action == "buy"]
+    return tuple(atc[:max_len]), tuple(pay[:max_len])

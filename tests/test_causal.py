@@ -8,7 +8,7 @@ from prepromo.causal import (DEFAULT_PROPENSITY_CLIP, ImputationConfig,
                              fit_imputation, naive_diff_in_means, propensity,
                              write_dr_diagnostics)
 from prepromo.data import FeatureEncoder
-from prepromo.errors import ConfigError, DataError, UsageError
+from prepromo.errors import ConfigError, DataError, TrainingError, UsageError
 from prepromo.pretrain import PretrainConfig, pretrain_fit
 from prepromo.synth import generate_dataset, sample_world, true_ate
 
@@ -36,6 +36,13 @@ class TestImputationFit:
         idx = np.where(data.A == 1)[0][:500]
         with pytest.raises(DataError, match="no treatment variation"):
             fit_imputation(data.take(idx), IMP_DESK, seed=0)
+
+    def test_non_finite_loss_names_stage_and_step(self, world100k):
+        _, _, data = world100k
+        poisoned = data.take(np.arange(2000))
+        poisoned.dense[::50, 0] = np.nan  # some rows fall in the held-out slice
+        with pytest.raises(TrainingError, match=r"imputation: non-finite loss nan at step \d+"):
+            fit_imputation(poisoned, IMP_DESK, seed=0)
 
     def test_heldout_bce_near_bayes(self, world100k):
         _, _, data = world100k

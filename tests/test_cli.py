@@ -105,6 +105,26 @@ class TestTrainEvaluate:
         assert code == 3
 
 
+    def test_damaged_checkpoint_is_data_error(self, tiny_ini, tmp_path, capsys,
+                                              rewrite_checkpoint):
+        out = tmp_path / "run"
+        assert main(["pretrain", "--config", str(tiny_ini), "--out", str(out)]) == 0
+        ckpt = out / "pretrained_seed1.npz"
+        rewrite_checkpoint(ckpt, reshape="pretrained/emb_user")
+        code = main(["evaluate", "--config", str(tiny_ini), "--out", str(out),
+                     "--checkpoint", str(ckpt)])
+        assert code == 3
+        assert "parameter 'pretrained/emb_user' has shape" in capsys.readouterr().err
+
+
+    def test_file_that_is_not_a_checkpoint_is_data_error(self, tiny_ini, tmp_path):
+        bad = tmp_path / "bad.npz"
+        bad.write_text("not a checkpoint\n")
+        code = main(["evaluate", "--config", str(tiny_ini), "--out", str(tmp_path),
+                     "--checkpoint", str(bad)])
+        assert code == 3
+
+
 class TestErrorCodes:
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

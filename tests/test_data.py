@@ -1,15 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from prepromo.data import (
     ActionEvent, ClickSample, CsvSchema, FeatureEncoder, PromotionCalendar,
-    SECONDS_PER_DAY, build_behavior_sequences, build_click_dataset,
-    derive_atc_indicator, derive_labels, ingest_csv, partition_dataset,
-    write_events_csv,
+    SECONDS_PER_DAY, build_click_dataset, derive_labels, ingest_csv,
+    partition_dataset, write_events_csv,
 )
 from prepromo.errors import ConfigError, DataError
 
-from oracles import brute_force_labels
+from oracles import brute_force_atc, brute_force_labels, brute_force_sequences
 
 DAY = SECONDS_PER_DAY
 
@@ -117,50 +119,77 @@ class TestLabelOracleEquivalence:
         assert got_by_id == want_by_click
 
 
+def assembled(click_event, others, **kw):
+    """The one sample build_click_dataset makes from a click and other events."""
+    (sample,) = build_click_dataset([*others, click_event], CAL, **kw)
+    return sample
+
+
 class TestAtcIndicator:
-    def sample(self, day=5):
-        return ClickSample("u", "i", "c0", day * DAY + 100, day, 0.0, 0.0)
+    def a_for(self, events, day=5):
+        return assembled(click("u", "i", day), events).A
 
     def test_atc_after_click_before_promo(self):
         ev = [ActionEvent("u", "i", "c0", "atc", 5 * DAY + 3700)]
-        assert derive_atc_indicator(self.sample(), ev, CAL) == 1
+        assert self.a_for(ev) == 1
 
     def test_no_events(self):
-        assert derive_atc_indicator(self.sample(), [], CAL) == 0
+        assert self.a_for([]) == 0
 
     def test_atc_only_after_promo_start(self):
         ev = [ActionEvent("u", "i", "c0", "atc", 7 * DAY + 10)]
-        assert derive_atc_indicator(self.sample(), ev, CAL) == 0
+        assert self.a_for(ev) == 0
 
     def test_atc_before_click_does_not_count(self):
         ev = [ActionEvent("u", "i", "c0", "atc", 5 * DAY + 10)]
-        assert derive_atc_indicator(self.sample(), ev, CAL) == 0
+        assert self.a_for(ev) == 0
 
     def test_daily_click_window_is_same_day(self):
-        s = self.sample(day=2)
         same_day = [ActionEvent("u", "i", "c0", "atc", 2 * DAY + 200)]
         next_day = [ActionEvent("u", "i", "c0", "atc", 3 * DAY + 200)]
-        assert derive_atc_indicator(s, same_day, CAL) == 1
-        assert derive_atc_indicator(s, next_day, CAL) == 0
+        assert self.a_for(same_day, day=2) == 1
+        assert self.a_for(next_day, day=2) == 0
 
     def test_brute_force_window_check(self):
         rng = np.random.default_rng(1)
         promo_start = CAL.promo_start_ts()
-        s = self.sample()
+        click_ts = 5 * DAY + 100
         for _ in range(200):
             ts = int(rng.integers(4 * DAY, 9 * DAY))
             ev = [ActionEvent("u", "i", "c0", "atc", ts)]
-            want = 1 if s.click_ts <= ts < promo_start else 0
-            assert derive_atc_indicator(s, ev, CAL) == want
+            want = 1 if click_ts <= ts < promo_start else 0
+            assert self.a_for(ev) == want
+
+    def test_cart_at_the_click_second_counts(self):
+        ev = [ActionEvent("u", "i", "c0", "atc", 5 * DAY + 100)]
+        assert self.a_for(ev) == 1
+
+    def test_window_end_is_exclusive(self):
+        promo_start = CAL.promo_start_ts()
+        last_second = [ActionEvent("u", "i", "c0", "atc", promo_start - 1)]
+        at_end = [ActionEvent("u", "i", "c0", "atc", promo_start)]
+        assert self.a_for(last_second) == 1
+        assert self.a_for(at_end) == 0
+
+    def test_other_pair_does_not_count(self):
+        ev = [ActionEvent("u", "j", "c0", "atc", 5 * DAY + 200),
+              ActionEvent("v", "i", "c0", "atc", 5 * DAY + 200)]
+        assert self.a_for(ev) == 0
 
 
 class TestBehaviorSequences:
+    """Histories of a click at ts 1000 (day 0, inside the daily window)."""
+
+    def sequences(self, events, click_ts=1000, **kw):
+        s = assembled(click("u", "i", 0, offset=click_ts), events, **kw)
+        return s.atc_seq, s.pay_seq
+
     def test_empty_history(self):
-        assert build_behavior_sequences([], 1000) == ((), ())
+        assert self.sequences([]) == ((), ())
 
     def test_truncation_newest_first(self):
         ev = [ActionEvent("u", f"i{k}", "c0", "atc", 100 + k) for k in range(3)]
-        atc, pay = build_behavior_sequences(ev, 1000, max_len=2)
+        atc, pay = self.sequences(ev, max_seq_len=2)
         assert atc == ("i2", "i1")
         assert pay == ()
 
@@ -168,13 +197,77 @@ class TestBehaviorSequences:
         ev = [ActionEvent("u", "i1", "c0", "atc", 100),
               ActionEvent("u", "i2", "c0", "buy", 200),
               ActionEvent("u", "i3", "c0", "fav", 300)]
-        atc, pay = build_behavior_sequences(ev, 1000)
+        atc, pay = self.sequences(ev)
         assert atc == ("i1",)
         assert pay == ("i2",)
 
     def test_strictly_before_click(self):
         ev = [ActionEvent("u", "i1", "c0", "atc", 100)]
-        assert build_behavior_sequences(ev, 100)[0] == ()
+        assert self.sequences(ev, click_ts=100)[0] == ()
+
+    def test_equal_timestamps_keep_input_order(self):
+        ev = [ActionEvent("u", "i1", "c0", "atc", 200),
+              ActionEvent("u", "i2", "c0", "atc", 100),
+              ActionEvent("u", "i3", "c0", "atc", 200)]
+        assert self.sequences(ev)[0] == ("i1", "i3", "i2")
+
+    def test_other_users_excluded(self):
+        ev = [ActionEvent("v", "i1", "c0", "atc", 100),
+              ActionEvent("v", "i2", "c0", "buy", 100)]
+        assert self.sequences(ev) == ((), ())
+
+
+@st.composite
+def event_logs(draw):
+    """Small logs around the calendar's day and promotion boundaries.
+
+    Days 1..9 in local time, counted from a base day: day 1 is before the
+    daily window (2..3), 4..6 are pre-promotion, 7 and 8 promotion days, 9
+    after them. A base of 20 million days puts timestamps near 1.7e12, the
+    size of millisecond epoch times. Events draw their time from a pool of a
+    few instants, day edges included, so many share a timestamp; some are
+    repeated as equal copies; the log is not in time order.
+    """
+    tz = draw(st.sampled_from([0, 3600, -7200, 19800]))
+    base = draw(st.sampled_from([0, 20_000_000]))
+    calendar = PromotionCalendar(daily_train_range=(base + 2, base + 3),
+                                 pre_promo_range=(base + 4, base + 6),
+                                 promo_days=frozenset({base + 7, base + 8}), tz_offset=tz)
+    offsets = st.sampled_from([0, 1, DAY - 1]) | st.integers(0, DAY - 1)
+    instants = draw(st.lists(st.tuples(st.integers(1, 9), offsets), min_size=2, max_size=8))
+    event = st.builds(
+        lambda u, i, a, t: ActionEvent(u, i, "c0", a, (base + t[0]) * DAY + t[1] - tz),
+        st.sampled_from(["u0", "u1"]), st.sampled_from(["i0", "i1"]),
+        st.sampled_from(["click", "click", "atc", "buy", "buy", "fav"]),
+        st.sampled_from(instants))
+    events = draw(st.lists(event, min_size=4, max_size=40))
+    repeats = draw(st.lists(st.integers(0, max(len(events) - 1, 0)), max_size=5))
+    events += [dataclasses.replace(events[k]) for k in repeats if events]
+    return calendar, draw(st.permutations(events))
+
+
+class TestClickDatasetOracle:
+    """build_click_dataset equals per-click scans of the log."""
+
+    @given(log=event_logs(), max_seq_len=st.integers(1, 3), inter=st.booleans())
+    def test_matches_brute_force(self, log, max_seq_len, inter):
+        calendar, events = log
+        clicks = [e for e in events if e.action == "click"]
+        buys = [e for e in events if e.action == "buy"]
+        labels = brute_force_labels(clicks, buys, calendar, count_intermediate_as_all=inter)
+        want = []
+        for c in clicks:
+            if id(c) not in labels:
+                continue
+            y_all, y_delay = labels[id(c)]
+            atc, pay = brute_force_sequences(c, events, max_seq_len)
+            want.append(ClickSample(
+                c.user_id, c.item_id, c.category_id, c.timestamp,
+                (c.timestamp + calendar.tz_offset) // DAY, c.price, c.discount,
+                A=brute_force_atc(c, events, calendar), y_all=y_all, y_delay=y_delay,
+                atc_seq=atc, pay_seq=pay))
+        got = build_click_dataset(events, calendar, max_seq_len, inter)
+        assert got == want
 
 
 class TestPartition:
@@ -335,6 +428,18 @@ class TestFeatureEncoder:
         a, b = enc.encode(samples), clone.encode(samples)
         assert np.array_equal(a.dense, b.dense)
         assert np.array_equal(a.price_bucket, b.price_bucket)
+
+    @pytest.mark.parametrize("field,value", [("features", np.nan), ("price", np.inf),
+                                             ("discount", -np.inf)])
+    def test_non_finite_input_names_the_sample(self, field, value):
+        enc, samples = self.make()
+        if field == "features":
+            samples[3].features = samples[3].features.copy()
+            samples[3].features[1] = value
+        else:
+            setattr(samples[3], field, value)
+        with pytest.raises(DataError, match="sample 3 .*non-finite"):
+            enc.encode(samples)
 
     def test_take_and_batches(self):
         enc, samples = self.make()

@@ -305,6 +305,19 @@ class TestFailureHandling:
         assert [r["variant"] for r in partial["reports"]] == ["pretrained_only"]
 
 
+class TestNonFiniteLoss:
+    def test_reuse_baseline_names_stage_and_step(self):
+        from prepromo.errors import TrainingError
+        from prepromo.experiment import prepare_seed, run_reuse_baseline
+
+        cfg = tiny_config()
+        seed_data = prepare_seed(cfg, 1, [])
+        poisoned = seed_data.enc_train.take(np.arange(seed_data.enc_train.n))
+        poisoned.dense[7, 1] = np.nan
+        with pytest.raises(TrainingError, match=r"reuse_relabel: non-finite loss nan at step \d+"):
+            run_reuse_baseline(seed_data.pretrained, poisoned, cfg.training, seed=0)
+
+
 class TestReproducibility:
     def test_byte_identical_reports(self, tmp_path):
         cfg1 = tiny_config(variants=("pretrained_only", "cmdcm"))

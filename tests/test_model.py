@@ -5,7 +5,7 @@ import pytest
 
 from prepromo import autodiff as ad
 from prepromo.data import ClickSample, FeatureEncoder
-from prepromo.errors import ConfigError
+from prepromo.errors import ConfigError, DataError, TrainingError
 from prepromo.model import (DelayConfig, DelayModel, DelayPrediction,
                             build_gated_input, delay_loss, dump_diagnostics,
                             finetune, gate_forward, pool_sequence)
@@ -309,6 +309,15 @@ class TestFinetune:
         with pytest.raises(ConfigError):
             finetune(model, data, imputation=None, seed=0)
 
+    def test_non_finite_loss_names_stage_and_step(self, setup):
+        _, pretrained, data = setup
+        poisoned = data.take(np.arange(data.n))
+        poisoned.dense[5, 0] = np.nan
+        model = make_model(pretrained, lambda_cm=0.0)
+        with pytest.raises(TrainingError, match=r"finetune: non-finite loss nan at step \d+"):
+            finetune(model, poisoned, seed=3)
+        assert all(np.isfinite(p.data).all() for p in model.parameters())
+
     def test_gate_values_differ_across_users(self, setup):
         world, pretrained, data = setup
         model = make_model(pretrained, lambda_cm=0.0, epochs=3)
@@ -337,6 +346,42 @@ class TestCheckpoint:
         a = model.predict(data.take(np.arange(20)))
         b = back.predict(data.take(np.arange(20)))
         assert np.array_equal(a["p_delay"], b["p_delay"])
+
+
+    @pytest.fixture()
+    def saved(self, setup, tmp_path):
+        _, pretrained, _ = setup
+        model = make_model(pretrained, lambda_cm=0.0, epochs=1)
+        path = tmp_path / "delay.npz"
+        model.save(path)
+        return model, path
+
+    def test_version_checked(self, saved, rewrite_checkpoint):
+        _, path = saved
+        rewrite_checkpoint(path, version=999)
+        with pytest.raises(DataError, match="unsupported checkpoint version 999"):
+            DelayModel.load(path)
+
+    def test_missing_array_names_the_parameter(self, saved, rewrite_checkpoint):
+        model, path = saved
+        name = model.parameters()[0].name
+        rewrite_checkpoint(path, drop=name)
+        with pytest.raises(DataError, match=f"no array for parameter '{name}'"):
+            DelayModel.load(path)
+
+    def test_missing_base_array_names_the_parameter(self, saved, rewrite_checkpoint):
+        model, path = saved
+        name = model.pretrained.parameters()[0].name
+        rewrite_checkpoint(path, drop=name)
+        with pytest.raises(DataError, match=f"no array for parameter '{name}'"):
+            DelayModel.load(path)
+
+    def test_shape_mismatch_names_the_parameter(self, saved, rewrite_checkpoint):
+        model, path = saved
+        name = model.parameters()[-1].name
+        rewrite_checkpoint(path, reshape=name)
+        with pytest.raises(DataError, match=f"parameter '{name}' has shape"):
+            DelayModel.load(path)
 
 
 class TestDiagnostics:

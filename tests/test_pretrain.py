@@ -39,6 +39,12 @@ class TestFit:
         with pytest.raises(DataError):
             pretrain_fit([], DESK, seed=0)
 
+    def test_non_finite_feature_rejected_before_training(self, world):
+        daily = generate_dataset(world, 500, "daily", seed=3)
+        daily[42].features[2] = np.nan
+        with pytest.raises(DataError, match="sample 42 .*non-finite"):
+            pretrain_fit(daily, DESK, seed=5)
+
     def test_loss_descends(self, trained):
         assert trained.loss_trace[-1] < trained.loss_trace[0]
 
@@ -153,3 +159,28 @@ class TestCheckpoint:
                  **arrays)
         with pytest.raises(DataError):
             PretrainedModel.load(path)
+
+    def test_missing_array_names_the_parameter(self, trained, tmp_path,
+                                               rewrite_checkpoint):
+        path = tmp_path / "pretrained.npz"
+        trained.save(path)
+        name = trained.parameters()[0].name
+        rewrite_checkpoint(path, drop=name)
+        with pytest.raises(DataError, match=f"no array for parameter '{name}'"):
+            PretrainedModel.load(path)
+
+    def test_shape_mismatch_names_the_parameter(self, trained, tmp_path,
+                                                rewrite_checkpoint):
+        path = tmp_path / "pretrained.npz"
+        trained.save(path)
+        name = trained.parameters()[-1].name
+        rewrite_checkpoint(path, reshape=name)
+        with pytest.raises(DataError, match=f"parameter '{name}' has shape"):
+            PretrainedModel.load(path)
+
+    def test_missing_metadata_is_data_error(self, tmp_path):
+        path = tmp_path / "bare.npz"
+        np.savez(path, w=np.zeros(3))
+        with pytest.raises(DataError, match="no checkpoint metadata"):
+            PretrainedModel.load(path)
+
