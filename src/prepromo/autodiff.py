@@ -8,6 +8,7 @@ contract and are unreliable in 32-bit.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import math
@@ -21,13 +22,38 @@ Array = np.ndarray
 
 _node_ids = itertools.count()
 
+# False inside no_grad(): new nodes keep their data but record no graph.
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Scope in which forward passes record no graph.
+
+    A node built inside keeps its data and op but gets no parents and no
+    backward rule, so each intermediate array is freed as soon as the next
+    op is done with it. Nestable; the previous state returns on exit, also
+    when the body raises. For passes that never call backward: scoring,
+    targets and diagnostics.
+    """
+    global _recording
+    prev = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = prev
+
 
 def _as_array(value) -> Array:
     return np.asarray(value, dtype=np.float64)
 
 
 class Node:
-    """One value in a computation graph: data, parents, and a local backward rule."""
+    """One value in a computation graph: data, parents, and a local backward rule.
+
+    Outside recording (see no_grad) parents and backward rule are dropped.
+    """
 
     __slots__ = ("data", "op", "nid", "parents", "_backward", "param")
 
@@ -37,8 +63,12 @@ class Node:
         self.data = _as_array(data)
         self.op = op
         self.nid = next(_node_ids)
-        self.parents = parents
-        self._backward = backward
+        if _recording:
+            self.parents = parents
+            self._backward = backward
+        else:
+            self.parents = ()
+            self._backward = None
         self.param = param
 
     @property
@@ -267,6 +297,11 @@ def embedding_bag(table: Node, ids: Array, mask: Array) -> Node:
 # Tape and backward pass
 # ---------------------------------------------------------------------------
 
+# Ops whose nodes are leaves by design; any other op without a backward
+# rule was built inside no_grad.
+_LEAF_OPS = frozenset(("const", "param", "stop_gradient"))
+
+
 class Tape:
     """Topologically ordered record of the graph below one node.
 
@@ -307,6 +342,9 @@ class Tape:
         if root.data.shape != ():
             raise UsageError("backward requires a scalar loss node, got shape "
                              f"{root.data.shape}")
+        if root._backward is None and root.op not in _LEAF_OPS:
+            raise UsageError(f"backward through a {root.op!r} loss built inside "
+                             "no_grad, which records no graph")
         grads: dict[int, Array] = {id(root): np.ones(())}
         for node in reversed(self.nodes):
             g = grads.get(id(node))
@@ -353,6 +391,15 @@ def bce(p: Node, y, eps: float = PROB_EPS) -> Node:
     pc = clip(p, eps, 1.0 - eps)
     losses = -(mul(constant(y), log(pc)) + mul(constant(1.0 - y), log(constant(1.0) - pc)))
     return mean(losses)
+
+
+def bce_values(p: Array, y: Array, eps: float = PROB_EPS) -> Array:
+    """Per-sample clipped binary cross-entropy on plain arrays (no graph).
+
+    Same clamp as bce; used where a loss is only reported, never trained on.
+    """
+    pc = np.clip(p, eps, 1.0 - eps)
+    return -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +482,6 @@ class MLP:
         return outs
 
 
-def mlp_forward(mlp: MLP, x: Node) -> list[Node]:
-    return mlp.forward(x)
-
-
 # ---------------------------------------------------------------------------
 # Optimizer
 # ---------------------------------------------------------------------------
@@ -491,13 +534,6 @@ class Adagrad:
             den += self.eps
             num /= den
             p.data -= num
-
-
-def adagrad_step(params: Iterable[Parameter], grads: dict[str, Array],
-                 state: Adagrad) -> None:
-    """Functional alias for a single optimizer step."""
-    del params  # the state object already holds the trainable set
-    state.step(grads)
 
 
 def param_hash(params: Iterable[Parameter]) -> str:

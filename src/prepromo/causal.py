@@ -74,11 +74,12 @@ class ImputationModel:
            chunk: int = 16384) -> Array:
         """mu(x, arm); arm=None evaluates at each sample's observed action."""
         out = []
-        for start in range(0, data.n, chunk):
-            stop = min(start + chunk, data.n)
-            dense = data.dense[start:stop]
-            a = data.A[start:stop] if arm is None else np.full(stop - start, float(arm))
-            out.append(self._forward(dense, data.user_idx[start:stop], a).data[:, 0])
+        with ad.no_grad():
+            for start in range(0, data.n, chunk):
+                stop = min(start + chunk, data.n)
+                dense = data.dense[start:stop]
+                a = data.A[start:stop] if arm is None else np.full(stop - start, float(arm))
+                out.append(self._forward(dense, data.user_idx[start:stop], a).data[:, 0])
         return np.concatenate(out)
 
 
@@ -130,9 +131,9 @@ def fit_imputation(train: Sequence[ClickSample] | EncodedDataset,
     return model
 
 
-def bce_value(p: Array, y: Array, eps: float = ad.PROB_EPS) -> float:
-    pc = np.clip(p, eps, 1.0 - eps)
-    return float(np.mean(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))))
+def bce_value(p: Array, y: Array) -> float:
+    """Mean clipped binary cross-entropy of plain probability arrays."""
+    return float(np.mean(ad.bce_values(p, y)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +229,6 @@ def naive_diff_in_means(a: Array, y: Array) -> tuple[float, float]:
     se = float(np.sqrt(treated.var(ddof=1) / treated.size
                        + control.var(ddof=1) / control.size))
     return diff, se
-
-
-def cm_targets(batch: EncodedDataset, imputation: ImputationModel) -> Array:
-    """Imputed everyone-treated outcomes, detached for use as loss targets.
-
-    Returned as plain values: the fine-tuning graph sees them as constants,
-    so no gradient ever reaches the imputation parameters.
-    """
-    return imputation.mu(batch, arm=1)
 
 
 def write_dr_diagnostics(data: EncodedDataset, imputation: ImputationModel,

@@ -276,12 +276,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 @dataclass(slots=True)
-class VariantSpec:
-    name: str
-    overrides: dict = field(default_factory=dict)
-
-
-@dataclass(slots=True)
 class VariantPlan:
     name: str
     kind: str                  # "frozen" | "reuse" | "delay"
@@ -291,11 +285,8 @@ class VariantPlan:
     needs_imputation: bool = False
 
 
-def apply_variant(cfg: ExperimentConfig, spec: VariantSpec | str) -> VariantPlan:
+def apply_variant(cfg: ExperimentConfig, name: str) -> VariantPlan:
     """Resolve a variant name into one concrete configuration transform."""
-    if isinstance(spec, str):
-        spec = VariantSpec(spec)
-    name = spec.name
     m = cfg.model
     if name == "pretrained_only":
         plan = VariantPlan(name, "frozen")
@@ -326,10 +317,6 @@ def apply_variant(cfg: ExperimentConfig, spec: VariantSpec | str) -> VariantPlan
                            needs_imputation=False)
     else:
         raise ConfigError(f"unknown variant {name!r}")
-    for key, value in spec.overrides.items():
-        if not hasattr(plan, key):
-            raise ConfigError(f"unknown variant override {key!r}")
-        setattr(plan, key, value)
     return plan
 
 
@@ -511,9 +498,7 @@ def seed_diagnostics(cfg: ExperimentConfig, seed_data: SeedData, run_seed: int,
     if "mu1_true" in eval_.truth:
         q = np.where(eval_.A == 1, eval_.truth["mu1_true"], eval_.truth["mu0_true"])
         out["bayes_nll_delay"] = nll_delay(q, eval_.y_delay)
-        eps = 1e-7
-        qc = np.clip(q, eps, 1 - eps)
-        losses = -(eval_.y_delay * np.log(qc) + (1 - eval_.y_delay) * np.log(1 - qc))
+        losses = ad.bce_values(q, eval_.y_delay)
         out["bayes_nll_stderr"] = float(losses.std(ddof=1) / np.sqrt(losses.size))
         out["bayes_auc_delay"] = auc_delay(q, eval_.y_all, eval_.y_delay)
         out["true_ate_eval"] = float(eval_.truth["ice_true"].mean())

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import PROB_EPS
+from .autodiff import PROB_EPS, bce_values
 from .errors import DataError, UsageError
 
 Array = np.ndarray
@@ -91,8 +91,7 @@ def nll_delay(p_delay: Array, y_delay: Array, y_all: Array | None = None,
         p, y = p[keep], y[keep]
     if p.size == 0:
         raise DataError("nll_delay: empty evaluation set")
-    pc = np.clip(p, eps, 1.0 - eps)
-    return float(np.mean(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))))
+    return float(np.mean(bce_values(p, y, eps)))
 
 
 # ---------------------------------------------------------------------------

@@ -74,15 +74,6 @@ def build_gated_input(h_cvr: ad.Node, h_atc: ad.Node, gate_cvr: ad.Node | None,
     return ad.concat([left, right, *extras])
 
 
-def pool_sequence(seq: Sequence[str], table: ad.Parameter, vocab: dict[str, int]
-                  ) -> Array:
-    """Mean embedding of the ids in one sequence; zero vector when empty."""
-    if not seq:
-        return np.zeros(table.data.shape[1])
-    rows = [table.data[vocab.get(item, 0)] for item in seq]
-    return np.mean(rows, axis=0)
-
-
 def delay_loss(pred: DelayPrediction, y_delay: Array, y_all: Array,
                mu1: Array | None, lambda_all: float, lambda_cm: float,
                cm_on_atc_only: bool = False, a: Array | None = None
@@ -215,19 +206,22 @@ class DelayModel:
 
     def predict(self, data: EncodedDataset, chunk: int = 8192,
                 with_gates: bool = False) -> dict[str, Array]:
-        """Scores for ranking and diagnostics, as flat arrays."""
+        """Scores for ranking and diagnostics, as flat arrays; records no graph."""
         cols: dict[str, list[Array]] = {"p_delay": [], "p_all_raw": [], "p_ori_cvr": []}
         gate_cols: dict[str, list[Array]] = {}
-        for start in range(0, data.n, chunk):
-            batch = data.take(np.arange(start, min(start + chunk, data.n)))
-            pred = self.forward(batch)
-            cols["p_delay"].append(pred.p_delay.data[:, 0])
-            cols["p_all_raw"].append(pred.p_all_raw.data[:, 0])
-            cols["p_ori_cvr"].append(pred.p_ori_cvr.data[:, 0])
-            if with_gates:
-                for i, (gc, ga) in enumerate(pred.gate_values):
-                    gate_cols.setdefault(f"gate_cvr{i}_mean", []).append(gc.data.mean(axis=1))
-                    gate_cols.setdefault(f"gate_atc{i}_mean", []).append(ga.data.mean(axis=1))
+        with ad.no_grad():
+            for start in range(0, data.n, chunk):
+                batch = data.take(np.arange(start, min(start + chunk, data.n)))
+                pred = self.forward(batch)
+                cols["p_delay"].append(pred.p_delay.data[:, 0])
+                cols["p_all_raw"].append(pred.p_all_raw.data[:, 0])
+                cols["p_ori_cvr"].append(pred.p_ori_cvr.data[:, 0])
+                if with_gates:
+                    for i, (gc, ga) in enumerate(pred.gate_values):
+                        gate_cols.setdefault(f"gate_cvr{i}_mean", []).append(
+                            gc.data.mean(axis=1))
+                        gate_cols.setdefault(f"gate_atc{i}_mean", []).append(
+                            ga.data.mean(axis=1))
         out = {k: np.concatenate(v) for k, v in cols.items()}
         out.update({k: np.concatenate(v) for k, v in gate_cols.items()})
         return out

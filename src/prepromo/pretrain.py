@@ -90,13 +90,14 @@ class PretrainedModel:
 
     def predict(self, data: EncodedDataset, chunk: int = 8192
                 ) -> tuple[np.ndarray, np.ndarray]:
-        """Head probabilities as flat arrays, computed in chunks."""
+        """Head probabilities as flat arrays, computed in chunks with no graph."""
         p_cvr, p_atc = [], []
-        for start in range(0, data.n, chunk):
-            batch = data.take(np.arange(start, min(start + chunk, data.n)))
-            out = self.forward(batch)
-            p_cvr.append(out.p_cvr.data[:, 0])
-            p_atc.append(out.p_atc.data[:, 0])
+        with ad.no_grad():
+            for start in range(0, data.n, chunk):
+                batch = data.take(np.arange(start, min(start + chunk, data.n)))
+                out = self.forward(batch)
+                p_cvr.append(out.p_cvr.data[:, 0])
+                p_atc.append(out.p_atc.data[:, 0])
         return np.concatenate(p_cvr), np.concatenate(p_atc)
 
     def freeze(self) -> "PretrainedModel":
@@ -195,8 +196,3 @@ def pretrain_fit(daily: Sequence[ClickSample] | EncodedDataset,
             step += 1
         model.loss_trace.append(float(np.mean(epoch_losses)))
     return model.freeze()
-
-
-def pretrained_forward(model: PretrainedModel, batch: EncodedDataset
-                       ) -> PretrainedForwardResult:
-    return model.forward(batch)

@@ -478,3 +478,66 @@ class TestTape:
         for node in tape.nodes:
             for parent in node.parents:
                 assert pos[id(parent)] < pos[id(node)]
+
+
+class TestNoGrad:
+    @staticmethod
+    def recording():
+        """Whether a node built here records its parents."""
+        c = ad.constant(1.0)
+        return ad.add(c, c).parents != ()
+
+    def test_nodes_have_no_parents_or_rule(self):
+        w = ad.Parameter("w", np.array([[1.0], [2.0]]))
+        x = ad.constant(np.array([[3.0, 4.0]]))
+        with ad.no_grad():
+            out = ad.sigmoid(ad.matmul(x, w.node()))
+        assert out.op == "sigmoid"
+        assert out.parents == ()
+        assert out._backward is None
+        assert out.data[0, 0] == ad.sigmoid(ad.matmul(x, w.node())).data[0, 0]
+
+    def test_nesting_restores_each_level(self):
+        assert self.recording()
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not self.recording()
+            assert not self.recording()
+        assert self.recording()
+
+    def test_exception_restores_state(self):
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        assert self.recording()
+
+    def test_backward_on_unrecorded_loss_rejected(self):
+        w = ad.Parameter("w", np.ones(3))
+        with ad.no_grad():
+            loss = ad.mean(ad.mul(w.node(), w.node()))
+        with pytest.raises(UsageError, match="no_grad"):
+            ad.backward(loss, [w])
+        with pytest.raises(UsageError, match="no_grad"):
+            ad.Tape.trace(loss).backward(loss, [w])
+
+    def test_unrecorded_input_is_a_constant(self):
+        # A value computed without a graph feeds a recorded loss as a constant.
+        w = ad.Parameter("w", 2.0)
+        with ad.no_grad():
+            c = ad.mul(w.node(), scalar(5.0))
+        grads = ad.backward(ad.mul(w.node(), c), [w])
+        assert float(grads["w"]) == 10.0
+
+
+class TestBceValues:
+    def test_mean_equals_graph_bce(self):
+        rng = np.random.default_rng(4)
+        p = rng.uniform(-0.2, 1.2, size=(64, 1))
+        y = rng.integers(0, 2, size=(64, 1)).astype(float)
+        assert float(np.mean(ad.bce_values(p, y))) == float(ad.bce(ad.constant(p), y).data)
+
+    def test_clips_like_bce(self):
+        out = ad.bce_values(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        assert np.all(np.isfinite(out))
+        assert out[0] == -math.log(ad.PROB_EPS)
+        assert out[1] == pytest.approx(-math.log(ad.PROB_EPS), rel=1e-6)

@@ -4,7 +4,7 @@ import pytest
 from prepromo import autodiff as ad
 from prepromo.causal import (DEFAULT_PROPENSITY_CLIP, ImputationConfig,
                              ImputationModel, PropensitySource, bce_value,
-                             cm_targets, dr_ate, dr_ate_from_model, dr_ice,
+                             dr_ate, dr_ate_from_model, dr_ice,
                              fit_imputation, naive_diff_in_means, propensity,
                              write_dr_diagnostics)
 from prepromo.data import FeatureEncoder
@@ -188,27 +188,29 @@ class TestDrAte:
 
 
 class TestCmTargets:
+    """The counterfactual targets finetune takes: ImputationModel.mu(batch, arm=1)."""
+
     def test_zero_epoch_targets_are_half(self, world100k):
         _, _, data = world100k
         model = fit_imputation(data.take(np.arange(2000)),
                                ImputationConfig(epochs=0), seed=0)
-        assert np.all(cm_targets(data.take(np.arange(20)), model) == 0.5)
+        assert np.all(model.mu(data.take(np.arange(20)), arm=1) == 0.5)
 
     def test_targets_ignore_observed_action(self, world100k):
         _, _, data = world100k
         model = fit_imputation(data.take(np.arange(30_000)), IMP_DESK, seed=4)
         probe = data.take(np.arange(500))
-        targets = cm_targets(probe, model)
+        targets = model.mu(probe, arm=1)
         flipped = probe
         flipped.A = 1.0 - flipped.A
-        assert np.array_equal(cm_targets(flipped, model), targets)
+        assert np.array_equal(model.mu(flipped, arm=1), targets)
 
     def test_no_gradient_reaches_imputation(self, world100k):
         _, _, data = world100k
         model = fit_imputation(data.take(np.arange(5000)),
                                ImputationConfig(epochs=1, learning_rate=0.05), seed=5)
         probe = data.take(np.arange(16))
-        targets = cm_targets(probe, model)
+        targets = model.mu(probe, arm=1)
         p = ad.sigmoid(ad.constant(np.zeros((16, 1))))
         loss = ad.mean(ad.square(ad.sub(p, ad.constant(targets.reshape(-1, 1)))))
         grads = ad.backward(loss, model.parameters())

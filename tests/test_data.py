@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -449,3 +450,39 @@ class TestFeatureEncoder:
         assert sub.user_idx.tolist() == [ds.user_idx[3], ds.user_idx[1]]
         seen = sum(b.n for b in ds.batches(7))
         assert seen == 24
+
+
+_IDS = st.sampled_from(["a", "b", "c", "d", "é", ""])
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1.0])
+
+
+@st.composite
+def click_samples(draw, ctx):
+    """ClickSamples over a few shared ids, with ctx context features."""
+    def one(u, i, c, price, disc, atc, pay, feats):
+        return ClickSample(u, i, c, 5 * DAY, 5, price, disc, atc_seq=tuple(atc),
+                           pay_seq=tuple(pay), features=np.array(feats))
+    sample = st.builds(one, _IDS, _IDS, _IDS, _FINITE, _FINITE,
+                       st.lists(_IDS, max_size=5), st.lists(_IDS, max_size=5),
+                       st.lists(_FINITE, min_size=ctx, max_size=ctx))
+    return draw(st.lists(sample, min_size=1, max_size=12))
+
+
+class TestFeatureEncoderRoundTrip:
+    """to_dict/from_dict, through JSON as a checkpoint stores it, encodes alike."""
+
+    @given(data=st.data(), ctx=st.integers(0, 3), n_buckets=st.integers(1, 6),
+           max_seq_len=st.integers(1, 4))
+    def test_clone_encodes_to_equal_arrays(self, data, ctx, n_buckets, max_seq_len):
+        fit_on = data.draw(click_samples(ctx))
+        probe = data.draw(click_samples(ctx))  # ids the fit never saw included
+        enc = FeatureEncoder(n_buckets=n_buckets, max_seq_len=max_seq_len).fit(fit_on)
+        clone = FeatureEncoder.from_dict(json.loads(json.dumps(enc.to_dict())))
+        assert clone.to_dict() == enc.to_dict()
+        a, b = enc.encode(probe), clone.encode(probe)
+        for f in dataclasses.fields(a):
+            if f.name == "truth":
+                continue
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name

@@ -7,7 +7,7 @@ import pytest
 from prepromo.data import build_click_dataset, ingest_csv, CsvSchema
 from prepromo.errors import ConfigError
 from prepromo.experiment import (ABLATION_VARIANTS, ExperimentConfig,
-                                 VariantSpec, acquire_data, apply_variant,
+                                 acquire_data, apply_variant,
                                  config_hash, format_ablation_table,
                                  load_config, make_config, run_ablation,
                                  run_experiment, stage_seed)
@@ -58,13 +58,6 @@ class TestApplyVariant:
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError, match="unknown variant"):
             apply_variant(make_config("desk"), "wo_everything")
-
-    def test_overrides(self):
-        plan = apply_variant(make_config("desk"),
-                             VariantSpec("cmdcm", {"lambda_cm": 0.5}))
-        assert plan.lambda_cm == 0.5
-        with pytest.raises(ConfigError):
-            apply_variant(make_config("desk"), VariantSpec("cmdcm", {"zap": 1}))
 
 
 class TestConfigFile:

@@ -1,15 +1,19 @@
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from prepromo import autodiff as ad
+from prepromo.causal import ImputationConfig, ImputationModel
 from prepromo.data import ClickSample, FeatureEncoder
 from prepromo.errors import ConfigError, DataError, TrainingError
 from prepromo.model import (DelayConfig, DelayModel, DelayPrediction,
                             build_gated_input, delay_loss, dump_diagnostics,
-                            finetune, gate_forward, pool_sequence)
-from prepromo.pretrain import PretrainConfig, pretrain_fit
+                            finetune, gate_forward)
+from prepromo.pretrain import PretrainConfig, PretrainedModel, pretrain_fit
 from prepromo.synth import GenConfig, generate_dataset, sample_world
 
 from oracles import finite_difference_grads, max_grad_mismatch
@@ -48,26 +52,37 @@ def make_model(pretrained, seed=5, **overrides):
     return DelayModel(pretrained, DelayConfig(**base), np.random.default_rng(seed))
 
 
+def randomize(params, seed, scale=0.5):
+    """Overwrite parameters with normal draws, so zero-initialized heads vary."""
+    rng = np.random.default_rng(seed)
+    for p in params:
+        p.data = rng.normal(scale=scale, size=p.data.shape)
+
+
 class TestPoolSequence:
-    def table(self):
-        t = ad.Parameter("t", np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]]))
-        return t, {"a": 1, "b": 2}
+    """A cart history as the delay model pools it: encoded ids, then embedding_bag."""
+
+    @staticmethod
+    def pool(seq):
+        table = ad.Parameter("t", np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]]))
+        encoder = FeatureEncoder.from_dict({
+            "n_buckets": 2, "max_seq_len": 3, "user_vocab": {"u": 1},
+            "item_vocab": {"a": 1, "b": 2}, "cat_vocab": {"c": 1},
+            "price_edges": [], "disc_edges": [], "dense_dim": 2})
+        data = encoder.encode([ClickSample("u", "a", "c", 0, 0, 1.0, 0.0, atc_seq=seq)])
+        return ad.embedding_bag(table.node(), data.atc_seq, data.atc_mask).data[0]
 
     def test_empty_sequence_is_zero(self):
-        t, vocab = self.table()
-        assert np.array_equal(pool_sequence((), t, vocab), np.zeros(2))
+        assert np.array_equal(self.pool(()), np.zeros(2))
 
     def test_single_id(self):
-        t, vocab = self.table()
-        assert np.array_equal(pool_sequence(("a",), t, vocab), [1.0, 2.0])
+        assert np.array_equal(self.pool(("a",)), [1.0, 2.0])
 
     def test_two_ids_mean(self):
-        t, vocab = self.table()
-        assert np.array_equal(pool_sequence(("a", "b"), t, vocab), [2.0, 3.0])
+        assert np.array_equal(self.pool(("a", "b")), [2.0, 3.0])
 
     def test_unknown_id_uses_reserved_row(self):
-        t, vocab = self.table()
-        assert np.array_equal(pool_sequence(("zzz",), t, vocab), [0.0, 0.0])
+        assert np.array_equal(self.pool(("zzz",)), [0.0, 0.0])
 
 
 class TestGateForward:
@@ -393,3 +408,112 @@ class TestDiagnostics:
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 11
         assert lines[0].startswith("index,p_ori_cvr,p_delay,p_all_raw,gate_")
+
+
+class TestGraphFreeScoring:
+    """predict and mu build no graph and return the recorded forward's values."""
+
+    def test_delay_predict_equals_recorded_forward(self, setup):
+        _, pretrained, data = setup
+        model = make_model(pretrained)
+        randomize(model.parameters(), 1)
+        scores = model.predict(data, with_gates=True)
+        pred = model.forward(data)
+        assert pred.p_delay.parents  # recording is back on after predict
+        for key in ("p_delay", "p_all_raw", "p_ori_cvr"):
+            assert np.array_equal(scores[key], getattr(pred, key).data[:, 0]), key
+        for i, (gc, ga) in enumerate(pred.gate_values):
+            assert np.array_equal(scores[f"gate_cvr{i}_mean"], gc.data.mean(axis=1))
+            assert np.array_equal(scores[f"gate_atc{i}_mean"], ga.data.mean(axis=1))
+
+    def test_pretrained_predict_equals_recorded_forward(self, setup):
+        _, pretrained, data = setup
+        p_cvr, p_atc = pretrained.predict(data)
+        out = pretrained.forward(data)
+        assert out.p_cvr.parents
+        assert np.array_equal(p_cvr, out.p_cvr.data[:, 0])
+        assert np.array_equal(p_atc, out.p_atc.data[:, 0])
+
+    def test_mu_equals_recorded_forward(self, setup):
+        _, pretrained, data = setup
+        model = ImputationModel(data.dense.shape[1], pretrained.encoder.n_users,
+                                ImputationConfig(widths=(6, 4)), np.random.default_rng(3))
+        randomize(model.parameters(), 2)
+        for arm in (None, 0, 1):
+            a = data.A if arm is None else np.full(data.n, float(arm))
+            recorded = model._forward(data.dense, data.user_idx, a)
+            assert recorded.parents
+            assert np.array_equal(model.mu(data, arm=arm), recorded.data[:, 0]), arm
+
+    def test_delay_predict_peak_memory_at_paper_widths(self):
+        # A recorded graph keeps every activation of the chunk alive until it
+        # ends: about 450 MB here, against about 100 MB without the graph.
+        world = sample_world(7)
+        samples = generate_dataset(world, 2048, "prepromo", seed=1,
+                                   gen=GenConfig(max_seq_len=50))
+        encoder = FeatureEncoder(max_seq_len=50).fit(samples)
+        data = encoder.encode(samples)
+        rng = np.random.default_rng(0)
+        pretrained = PretrainedModel(
+            encoder, PretrainConfig(tower_widths=(512, 256, 128), embedding_dim=16,
+                                    max_seq_len=50), rng).freeze()
+        model = DelayModel(pretrained, DelayConfig(embedding_dim=16), rng)
+        tracemalloc.start()
+        try:
+            model.predict(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def saved_and_loaded(model):
+    buf = io.BytesIO()
+    model.save(buf)
+    buf.seek(0)
+    return type(model).load(buf)
+
+
+def same_parameter_bytes(a, b):
+    assert [p.name for p in a] == [p.name for p in b]
+    for p, q in zip(a, b):
+        assert p.data.dtype == q.data.dtype and p.data.shape == q.data.shape, p.name
+        assert p.data.tobytes() == q.data.tobytes(), p.name
+
+
+# Parameter scales from subnormal to saturating, so every stored bit matters.
+_SCALES = st.sampled_from([1e-310, 1e-3, 0.5, 40.0])
+
+
+class TestCheckpointRoundTrip:
+    """save then load restores every parameter byte and every score bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), scale=_SCALES, frozen=st.booleans())
+    def test_pretrained(self, setup, seed, scale, frozen):
+        _, pretrained, data = setup
+        model = PretrainedModel(pretrained.encoder, pretrained.config,
+                                np.random.default_rng(0))
+        randomize(model.parameters(), seed, scale)
+        if frozen:
+            model.freeze()
+        back = saved_and_loaded(model)
+        same_parameter_bytes(model.parameters(), back.parameters())
+        assert back.frozen == frozen
+        for got, want in zip(back.predict(data), model.predict(data)):
+            assert np.array_equal(got, want)
+
+    @given(seed=st.integers(0, 2**32 - 1), scale=_SCALES, use_gates=st.booleans(),
+           steps=st.integers(0, 10**6))
+    def test_delay(self, setup, seed, scale, use_gates, steps):
+        _, pretrained, data = setup
+        model = make_model(pretrained, use_gates=use_gates)
+        randomize(model.parameters(), seed, scale)
+        model.n_steps = steps
+        back = saved_and_loaded(model)
+        same_parameter_bytes(model.parameters(), back.parameters())
+        same_parameter_bytes(model.pretrained.parameters(), back.pretrained.parameters())
+        assert (back.n_steps, back.config) == (steps, model.config)
+        got, want = back.predict(data, with_gates=True), model.predict(data, with_gates=True)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key

@@ -5,8 +5,7 @@ from prepromo import autodiff as ad
 from prepromo.data import ClickSample, FeatureEncoder
 from prepromo.errors import DataError
 from prepromo.metrics import auc_all
-from prepromo.pretrain import (PretrainConfig, PretrainedModel, pretrain_fit,
-                               pretrained_forward)
+from prepromo.pretrain import PretrainConfig, PretrainedModel, pretrain_fit
 from prepromo.synth import generate_dataset, sample_world
 
 DESK = PretrainConfig(learning_rate=0.05, epochs=3)
@@ -75,7 +74,7 @@ class TestForward:
         model = PretrainedModel(encoder, PretrainConfig(), rng)
         for p in model.parameters():
             p.data[...] = 0.0
-        out = pretrained_forward(model, encoder.encode(samples))
+        out = model.forward(encoder.encode(samples))
         assert np.all(out.p_cvr.data == 0.5)
         assert np.all(out.p_atc.data == 0.5)
 
@@ -86,13 +85,13 @@ class TestForward:
                                features=rng.normal(size=4)) for i in range(8)]
         encoder = FeatureEncoder(n_buckets=4, max_seq_len=5).fit(samples)
         model = PretrainedModel(encoder, PretrainConfig(), rng)
-        out = pretrained_forward(model, encoder.encode(samples))
+        out = model.forward(encoder.encode(samples))
         assert np.all(out.p_cvr.data == 0.5)
 
     def test_deterministic(self, world, trained):
         batch = trained.encoder.encode(generate_dataset(world, 50, "daily", seed=9))
-        a = pretrained_forward(trained, batch)
-        b = pretrained_forward(trained, batch)
+        a = trained.forward(batch)
+        b = trained.forward(batch)
         assert np.array_equal(a.p_cvr.data, b.p_cvr.data)
         assert np.array_equal(a.h_cvr[0].data, b.h_cvr[0].data)
 
@@ -102,14 +101,14 @@ class TestForward:
                                features=np.zeros(trained.encoder.dense_dim - 2))
         data = trained.encoder.encode([stranger])
         assert data.user_idx[0] == 0
-        out = pretrained_forward(trained, data)
+        out = trained.forward(data)
         assert np.isfinite(out.p_cvr.data).all()
         assert np.isfinite(out.p_atc.data).all()
 
     def test_exposes_all_hidden_layers(self, trained):
         samples = [ClickSample("u0", "i0", "c0", 100, 0, 0.0, 0.5,
                                features=np.zeros(trained.encoder.dense_dim - 2))]
-        out = pretrained_forward(trained, trained.encoder.encode(samples))
+        out = trained.forward(trained.encoder.encode(samples))
         widths = trained.config.tower_widths
         assert [h.data.shape[1] for h in out.h_cvr] == list(widths)
         assert [h.data.shape[1] for h in out.h_atc] == list(widths)
@@ -117,7 +116,7 @@ class TestForward:
     def test_forward_has_no_side_effects(self, world, trained):
         before = trained.param_hash()
         batch = trained.encoder.encode(generate_dataset(world, 100, "daily", seed=10))
-        pretrained_forward(trained, batch)
+        trained.forward(batch)
         trained.predict(batch)
         assert trained.param_hash() == before
 
