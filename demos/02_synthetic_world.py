@@ -20,26 +20,23 @@ def main():
     daily = generate_dataset(world, 100_000, "daily", seed=1)
     prepromo = generate_dataset(world, 100_000, "prepromo", seed=2)
 
-    def rate(samples, fn):
-        return np.mean([fn(s) for s in samples])
-
-    print(f"\ndaily direct-conversion rate:      {rate(daily, lambda s: s.y_all):.4f}")
+    print(f"\ndaily direct-conversion rate:      {daily.y_all.mean():.4f}")
     print(f"pre-promo direct-conversion rate:  "
-          f"{rate(prepromo, lambda s: s.y_all and not s.y_delay):.4f}")
-    print(f"pre-promo delayed-conversion rate: {rate(prepromo, lambda s: s.y_delay):.4f}")
+          f"{(prepromo.y_all - prepromo.y_delay).mean():.4f}")
+    print(f"pre-promo delayed-conversion rate: {prepromo.y_delay.mean():.4f}")
     print("(the direct rate collapses before the promotion: users postpone)")
 
-    a = np.array([s.A for s in prepromo])
-    y = np.array([s.y_delay for s in prepromo], dtype=float)
+    a = prepromo.A
+    y = prepromo.y_delay.astype(float)
     ate = true_ate(prepromo)
     naive = y[a == 1].mean() - y[a == 0].mean()
     print(f"\ntrue effect of the cart action on delayed conversion: {ate:.4f}")
     print(f"naive treated-minus-control contrast:                 {naive:.4f}")
     print(f"confounding inflates the naive estimate by            {naive - ate:+.4f}")
 
-    lengths = [len(s.atc_seq) for s in prepromo]
-    print(f"\ncart-history length: mean {np.mean(lengths):.1f}, "
-          f"max {max(lengths)}, empty {np.mean([l == 0 for l in lengths]):.1%}")
+    lengths = prepromo.atc_len
+    print(f"\ncart-history length: mean {lengths.mean():.1f}, "
+          f"max {lengths.max()}, empty {np.mean(lengths == 0):.1%}")
 
 
 if __name__ == "__main__":

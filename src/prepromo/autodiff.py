@@ -187,7 +187,7 @@ _SIGMOID_LO = np.nextafter(0.0, 1.0)
 _SIGMOID_HI = np.nextafter(1.0, 0.0)
 
 
-def _sigmoid_data(x: Array) -> Array:
+def sigmoid_values(x: Array) -> Array:
     """Stable logistic of an array, clipped strictly inside (0, 1).
 
     One exp over -|x|: the numerator is 1 where x >= 0 (1 / (1 + e^-x)) and
@@ -209,7 +209,7 @@ def sigmoid(a: Node) -> Node:
     Saturated values are nudged to the nearest representable neighbor of
     0/1 so downstream logs of p and 1-p stay finite without special cases.
     """
-    out = _sigmoid_data(a.data)
+    out = sigmoid_values(a.data)
 
     def back(g):
         return (g * out * (1.0 - out),)
@@ -415,7 +415,7 @@ def tanh(a: Node) -> Node:
     Forward and backward do the arithmetic of the composite
     sub(mul(2, sigmoid(mul(2, x))), 1), operation for operation.
     """
-    s = _sigmoid_data(2.0 * a.data)
+    s = sigmoid_values(2.0 * a.data)
 
     def back(g):
         return ((g * 2.0) * s * (1.0 - s) * 2.0,)

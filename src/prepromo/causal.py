@@ -16,12 +16,11 @@ the aggregate estimate ships as a validated diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import ClickSample, EncodedDataset
+from .data import EncodedDataset
 from .errors import ConfigError, DataError, UsageError
 from .pretrain import PretrainedModel
 
@@ -83,27 +82,20 @@ class ImputationModel:
         return np.concatenate(out)
 
 
-def fit_imputation(train: Sequence[ClickSample] | EncodedDataset,
-                   config: ImputationConfig | None = None, seed: int = 0,
-                   encoder=None, n_users: int | None = None) -> ImputationModel:
+def fit_imputation(train: EncodedDataset, config: ImputationConfig | None = None,
+                   seed: int = 0, n_users: int | None = None) -> ImputationModel:
     """BCE-fit of the imputation net on observed (x, A) -> y_delay.
 
     A slice of the training data is held out for the reported validation
     loss. Degenerate treatment assignment is refused: with a single observed
-    arm, mu(x, 1 - A) would be pure extrapolation. The user-table size comes
-    from the encoder (or n_users); without either it is inferred from the
-    training ids, and later out-of-range ids fall back to the reserved row.
+    arm, mu(x, 1 - A) would be pure extrapolation. The user-table size is
+    n_users; without it, it is inferred from the training ids, and later
+    out-of-range ids fall back to the reserved row.
     """
     config = config or ImputationConfig()
-    if not isinstance(train, EncodedDataset):
-        if encoder is None:
-            raise UsageError("fit_imputation needs an encoder when given raw samples")
-        train = encoder.encode(train)
     a = train.A
     if a.sum() == 0 or a.sum() == a.size:
         raise DataError("no treatment variation: every sample has the same cart action")
-    if encoder is not None:
-        n_users = encoder.n_users
     if n_users is None:
         n_users = int(train.user_idx.max()) + 1
 

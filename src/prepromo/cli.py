@@ -21,16 +21,15 @@ import os
 import sys
 from pathlib import Path
 
-from .causal import ImputationConfig, fit_imputation
 from .data import CsvSchema, write_events_csv
 from .errors import ConfigError, DataError, PrepromoError, TrainingError
 from .experiment import (ExperimentConfig, apply_variant, config_to_dict,
-                         format_ablation_table, load_config, make_config,
-                         prepare_seed, run_ablation, run_experiment,
-                         run_variant, stage_seed)
+                         fit_seed_imputation, format_ablation_table,
+                         load_config, make_config, prepare_seed, run_ablation,
+                         run_experiment, run_variant, stage_seed,
+                         synthetic_world)
 from .metrics import emit_report
-from .synth import (GenConfig, generate_dataset, sample_world,
-                    samples_to_events, write_ground_truth_csv)
+from .synth import generate_dataset, samples_to_events, write_ground_truth_csv
 
 log = logging.getLogger("prepromo.cli")
 
@@ -86,16 +85,7 @@ def cmd_generate(args) -> int:
         raise ConfigError("generate requires dataset.mode = synthetic")
     out = _outdir(cfg)
     seed = cfg.seeds[0]
-    world = sample_world(ds.world_seed, d=ds.feature_dim, tau=ds.tau,
-                         scale=ds.scale, gamma=ds.gamma,
-                         confound_atc=ds.confound_atc, confound_dir=ds.confound_dir,
-                         trait_scale=ds.trait_scale,
-                         direct_rate_daily=ds.direct_rate_daily,
-                         direct_rate_pre=ds.direct_rate_pre,
-                         delayed_rate_pre=ds.delayed_rate_pre)
-    gen = GenConfig(n_users=ds.n_users, n_items=ds.n_items,
-                    n_categories=ds.n_categories, max_seq_len=ds.max_seq_len,
-                    calendar=ds.calendar())
+    world, gen = synthetic_world(ds)
     schema = CsvSchema(price_col=5, discount_col=6)
     for mode, n in (("daily", ds.n_daily), ("prepromo", ds.n_prepromo)):
         samples = generate_dataset(world, n, mode, stage_seed(seed, mode), gen)
@@ -127,17 +117,10 @@ def cmd_train(args) -> int:
     for seed in cfg.seeds:
         trace: list[str] = []
         seed_data = prepare_seed(cfg, seed, trace)
-        imputation = None
-        if plan.needs_imputation:
-            icfg = ImputationConfig(widths=cfg.model.imputation_widths,
-                                    learning_rate=cfg.training.learning_rate,
-                                    batch_size=cfg.training.batch_size,
-                                    epochs=cfg.training.imputation_epochs)
-            imputation = fit_imputation(seed_data.enc_train, icfg,
-                                        seed=stage_seed(seed, "imputation"),
-                                        n_users=seed_data.pretrained.encoder.n_users)
+        imputation = (fit_seed_imputation(cfg, seed_data, seed)
+                      if plan.needs_imputation else None)
         report, losses, model = run_variant(cfg, seed_data, plan, seed,
-                                            imputation, trace, return_model=True)
+                                            imputation, trace)
         reports.append(report)
         if model is not None:
             ckpt = out / f"{plan.name}_seed{seed}.npz"

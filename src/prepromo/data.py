@@ -34,7 +34,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,26 +95,10 @@ class PromotionCalendar:
     def promo_start_ts(self) -> int:
         return self.day_start_ts(min(self.promo_days))
 
-    def in_daily(self, day: int) -> bool:
-        return self.daily_train_range[0] <= day <= self.daily_train_range[1]
 
-    def in_pre_promo(self, day: int) -> bool:
-        return self.pre_promo_range[0] <= day <= self.pre_promo_range[1]
+class ClickRow(NamedTuple):
+    """One click of a ClickTable, as plain Python values."""
 
-
-@dataclass(slots=True)
-class GroundTruth:
-    """Generator-side truth attached to synthetic samples."""
-
-    p_a_true: float
-    mu1_true: float
-    mu0_true: float
-    q_dir_true: float
-    ice_true: float
-
-
-@dataclass(slots=True)
-class ClickSample:
     user_id: str
     item_id: str
     category_id: str
@@ -127,15 +111,86 @@ class ClickSample:
     y_delay: int = 0
     atc_seq: tuple[str, ...] = ()
     pay_seq: tuple[str, ...] = ()
+
+
+# The columns of a ClickTable that hold one value per click, in ClickRow order.
+_SCALAR_COLUMNS = ClickRow._fields[:10]
+_COLUMNS = _SCALAR_COLUMNS + ("atc_items", "atc_len", "pay_items", "pay_len")
+TRUTH_KEYS = ("p_a_true", "mu1_true", "mu0_true", "q_dir_true", "ice_true")
+
+
+@dataclass(slots=True, eq=False)
+class ClickTable:
+    """Clicks as columns: string ids, int64 times, float64 prices, int labels.
+
+    A history kind is an (n, w) item-id array, newest first, padded with ""
+    to its longest history, plus the count of real entries in each row.
+    `features` is the (n, d) context of synthetic clicks, and `truth` holds
+    the generator's probabilities (TRUTH_KEYS) when known.
+
+    `len`, `+`, indexing with an int, a slice or an index array, and
+    iteration as ClickRows serve the CSV writers, the benchmark and the tests;
+    the pipeline itself reads whole columns.
+    """
+
+    user_id: np.ndarray
+    item_id: np.ndarray
+    category_id: np.ndarray
+    click_ts: np.ndarray
+    click_day: np.ndarray
+    price: np.ndarray
+    discount: np.ndarray
+    A: np.ndarray
+    y_all: np.ndarray
+    y_delay: np.ndarray
+    atc_items: np.ndarray
+    atc_len: np.ndarray
+    pay_items: np.ndarray
+    pay_len: np.ndarray
     features: np.ndarray | None = None
-    truth: GroundTruth | None = None
+    truth: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.click_ts)
+
+    def _apply(self, fn, *others: "ClickTable") -> "ClickTable":
+        """The table of fn over each column of self and others."""
+        tables = (self, *others)
+        return ClickTable(
+            *(fn(*(getattr(t, name) for t in tables)) for name in _COLUMNS),
+            features=None if self.features is None else fn(*(t.features for t in tables)),
+            truth={k: fn(*(t.truth[k] for t in tables)) for k in self.truth})
+
+    def __getitem__(self, key) -> "ClickTable | ClickRow":
+        if isinstance(key, (int, np.integer)):
+            return next(iter(self[np.array([key])]))
+        return self._apply(lambda col: col[key])
+
+    def __add__(self, other: "ClickTable") -> "ClickTable":
+        return self._apply(_concat, other)
+
+    def __iter__(self):
+        seqs = [[tuple(row[:k]) for row, k in zip(items.tolist(), lengths.tolist())]
+                for items, lengths in ((self.atc_items, self.atc_len),
+                                       (self.pay_items, self.pay_len))]
+        columns = [getattr(self, name).tolist() for name in _SCALAR_COLUMNS]
+        return map(ClickRow._make, zip(*columns, *seqs))
+
+
+def _concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows of a, then of b; history arrays are padded to the wider one."""
+    if a.ndim == 2 and a.dtype.kind == "U":
+        width = max(a.shape[1], b.shape[1])
+        a, b = (np.pad(x, [(0, 0), (0, width - x.shape[1])], constant_values="")
+                for x in (a, b))
+    return np.concatenate([a, b])
 
 
 @dataclass(slots=True)
 class DatasetSplit:
-    daily_train: list[ClickSample]
-    prepromo_train: list[ClickSample]
-    prepromo_eval: list[ClickSample]
+    daily_train: ClickTable
+    prepromo_train: ClickTable
+    prepromo_eval: ClickTable
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +203,8 @@ _CLICK, _ATC, _BUY = _ACTION_CODE["click"], _ACTION_CODE["atc"], _ACTION_CODE["b
 
 def derive_labels(clicks: Sequence[ActionEvent], purchases: Sequence[ActionEvent],
                   calendar: PromotionCalendar,
-                  count_intermediate_as_all: bool = False) -> list[ClickSample]:
-    """Turn click/purchase events into labeled samples.
+                  count_intermediate_as_all: bool = False) -> ClickTable:
+    """Turn click/purchase events into labeled clicks.
 
     Clicks outside both calendar windows (promotion days included) are
     dropped, but still participate in purchase attribution. Purchases with
@@ -163,18 +218,11 @@ def derive_labels(clicks: Sequence[ActionEvent], purchases: Sequence[ActionEvent
 
 def build_click_dataset(events: Sequence[ActionEvent], calendar: PromotionCalendar,
                         max_seq_len: int = DEFAULT_MAX_SEQ_LEN,
-                        count_intermediate_as_all: bool = False) -> list[ClickSample]:
+                        count_intermediate_as_all: bool = False) -> ClickTable:
     """Full assembly from a raw event log: labels, ATC indicator, sequences."""
     action = np.fromiter((_ACTION_CODE[e.action] for e in events), dtype=np.int8,
                          count=len(events))
     return _assemble(events, action, calendar, max_seq_len, count_intermediate_as_all)
-
-
-def _dense_codes(keys: Iterable, n: int) -> np.ndarray:
-    """int64 codes of n hashable keys, numbered in order of first appearance."""
-    index: dict = {}
-    return np.fromiter((index.setdefault(k, len(index)) for k in keys),
-                       dtype=np.int64, count=n)
 
 
 def _grouped_order(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,11 +246,11 @@ def _grouped_order(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _assemble(events: Sequence[ActionEvent], action: np.ndarray,
               calendar: PromotionCalendar, max_seq_len: int,
-              count_intermediate_as_all: bool) -> list[ClickSample]:
+              count_intermediate_as_all: bool) -> ClickTable:
     """Labels, cart indicator and sequences of every in-window click.
 
-    `action[k]` is the action code of `events[k]`; samples come out in the
-    clicks' input order.
+    `action[k]` is the action code of `events[k]`; clicks come out in their
+    input order.
     """
     n = len(events)
     ts = np.fromiter((e.timestamp for e in events), dtype=np.int64, count=n)
@@ -210,18 +258,23 @@ def _assemble(events: Sequence[ActionEvent], action: np.ndarray,
     daily = (calendar.daily_train_range[0] <= day) & (day <= calendar.daily_train_range[1])
     pre = (calendar.pre_promo_range[0] <= day) & (day <= calendar.pre_promo_range[1])
     sample = np.flatnonzero((action == _CLICK) & (daily | pre))
-    if not len(sample):
-        return []
-    user = _dense_codes((e.user_id for e in events), n)
-    pair = _grouped_order(user, _dense_codes((e.item_id for e in events), n))[1]
+    user_id = np.array([e.user_id for e in events], dtype=str)
+    item_id = np.array([e.item_id for e in events], dtype=str)
+    user = np.unique(user_id, return_inverse=True)[1]
+    pair = _grouped_order(user, np.unique(item_id, return_inverse=True)[1])[1]
     y_all, y_delay, A = _pair_outcomes(action, pair, ts, day, daily, pre, sample,
                                        calendar, count_intermediate_as_all)
-    atc_seqs, pay_seqs = _histories(events, action, user, ts, sample, max_seq_len)
-    return [ClickSample(e.user_id, e.item_id, e.category_id, e.timestamp, d,
-                        e.price, e.discount, a, ya, yd, atc, pay)
-            for e, d, a, ya, yd, atc, pay in zip(
-                map(events.__getitem__, sample), day[sample].tolist(),
-                A.tolist(), y_all.tolist(), y_delay.tolist(), atc_seqs, pay_seqs)]
+    atc_items, atc_len, pay_items, pay_len = user_histories(
+        user, ts, item_id, sample, max_seq_len, action == _ATC, action == _BUY)
+    clicks = [events[k] for k in sample.tolist()]
+    return ClickTable(
+        user_id=user_id[sample], item_id=item_id[sample],
+        category_id=np.array([e.category_id for e in clicks], dtype=str),
+        click_ts=ts[sample], click_day=day[sample],
+        price=np.array([e.price for e in clicks], dtype=np.float64),
+        discount=np.array([e.discount for e in clicks], dtype=np.float64),
+        A=A, y_all=y_all, y_delay=y_delay, atc_items=atc_items, atc_len=atc_len,
+        pay_items=pay_items, pay_len=pay_len)
 
 
 def _pair_outcomes(action, pair, ts, day, daily, pre, sample, calendar,
@@ -237,8 +290,8 @@ def _pair_outcomes(action, pair, ts, day, daily, pre, sample, calendar,
     buys = np.flatnonzero(action == _BUY)
     buys = buys[np.argsort(ts[buys], kind="stable")]
     k = np.searchsorted(pair_code[clicks], pair_code[buys], side="right") - 1
-    owner = clicks[np.maximum(k, 0)]
-    found = (k >= 0) & (pair[owner] == pair[buys])
+    buys, owner = buys[k >= 0], clicks[k[k >= 0]]
+    found = pair[owner] == pair[buys]
     owner, buy_day = owner[found], day[buys[found]]
     same_day = buy_day == day[owner]
     # A later-day purchase counts only for clicks outside the daily window.
@@ -266,21 +319,30 @@ def _pair_outcomes(action, pair, ts, day, daily, pre, sample, calendar,
     return y_all[sample], y_delay[sample], A
 
 
-def _histories(events, action, user, ts, sample, max_seq_len):
-    """Cart and purchase item-id tuples of the sample clicks' users.
+def user_histories(user: np.ndarray, ts: np.ndarray, item: np.ndarray,
+                   rows: np.ndarray, max_seq_len: int, *kinds: np.ndarray) -> list:
+    """Padded item histories of the events `rows`, one per kind of event.
 
-    Each user's events run newest first; a click's history starts after its
-    own (user, ts) group and ends with the user's last event.
+    `user` holds integer user codes, `item` the item ids and each kind a
+    boolean mask over the events. A row's history of a kind holds the items
+    of that kind's events by the same user strictly before the row's ts,
+    newest first (equal timestamps in input order), cut to max_seq_len.
+    Returns, per kind, an item array padded with "" to the longest history
+    and the (n,) count of real entries.
     """
+    # Each user's events run newest first; a row's history starts after its
+    # own (user, ts) group and ends with the user's last event.
     by_user, user_code = _grouped_order(user, -ts)
     out = []
-    for code in (_ATC, _BUY):
-        kind = by_user[action[by_user] == code]
-        lo = np.searchsorted(user_code[kind], user_code[sample], side="right")
-        hi = np.minimum(np.searchsorted(user[kind], user[sample], side="right"),
-                        lo + max_seq_len)
-        items = [events[j].item_id for j in kind.tolist()]
-        out.append([tuple(items[a:b]) for a, b in zip(lo, hi)])
+    for kind in kinds:
+        found = by_user[kind[by_user]]
+        lo = np.searchsorted(user_code[found], user_code[rows], side="right")
+        length = np.minimum(np.searchsorted(user[found], user[rows], side="right") - lo,
+                            max_seq_len)
+        at = lo[:, None] + np.arange(length.max(initial=0))
+        # Index len(found) picks the "" appended as padding.
+        padded = np.append(item[found], "")
+        out += [padded[np.where(at < (lo + length)[:, None], at, len(found))], length]
     return out
 
 
@@ -288,20 +350,21 @@ def _histories(events, action, user, ts, sample, max_seq_len):
 # Partitioning
 # ---------------------------------------------------------------------------
 
-def partition_dataset(samples: Sequence[ClickSample], calendar: PromotionCalendar,
+def partition_dataset(clicks: ClickTable, calendar: PromotionCalendar,
                       split_ratio: float = 0.8, seed: int = 0) -> DatasetSplit:
-    """Daily samples pass through; pre-promotion samples are shuffled and split."""
+    """Daily clicks pass through; pre-promotion clicks are shuffled and split."""
     if not 0.0 < split_ratio < 1.0:
         raise ConfigError(f"split_ratio must be in (0, 1), got {split_ratio}")
-    daily = [s for s in samples if calendar.in_daily(s.click_day)]
-    prepromo = [s for s in samples if calendar.in_pre_promo(s.click_day)]
-    if not prepromo:
+    day = clicks.click_day
+    (lo, hi), (p0, p1) = calendar.daily_train_range, calendar.pre_promo_range
+    prepromo = np.flatnonzero((p0 <= day) & (day <= p1))
+    if not len(prepromo):
         raise DataError("no pre-promotion samples in calendar window")
     order = np.random.default_rng(seed).permutation(len(prepromo))
     cut = int(len(prepromo) * split_ratio)
-    train = [prepromo[i] for i in order[:cut]]
-    eval_ = [prepromo[i] for i in order[cut:]]
-    return DatasetSplit(daily_train=daily, prepromo_train=train, prepromo_eval=eval_)
+    return DatasetSplit(daily_train=clicks[np.flatnonzero((lo <= day) & (day <= hi))],
+                        prepromo_train=clicks[prepromo[order[:cut]]],
+                        prepromo_eval=clicks[prepromo[order[cut:]]])
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +480,7 @@ def write_events_csv(events: Iterable[ActionEvent], path,
 
 
 # ---------------------------------------------------------------------------
-# Feature encoding (samples -> dense arrays)
+# Feature encoding (click table -> model arrays)
 # ---------------------------------------------------------------------------
 
 OOV_INDEX = 0
@@ -425,7 +488,7 @@ OOV_INDEX = 0
 
 @dataclass(slots=True)
 class EncodedDataset:
-    """Column-major view of a sample list, ready for batched training."""
+    """Model-ready arrays of a ClickTable, for batched training."""
 
     dense: np.ndarray          # (n, dense_dim): context features ++ [price, discount]
     user_idx: np.ndarray       # (n,) int
@@ -479,17 +542,16 @@ class FeatureEncoder:
         self.disc_edges = np.zeros(0)
         self.dense_dim = 0
 
-    def fit(self, samples: Sequence[ClickSample]) -> "FeatureEncoder":
-        if not samples:
-            raise DataError("cannot fit encoder on an empty sample list")
-        for s in samples:
-            self.user_vocab.setdefault(s.user_id, len(self.user_vocab) + 1)
-            self.item_vocab.setdefault(s.item_id, len(self.item_vocab) + 1)
-            self.cat_vocab.setdefault(s.category_id, len(self.cat_vocab) + 1)
+    def fit(self, clicks: ClickTable) -> "FeatureEncoder":
+        if not len(clicks):
+            raise DataError("cannot fit encoder on an empty click table")
+        self.user_vocab = _first_seen(clicks.user_id)
+        self.item_vocab = _first_seen(clicks.item_id)
+        self.cat_vocab = _first_seen(clicks.category_id)
         qs = np.linspace(0, 1, self.n_buckets + 1)[1:-1]
-        self.price_edges = np.unique(np.quantile([s.price for s in samples], qs))
-        self.disc_edges = np.unique(np.quantile([s.discount for s in samples], qs))
-        ctx = 0 if samples[0].features is None else len(samples[0].features)
+        self.price_edges = np.unique(np.quantile(clicks.price, qs))
+        self.disc_edges = np.unique(np.quantile(clicks.discount, qs))
+        ctx = 0 if clicks.features is None else clicks.features.shape[1]
         self.dense_dim = ctx + 2
         return self
 
@@ -505,59 +567,52 @@ class FeatureEncoder:
     def n_categories(self) -> int:
         return len(self.cat_vocab) + 1
 
-    def _encode_seq(self, seqs: list[tuple[str, ...]]) -> tuple[np.ndarray, np.ndarray]:
-        n, L = len(seqs), self.max_seq_len
+    def _encode_seq(self, items: np.ndarray, lengths: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        n, L = len(items), self.max_seq_len
+        width = min(L, items.shape[1])
+        filled = np.arange(width) < lengths[:, None]
         ids = np.zeros((n, L), dtype=np.int64)
+        ids[:, :width] = np.where(filled, _lookup(self.item_vocab, items[:, :width]),
+                                  OOV_INDEX)
         mask = np.zeros((n, L))
-        for i, seq in enumerate(seqs):
-            for j, item in enumerate(seq[:L]):
-                ids[i, j] = self.item_vocab.get(item, OOV_INDEX)
-                mask[i, j] = 1.0
+        mask[:, :width] = filled
         return ids, mask
 
-    def encode(self, samples: Sequence[ClickSample]) -> EncodedDataset:
-        n = len(samples)
+    def encode(self, clicks: ClickTable) -> EncodedDataset:
+        n = len(clicks)
         ctx = self.dense_dim - 2
-        dense = np.zeros((n, self.dense_dim))
-        for i, s in enumerate(samples):
-            if ctx:
-                if s.features is None or len(s.features) != ctx:
-                    raise DataError(
-                        f"sample {i} has {0 if s.features is None else len(s.features)} "
-                        f"context features, encoder expects {ctx}")
-                dense[i, :ctx] = s.features
-            dense[i, ctx] = s.price
-            dense[i, ctx + 1] = s.discount
+        dense = np.empty((n, self.dense_dim))
+        if ctx:
+            width = 0 if clicks.features is None else clicks.features.shape[1]
+            if width != ctx:
+                raise DataError(f"clicks have {width} context features, "
+                                f"encoder expects {ctx}")
+            dense[:, :ctx] = clicks.features
+        dense[:, ctx] = clicks.price
+        dense[:, ctx + 1] = clicks.discount
         # One non-finite input would reach every parameter through the optimizer.
         bad = np.flatnonzero(~np.isfinite(dense).all(axis=1))
         if len(bad):
-            s = samples[bad[0]]
+            s = clicks[int(bad[0])]
             raise DataError(
                 f"sample {bad[0]} (user {s.user_id!r}, item {s.item_id!r}, "
                 f"ts {s.click_ts}) has a non-finite context feature, price or discount")
 
-        price = np.array([s.price for s in samples])
-        disc = np.array([s.discount for s in samples])
-        atc_ids, atc_mask = self._encode_seq([s.atc_seq for s in samples])
-        pay_ids, pay_mask = self._encode_seq([s.pay_seq for s in samples])
-
-        truth = {}
-        if n and samples[0].truth is not None:
-            for key in ("p_a_true", "mu1_true", "mu0_true", "q_dir_true", "ice_true"):
-                truth[key] = np.array([getattr(s.truth, key) for s in samples])
-
+        atc_ids, atc_mask = self._encode_seq(clicks.atc_items, clicks.atc_len)
+        pay_ids, pay_mask = self._encode_seq(clicks.pay_items, clicks.pay_len)
         return EncodedDataset(
             dense=dense,
-            user_idx=np.array([self.user_vocab.get(s.user_id, OOV_INDEX) for s in samples]),
-            item_idx=np.array([self.item_vocab.get(s.item_id, OOV_INDEX) for s in samples]),
-            cat_idx=np.array([self.cat_vocab.get(s.category_id, OOV_INDEX) for s in samples]),
-            price_bucket=np.searchsorted(self.price_edges, price, side="right"),
-            disc_bucket=np.searchsorted(self.disc_edges, disc, side="right"),
+            user_idx=_lookup(self.user_vocab, clicks.user_id),
+            item_idx=_lookup(self.item_vocab, clicks.item_id),
+            cat_idx=_lookup(self.cat_vocab, clicks.category_id),
+            price_bucket=np.searchsorted(self.price_edges, clicks.price, side="right"),
+            disc_bucket=np.searchsorted(self.disc_edges, clicks.discount, side="right"),
             atc_seq=atc_ids, atc_mask=atc_mask, pay_seq=pay_ids, pay_mask=pay_mask,
-            y_all=np.array([float(s.y_all) for s in samples]),
-            y_delay=np.array([float(s.y_delay) for s in samples]),
-            A=np.array([float(s.A) for s in samples]),
-            truth=truth)
+            y_all=clicks.y_all.astype(np.float64),
+            y_delay=clicks.y_delay.astype(np.float64),
+            A=clicks.A.astype(np.float64),
+            truth=dict(clicks.truth))
 
     def to_dict(self) -> dict:
         return {
@@ -582,3 +637,20 @@ class FeatureEncoder:
         enc.dense_dim = d["dense_dim"]
         return enc
 
+
+def _first_seen(ids: np.ndarray) -> dict[str, int]:
+    """Vocabulary of the distinct ids, numbered from 1 in order of first appearance."""
+    distinct, first = np.unique(ids, return_index=True)
+    return dict(zip(distinct[np.argsort(first)].tolist(), range(1, len(distinct) + 1)))
+
+
+def _lookup(vocab: dict[str, int], ids: np.ndarray) -> np.ndarray:
+    """Vocabulary index of every id in an array; OOV_INDEX for unknown ids."""
+    if not vocab:
+        return np.full(ids.shape, OOV_INDEX, dtype=np.int64)
+    keys = np.array(list(vocab), dtype=str)
+    order = np.argsort(keys)
+    keys = keys[order]
+    codes = np.fromiter(vocab.values(), dtype=np.int64, count=len(vocab))[order]
+    at = np.minimum(np.searchsorted(keys, ids), len(keys) - 1)
+    return np.where(keys[at] == ids, codes[at], OOV_INDEX)

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .causal import (ImputationConfig, PropensitySource, dr_ate_from_model,
-                     fit_imputation, naive_diff_in_means)
+from .causal import (ImputationConfig, ImputationModel, PropensitySource,
+                     dr_ate_from_model, fit_imputation, naive_diff_in_means)
 from .data import (CsvSchema, DatasetSplit, EncodedDataset, PromotionCalendar,
                    build_click_dataset, ingest_csv, partition_dataset)
 from .errors import ConfigError, DataError, PrepromoError, TrainingError
@@ -44,7 +44,8 @@ from .metrics import (MetricReport, auc_delay, emit_report, evaluate_scores,
                       nll_delay, paired_comparisons, summarize)
 from .model import DelayConfig, DelayModel, finetune
 from .pretrain import PretrainConfig, PretrainedModel, pretrain_fit
-from .synth import GenConfig, default_calendar, generate_dataset, sample_world
+from .synth import (GenConfig, WorldParams, default_calendar, generate_dataset,
+                    sample_world)
 
 log = logging.getLogger("prepromo.experiment")
 
@@ -333,32 +334,37 @@ def stage_seed(run_seed: int, stage: str) -> int:
 
 @dataclass(slots=True)
 class SeedData:
-    split: DatasetSplit
     enc_train: EncodedDataset
     enc_eval: EncodedDataset
     pretrained: PretrainedModel
+
+
+def synthetic_world(ds: DatasetConfig) -> tuple[WorldParams, GenConfig]:
+    """The world and the population that a synthetic dataset config describes."""
+    world = sample_world(ds.world_seed, d=ds.feature_dim, tau=ds.tau,
+                         scale=ds.scale, gamma=ds.gamma,
+                         confound_atc=ds.confound_atc,
+                         confound_dir=ds.confound_dir,
+                         trait_scale=ds.trait_scale,
+                         direct_rate_daily=ds.direct_rate_daily,
+                         direct_rate_pre=ds.direct_rate_pre,
+                         delayed_rate_pre=ds.delayed_rate_pre)
+    gen = GenConfig(n_users=ds.n_users, n_items=ds.n_items,
+                    n_categories=ds.n_categories, max_seq_len=ds.max_seq_len,
+                    calendar=ds.calendar())
+    return world, gen
 
 
 def acquire_data(cfg: ExperimentConfig, run_seed: int) -> DatasetSplit:
     ds = cfg.dataset
     calendar = ds.calendar()
     if ds.mode == "synthetic":
-        world = sample_world(ds.world_seed, d=ds.feature_dim, tau=ds.tau,
-                             scale=ds.scale, gamma=ds.gamma,
-                             confound_atc=ds.confound_atc,
-                             confound_dir=ds.confound_dir,
-                             trait_scale=ds.trait_scale,
-                             direct_rate_daily=ds.direct_rate_daily,
-                             direct_rate_pre=ds.direct_rate_pre,
-                             delayed_rate_pre=ds.delayed_rate_pre)
-        gen = GenConfig(n_users=ds.n_users, n_items=ds.n_items,
-                        n_categories=ds.n_categories, max_seq_len=ds.max_seq_len,
-                        calendar=calendar)
-        daily = generate_dataset(world, ds.n_daily, "daily",
-                                 stage_seed(run_seed, "daily"), gen)
-        prepromo = generate_dataset(world, ds.n_prepromo, "prepromo",
-                                    stage_seed(run_seed, "prepromo"), gen)
-        samples = daily + prepromo
+        world, gen = synthetic_world(ds)
+        # One expression, so the two halves are freed once concatenated.
+        samples = (generate_dataset(world, ds.n_daily, "daily",
+                                    stage_seed(run_seed, "daily"), gen)
+                   + generate_dataset(world, ds.n_prepromo, "prepromo",
+                                      stage_seed(run_seed, "prepromo"), gen))
     elif ds.mode == "csv":
         if not ds.events_path:
             raise ConfigError("csv mode needs dataset.events_path")
@@ -378,7 +384,7 @@ def acquire_data(cfg: ExperimentConfig, run_seed: int) -> DatasetSplit:
 def prepare_seed(cfg: ExperimentConfig, run_seed: int, trace: list[str]) -> SeedData:
     trace.append(f"seed={run_seed}:data")
     split = acquire_data(cfg, run_seed)
-    if not split.daily_train:
+    if not len(split.daily_train):
         raise DataError("no daily-training samples in calendar window")
 
     trace.append(f"seed={run_seed}:pretrain")
@@ -393,8 +399,19 @@ def prepare_seed(cfg: ExperimentConfig, run_seed: int, trace: list[str]) -> Seed
                               seed=stage_seed(run_seed, "pretrain"))
     enc_train = pretrained.encoder.encode(split.prepromo_train)
     enc_eval = pretrained.encoder.encode(split.prepromo_eval)
-    return SeedData(split=split, enc_train=enc_train, enc_eval=enc_eval,
-                    pretrained=pretrained)
+    return SeedData(enc_train=enc_train, enc_eval=enc_eval, pretrained=pretrained)
+
+
+def fit_seed_imputation(cfg: ExperimentConfig, seed_data: SeedData,
+                        run_seed: int) -> ImputationModel:
+    """The imputation model of one seed, fitted on its pre-promotion train split."""
+    icfg = ImputationConfig(widths=cfg.model.imputation_widths,
+                            learning_rate=cfg.training.learning_rate,
+                            batch_size=cfg.training.batch_size,
+                            epochs=cfg.training.imputation_epochs)
+    return fit_imputation(seed_data.enc_train, icfg,
+                          seed=stage_seed(run_seed, "imputation"),
+                          n_users=seed_data.pretrained.encoder.n_users)
 
 
 def run_reuse_baseline(pretrained: PretrainedModel, train: EncodedDataset,
@@ -429,27 +446,19 @@ def clone_unfrozen(model: PretrainedModel) -> PretrainedModel:
 
 
 def run_variant(cfg: ExperimentConfig, seed_data: SeedData, plan: VariantPlan,
-                run_seed: int, imputation, trace: list[str],
-                return_model: bool = False):
-    """One variant against one prepared seed -> (report, per-epoch losses).
-
-    With return_model=True a third element carries the trained model (None
-    for the frozen variant), for callers that checkpoint it.
-    """
+                run_seed: int, imputation, trace: list[str]):
+    """One variant against one prepared seed -> (report, per-epoch losses,
+    trained model); the model is None for the frozen variant."""
     eval_ = seed_data.enc_eval
     chash = config_hash(cfg)
     nll_ex = cfg.model.nll_exclude_direct
-
-    def out(report, losses, model):
-        return (report, losses, model) if return_model else (report, losses)
-
     if plan.kind == "frozen":
         trace.append(f"seed={run_seed}:score:{plan.name}")
         p_cvr, _ = seed_data.pretrained.predict(eval_)
         report = evaluate_scores(plan.name, run_seed, p_cvr, p_cvr,
                                  eval_.y_all, eval_.y_delay, chash, nll_ex)
         report.extras["finetune_steps"] = 0.0
-        return out(report, [], None)
+        return report, [], None
 
     if plan.kind == "reuse":
         trace.append(f"seed={run_seed}:finetune:{plan.name}")
@@ -461,7 +470,7 @@ def run_variant(cfg: ExperimentConfig, seed_data: SeedData, plan: VariantPlan,
                                  eval_.y_all, eval_.y_delay, chash, nll_ex)
         report.extras["finetune_steps"] = float(steps)
         report.extras["final_train_loss"] = losses[-1] if losses else float("nan")
-        return out(report, losses, clone)
+        return report, losses, clone
 
     trace.append(f"seed={run_seed}:finetune:{plan.name}")
     dcfg = DelayConfig(embedding_dim=cfg.model.embedding_dim,
@@ -482,7 +491,7 @@ def run_variant(cfg: ExperimentConfig, seed_data: SeedData, plan: VariantPlan,
                              chash, nll_ex)
     report.extras["finetune_steps"] = float(model.n_steps)
     report.extras["final_train_loss"] = losses[-1] if losses else float("nan")
-    return out(report, losses, model)
+    return report, losses, model
 
 
 def seed_diagnostics(cfg: ExperimentConfig, seed_data: SeedData, run_seed: int,
@@ -550,16 +559,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             imputation = None
             if any(p.needs_imputation for p in plans):
                 trace.append(f"seed={run_seed}:imputation")
-                icfg = ImputationConfig(widths=cfg.model.imputation_widths,
-                                        learning_rate=cfg.training.learning_rate,
-                                        batch_size=cfg.training.batch_size,
-                                        epochs=cfg.training.imputation_epochs)
-                imputation = fit_imputation(seed_data.enc_train, icfg,
-                                            seed=stage_seed(run_seed, "imputation"),
-                                            n_users=seed_data.pretrained.encoder.n_users)
+                imputation = fit_seed_imputation(cfg, seed_data, run_seed)
             for plan in plans:
-                report, losses = run_variant(cfg, seed_data, plan, run_seed,
-                                             imputation, trace)
+                report, losses, _ = run_variant(cfg, seed_data, plan, run_seed,
+                                                imputation, trace)
                 reports.append(report)
                 if losses:
                     loss_traces[(plan.name, run_seed)] = losses

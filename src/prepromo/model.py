@@ -22,12 +22,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import ClickSample, EncodedDataset
+from .data import EncodedDataset
 from .errors import ConfigError, DataError
 from .pretrain import (CHECKPOINT_VERSION, PretrainConfig, PretrainedModel,
                        load_parameters, read_checkpoint_meta)
@@ -258,18 +257,14 @@ class DelayModel:
         return model
 
 
-def finetune(model: DelayModel, train: Sequence[ClickSample] | EncodedDataset,
-             imputation=None, seed: int = 0) -> list[float]:
+def finetune(model: DelayModel, train: EncodedDataset, imputation=None,
+             seed: int = 0) -> list[float]:
     """Minibatch Adagrad over the combined objective; returns per-epoch means.
 
     The imputation model is evaluated once up front (counterfactual arm,
     everyone treated); its targets stay fixed for the whole run.
     """
     cfg = model.config
-    if not isinstance(train, EncodedDataset):
-        if not train:
-            raise DataError("empty fine-tuning set")
-        train = model.pretrained.encoder.encode(train)
     if train.n == 0:
         raise DataError("empty fine-tuning set")
     mu1 = None

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .data import ClickSample, EncodedDataset, FeatureEncoder
+from .data import ClickTable, EncodedDataset, FeatureEncoder
 from .errors import DataError
 
 CHECKPOINT_VERSION = 1
@@ -164,8 +164,7 @@ def _config_dict(config: PretrainConfig) -> dict:
     return d
 
 
-def pretrain_fit(daily: Sequence[ClickSample] | EncodedDataset,
-                 config: PretrainConfig, seed: int) -> PretrainedModel:
+def pretrain_fit(daily: ClickTable, config: PretrainConfig, seed: int) -> PretrainedModel:
     """Fit both heads on daily data by minibatch Adagrad, then freeze.
 
     Daily samples must carry the same-day conversion label in y_all and the
@@ -173,9 +172,7 @@ def pretrain_fit(daily: Sequence[ClickSample] | EncodedDataset,
     binary cross-entropies.
     """
     rng = np.random.default_rng(seed)
-    if isinstance(daily, EncodedDataset):
-        raise DataError("pretrain_fit builds its own encoder; pass raw samples")
-    if not daily:
+    if not len(daily):
         raise DataError("pretrain_fit needs a non-empty daily dataset")
     encoder = FeatureEncoder(n_buckets=config.n_buckets,
                              max_seq_len=config.max_seq_len).fit(daily)

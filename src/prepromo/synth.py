@@ -36,8 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (ActionEvent, ClickSample, GroundTruth, PromotionCalendar,
-                   SECONDS_PER_DAY)
+from .autodiff import sigmoid_values
+from .data import (TRUTH_KEYS, ActionEvent, ClickTable, PromotionCalendar,
+                   SECONDS_PER_DAY, user_histories)
 from .errors import ConfigError, UsageError
 
 
@@ -83,15 +84,6 @@ class GenConfig:
     calendar: PromotionCalendar = field(default_factory=default_calendar)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _solve_bias(z: np.ndarray, scale: float, target: float) -> float:
     """Bisect b so that mean(scale * sigmoid(z + b)) == target."""
     if not 0.0 < target < scale:
@@ -99,7 +91,7 @@ def _solve_bias(z: np.ndarray, scale: float, target: float) -> float:
     lo, hi = -40.0, 40.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if float(np.mean(scale * _sigmoid(z + mid))) < target:
+        if float(np.mean(scale * sigmoid_values(z + mid))) < target:
             lo = mid
         else:
             hi = mid
@@ -143,7 +135,7 @@ def sample_world(seed: int, d: int = 16, tau: float = 2.0, scale: float = 0.3,
     # Bias calibration on a dedicated Monte Carlo draw.
     x = rng.standard_normal((bias_mc, d))
     disc = rng.uniform(size=bias_mc)
-    a = (rng.uniform(size=bias_mc) < _sigmoid(x @ w_a)).astype(np.float64)
+    a = (rng.uniform(size=bias_mc) < sigmoid_values(x @ w_a)).astype(np.float64)
     t = trait_scale * rng.standard_normal(bias_mc)
     b_dir_daily = _solve_bias(x @ w_dir, scale, direct_rate_daily)
     b_dir_pre = _solve_bias(x @ w_dir, scale, direct_rate_pre)
@@ -160,11 +152,13 @@ def sample_world(seed: int, d: int = 16, tau: float = 2.0, scale: float = 0.3,
 
 
 def generate_dataset(world: WorldParams, n: int, mode: str, seed: int,
-                     gen: GenConfig | None = None) -> list[ClickSample]:
+                     gen: GenConfig | None = None) -> ClickTable:
     """Generate n clicks in time order, with labels, truth, and user histories.
 
     Each (user, item) pair is clicked at most once, so the event-log
-    serialization of a dataset has unambiguous purchase attribution.
+    serialization of a dataset has unambiguous purchase attribution. A
+    click's histories hold the same user's earlier carted and directly
+    bought items, as `user_histories` reads them from an event log.
     """
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
@@ -185,28 +179,23 @@ def generate_dataset(world: WorldParams, n: int, mode: str, seed: int,
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, world.d))
     disc = rng.uniform(size=n)
-    p_a = _sigmoid(x @ world.w_a)
-    A = (rng.uniform(size=n) < p_a).astype(np.int64)
-    q_dir = world.scale * _sigmoid(x @ world.w_dir + b_dir)
+    p_a = sigmoid_values(x @ world.w_a)
+    A = (rng.uniform(size=n) < p_a).astype(np.int8)
+    q_dir = world.scale * sigmoid_values(x @ world.w_dir + b_dir)
 
-    days = np.sort(rng.integers(day_lo, day_hi + 1, size=n)).tolist()
+    days = np.sort(rng.integers(day_lo, day_hi + 1, size=n))
     users = rng.integers(0, gen.n_users, size=n).tolist()
     items = rng.integers(0, gen.n_items, size=n).tolist()
 
-    # First pass: resolve (user, item) uniqueness and time slots, so the
-    # user-trait lookup below sees the final assignment.
+    # Clicks of a day take its one-second slots in order, from 1.
+    slots = np.arange(n) - np.searchsorted(days, days) + 1
+    full = np.flatnonzero(slots >= SECONDS_PER_DAY - 1)
+    if len(full):
+        raise ConfigError(f"day {days[full[0]]} overflowed its one-second slots")
+    # Redraw repeated (user, item) pairs in click order; the draws this
+    # takes depend on every earlier click.
     clicked: set[tuple[int, int]] = set()
-    slots: list[int] = []
-    slot = 0
-    prev_day = None
     for i in range(n):
-        day = days[i]
-        if day != prev_day:
-            slot, prev_day = 0, day
-        slot += 1
-        if slot >= SECONDS_PER_DAY - 1:
-            raise ConfigError(f"day {day} overflowed its one-second slots")
-        slots.append(slot)
         uid = users[i]
         item = items[i]
         tries = 0
@@ -219,13 +208,13 @@ def generate_dataset(world: WorldParams, n: int, mode: str, seed: int,
         clicked.add((uid, item))
         users[i] = uid
         items[i] = item
+    users, items = np.array(users), np.array(items)
 
     traits = user_traits(world, gen.n_users)
-    z_del = (x @ world.w_del + world.gamma * disc
-             + traits[np.asarray(users)] + world.b_del)
+    z_del = x @ world.w_del + world.gamma * disc + traits[users] + world.b_del
     if mode == "prepromo":
-        mu1 = world.scale * _sigmoid(z_del + world.tau)
-        mu0 = world.scale * _sigmoid(z_del)
+        mu1 = world.scale * sigmoid_values(z_del + world.tau)
+        mu0 = world.scale * sigmoid_values(z_del)
         q_del = np.where(A == 1, mu1, mu0)
     else:
         mu1 = np.zeros(n)
@@ -235,83 +224,45 @@ def generate_dataset(world: WorldParams, n: int, mode: str, seed: int,
     direct = u < q_dir
     delayed = ~direct & (u < q_dir + q_del)
 
-    # Bulk-convert the vectorized draws once; per-element casts dominate
-    # the loop otherwise.
-    disc_l = disc.tolist()
-    p_a_l = p_a.tolist()
-    a_l = A.tolist()
-    mu1_l = mu1.tolist()
-    mu0_l = mu0.tolist()
-    q_dir_l = q_dir.tolist()
-    direct_l = direct.tolist()
-    delayed_l = delayed.tolist()
-    user_names = [f"u{k}" for k in range(gen.n_users)]
-    item_names = [f"i{k}" for k in range(gen.n_items)]
-    cat_names = [f"c{k % gen.n_categories}" for k in range(gen.n_items)]
-
-    samples: list[ClickSample] = []
-    atc_hist: dict[int, list[str]] = {}
-    pay_hist: dict[int, list[str]] = {}
-    L = gen.max_seq_len
-    for i in range(n):
-        uid = users[i]
-        item = items[i]
-        item_id = item_names[item]
-        ts = days[i] * SECONDS_PER_DAY + slots[i]
-
-        ua = atc_hist.get(uid)
-        up = pay_hist.get(uid)
-        is_direct = direct_l[i]
-        sample = ClickSample(
-            user_id=user_names[uid], item_id=item_id,
-            category_id=cat_names[item],
-            click_ts=ts, click_day=days[i], price=0.0, discount=disc_l[i],
-            A=a_l[i],
-            y_all=1 if (is_direct or delayed_l[i]) else 0,
-            y_delay=1 if delayed_l[i] else 0,
-            atc_seq=tuple(ua[-L:][::-1]) if ua else (),
-            pay_seq=tuple(up[-L:][::-1]) if up else (),
-            features=x[i],
-            truth=GroundTruth(
-                p_a_true=p_a_l[i], mu1_true=mu1_l[i], mu0_true=mu0_l[i],
-                q_dir_true=q_dir_l[i], ice_true=mu1_l[i] - mu0_l[i]))
-        samples.append(sample)
-        if a_l[i]:
-            atc_hist.setdefault(uid, []).append(item_id)
-        if is_direct:
-            pay_hist.setdefault(uid, []).append(item_id)
-    return samples
+    ts = days * SECONDS_PER_DAY + slots
+    item_ids = np.array([f"i{k}" for k in range(gen.n_items)])[items]
+    atc_items, atc_len, pay_items, pay_len = user_histories(
+        users, ts, item_ids, np.arange(n), gen.max_seq_len, A == 1, direct)
+    return ClickTable(
+        user_id=np.array([f"u{k}" for k in range(gen.n_users)])[users],
+        item_id=item_ids,
+        category_id=np.array([f"c{k % gen.n_categories}" for k in range(gen.n_items)])[items],
+        click_ts=ts, click_day=days, price=np.zeros(n), discount=disc,
+        A=A, y_all=(direct | delayed).astype(np.int8), y_delay=delayed.astype(np.int8),
+        atc_items=atc_items, atc_len=atc_len, pay_items=pay_items, pay_len=pay_len,
+        features=x,
+        truth=dict(zip(TRUTH_KEYS, (p_a, mu1, mu0, q_dir, mu1 - mu0))))
 
 
-def true_ate(samples) -> float:
+def true_ate(clicks: ClickTable) -> float:
     """Mean individual causal effect over a generated dataset."""
-    if not samples:
+    if not len(clicks):
         raise UsageError("true_ate of an empty dataset")
-    for s in samples:
-        if s.truth is None:
-            raise UsageError("true_ate requires samples with ground truth")
-    return float(np.mean([s.truth.ice_true for s in samples]))
+    if "ice_true" not in clicks.truth:
+        raise UsageError("true_ate requires samples with ground truth")
+    return float(np.mean(clicks.truth["ice_true"]))
 
 
 # ---------------------------------------------------------------------------
-# Serialization: samples -> event log + ground-truth sidecar
+# Serialization: clicks -> event log + ground-truth sidecar
 # ---------------------------------------------------------------------------
 
-def sample_id(s: ClickSample) -> str:
-    return f"{s.user_id}:{s.item_id}:{s.click_ts}"
-
-
-def samples_to_events(samples, calendar: PromotionCalendar) -> list[ActionEvent]:
-    """Expand samples into the click/atc/buy events that would have produced them.
+def samples_to_events(clicks: ClickTable, calendar: PromotionCalendar) -> list[ActionEvent]:
+    """Expand clicks into the click/atc/buy events that would have produced them.
 
     Carted items get an atc event at the click instant; direct conversions a
     same-second purchase; delayed conversions a purchase on the first
-    promotion day, at a per-sample offset.
+    promotion day, at a per-click offset.
     """
     events: list[ActionEvent] = []
     promo_day = min(calendar.promo_days)
     delayed_slot = 0
-    for s in samples:
+    for s in clicks:
         events.append(ActionEvent(s.user_id, s.item_id, s.category_id, "click",
                                   s.click_ts, price=s.price, discount=s.discount))
         if s.A:
@@ -330,11 +281,11 @@ def samples_to_events(samples, calendar: PromotionCalendar) -> list[ActionEvent]
 GROUND_TRUTH_COLUMNS = ("sample_id", "p_a_true", "mu1_true", "mu0_true", "ice_true")
 
 
-def write_ground_truth_csv(samples, path) -> None:
+def write_ground_truth_csv(clicks: ClickTable, path) -> None:
+    """One row per click: `user:item:click_ts`, then the truth columns."""
+    truth = [clicks.truth[key].tolist() for key in GROUND_TRUTH_COLUMNS[1:]]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(GROUND_TRUTH_COLUMNS)
-        for s in samples:
-            t = s.truth
-            writer.writerow([sample_id(s), repr(t.p_a_true), repr(t.mu1_true),
-                             repr(t.mu0_true), repr(t.ice_true)])
+        for s, *values in zip(clicks, *truth):
+            writer.writerow([f"{s.user_id}:{s.item_id}:{s.click_ts}", *map(repr, values)])

@@ -185,6 +185,7 @@ class TestAC4DoublyRobust:
 
 
 class TestAC5MainOrdinalClaim:
+    @pytest.mark.slow
     def test_ac5_full_model_beats_every_baseline_every_seed(self, five_seed_run):
         cfg, result = five_seed_run
         by = {(r.variant, r.seed): r for r in result.reports}
@@ -213,6 +214,7 @@ class TestAC5MainOrdinalClaim:
 
 
 class TestAC6AblationOrdering:
+    @pytest.mark.slow
     def test_ac6_every_component_removal_hurts(self, five_seed_run):
         cfg, result = five_seed_run
         summary = result.summary
@@ -268,6 +270,7 @@ class TestAC7LabelOracle:
 
 
 class TestAC8NllSanity:
+    @pytest.mark.slow
     def test_ac8_no_variant_beats_bayes_and_closed_form_holds(self, five_seed_run):
         cfg, result = five_seed_run
         checked = 0

@@ -529,6 +529,32 @@ class TestNoGrad:
         assert float(grads["w"]) == 10.0
 
 
+def ref_synth_sigmoid(z):
+    """The synthetic generator's former logistic: the masked form, unclipped."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoidValues:
+    """The generator's logistic is autodiff's; it differs from the former
+    unclipped one only where the clip to (0, 1) binds, at |z| > 36.7."""
+
+    @pytest.mark.parametrize("scale", [1.0, 5.0])
+    def test_bitwise_equal_on_normals(self, scale):
+        z = np.random.default_rng(7).normal(size=1_000_000) * scale
+        assert_bitwise(ad.sigmoid_values(z), ref_synth_sigmoid(z))
+
+    def test_differs_only_where_the_clip_binds(self):
+        fast, ref = ad.sigmoid_values(EDGE), ref_synth_sigmoid(EDGE)
+        assert_bitwise(fast, np.clip(ref, ad._SIGMOID_LO, ad._SIGMOID_HI))
+        differ = bits(fast) != bits(ref)
+        assert differ.any() and np.all(np.abs(EDGE[differ]) > 36.7)
+
+
 class TestBceValues:
     def test_mean_equals_graph_bce(self):
         rng = np.random.default_rng(4)

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prepromo.data import (
-    ActionEvent, ClickSample, CsvSchema, FeatureEncoder, PromotionCalendar,
+    ActionEvent, ClickRow, CsvSchema, FeatureEncoder, PromotionCalendar,
     SECONDS_PER_DAY, build_click_dataset, derive_labels, ingest_csv,
     partition_dataset, write_events_csv,
 )
 from prepromo.errors import ConfigError, DataError
 
 from oracles import brute_force_atc, brute_force_labels, brute_force_sequences
+from tables import click_table
 
 DAY = SECONDS_PER_DAY
 
@@ -72,7 +73,7 @@ class TestDeriveLabels:
 
     def test_promo_day_click_excluded(self):
         out = derive_labels([click("u", "i", 7)], [], CAL)
-        assert out == []
+        assert len(out) == 0
 
     def test_daily_click_gets_same_day_label_only(self):
         out = derive_labels([click("u", "i", 2)], [buy("u", "i", 7)], CAL)
@@ -262,33 +263,33 @@ class TestClickDatasetOracle:
                 continue
             y_all, y_delay = labels[id(c)]
             atc, pay = brute_force_sequences(c, events, max_seq_len)
-            want.append(ClickSample(
+            want.append(ClickRow(
                 c.user_id, c.item_id, c.category_id, c.timestamp,
                 (c.timestamp + calendar.tz_offset) // DAY, c.price, c.discount,
                 A=brute_force_atc(c, events, calendar), y_all=y_all, y_delay=y_delay,
                 atc_seq=atc, pay_seq=pay))
         got = build_click_dataset(events, calendar, max_seq_len, inter)
-        assert got == want
+        assert list(got) == want
 
 
 class TestPartition:
     def make_samples(self, n):
-        return [ClickSample(f"u{i}", "i", "c0", 5 * DAY + i, 5, 0.0, 0.0)
+        return [ClickRow(f"u{i}", "i", "c0", 5 * DAY + i, 5, 0.0, 0.0)
                 for i in range(n)]
 
     def test_ratio(self):
-        split = partition_dataset(self.make_samples(10), CAL, 0.8, seed=1)
+        split = partition_dataset(click_table(self.make_samples(10)), CAL, 0.8, seed=1)
         assert len(split.prepromo_train) == 8
         assert len(split.prepromo_eval) == 2
 
     def test_deterministic(self):
-        samples = self.make_samples(50)
+        samples = click_table(self.make_samples(50))
         a = partition_dataset(samples, CAL, 0.8, seed=7)
         b = partition_dataset(samples, CAL, 0.8, seed=7)
         assert [s.user_id for s in a.prepromo_train] == [s.user_id for s in b.prepromo_train]
 
     def test_true_partition(self):
-        samples = self.make_samples(37)
+        samples = click_table(self.make_samples(37))
         split = partition_dataset(samples, CAL, 0.8, seed=3)
         train_ids = {s.user_id for s in split.prepromo_train}
         eval_ids = {s.user_id for s in split.prepromo_eval}
@@ -297,19 +298,19 @@ class TestPartition:
         assert abs(len(split.prepromo_train) - 37 * 0.8) <= 1
 
     def test_daily_passthrough(self):
-        samples = self.make_samples(5) + [
-            ClickSample("d", "i", "c0", 2 * DAY, 2, 0.0, 0.0)]
+        samples = click_table(self.make_samples(5) + [
+            ClickRow("d", "i", "c0", 2 * DAY, 2, 0.0, 0.0)])
         split = partition_dataset(samples, CAL, 0.8, seed=0)
         assert len(split.daily_train) == 1
 
     def test_empty_prepromo_is_error(self):
-        daily_only = [ClickSample("d", "i", "c0", 2 * DAY, 2, 0.0, 0.0)]
+        daily_only = click_table([ClickRow("d", "i", "c0", 2 * DAY, 2, 0.0, 0.0)])
         with pytest.raises(DataError, match="no pre-promotion samples"):
             partition_dataset(daily_only, CAL, 0.8, seed=0)
 
     def test_bad_ratio(self):
         with pytest.raises(ConfigError):
-            partition_dataset(self.make_samples(5), CAL, 1.2, seed=0)
+            partition_dataset(click_table(self.make_samples(5)), CAL, 1.2, seed=0)
 
 
 class TestCsv:
@@ -391,20 +392,21 @@ class TestBuildClickDataset:
 class TestFeatureEncoder:
     def make(self):
         rng = np.random.default_rng(0)
-        samples = [
-            ClickSample(f"u{i % 4}", f"i{i % 3}", f"c{i % 2}", 5 * DAY + i, 5,
-                        price=float(rng.uniform(1, 9)), discount=float(rng.uniform()),
-                        atc_seq=(f"i{(i + 1) % 3}",), pay_seq=(),
-                        features=rng.normal(size=3))
-            for i in range(24)
-        ]
+        rows, features = [], []
+        for i in range(24):
+            rows.append(ClickRow(f"u{i % 4}", f"i{i % 3}", f"c{i % 2}", 5 * DAY + i, 5,
+                                 price=float(rng.uniform(1, 9)),
+                                 discount=float(rng.uniform()),
+                                 atc_seq=(f"i{(i + 1) % 3}",), pay_seq=()))
+            features.append(rng.normal(size=3))
+        samples = click_table(rows, features)
         return FeatureEncoder(n_buckets=4, max_seq_len=2).fit(samples), samples
 
     def test_oov_is_zero(self):
         enc, samples = self.make()
-        stranger = ClickSample("uX", "iX", "cX", 5 * DAY, 5, 1.0, 0.5,
-                               features=np.zeros(3))
-        ds = enc.encode([stranger])
+        stranger = click_table([ClickRow("uX", "iX", "cX", 5 * DAY, 5, 1.0, 0.5)],
+                               features=np.zeros((1, 3)))
+        ds = enc.encode(stranger)
         assert ds.user_idx[0] == 0
         assert ds.item_idx[0] == 0
         assert ds.cat_idx[0] == 0
@@ -435,10 +437,9 @@ class TestFeatureEncoder:
     def test_non_finite_input_names_the_sample(self, field, value):
         enc, samples = self.make()
         if field == "features":
-            samples[3].features = samples[3].features.copy()
-            samples[3].features[1] = value
+            samples.features[3, 1] = value
         else:
-            setattr(samples[3], field, value)
+            getattr(samples, field)[3] = value
         with pytest.raises(DataError, match="sample 3 .*non-finite"):
             enc.encode(samples)
 
@@ -459,14 +460,16 @@ _FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False) | st.sampl
 
 @st.composite
 def click_samples(draw, ctx):
-    """ClickSamples over a few shared ids, with ctx context features."""
-    def one(u, i, c, price, disc, atc, pay, feats):
-        return ClickSample(u, i, c, 5 * DAY, 5, price, disc, atc_seq=tuple(atc),
-                           pay_seq=tuple(pay), features=np.array(feats))
-    sample = st.builds(one, _IDS, _IDS, _IDS, _FINITE, _FINITE,
-                       st.lists(_IDS, max_size=5), st.lists(_IDS, max_size=5),
-                       st.lists(_FINITE, min_size=ctx, max_size=ctx))
-    return draw(st.lists(sample, min_size=1, max_size=12))
+    """Click tables over a few shared ids, with ctx context features."""
+    def one(u, i, c, price, disc, atc, pay):
+        return ClickRow(u, i, c, 5 * DAY, 5, price, disc, atc_seq=tuple(atc),
+                        pay_seq=tuple(pay))
+    row = st.builds(one, _IDS, _IDS, _IDS, _FINITE, _FINITE,
+                    st.lists(_IDS, max_size=5), st.lists(_IDS, max_size=5))
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    features = draw(st.lists(st.lists(_FINITE, min_size=ctx, max_size=ctx),
+                             min_size=len(rows), max_size=len(rows)))
+    return click_table(rows, np.array(features).reshape(len(rows), ctx))
 
 
 class TestFeatureEncoderRoundTrip:
@@ -486,3 +489,155 @@ class TestFeatureEncoderRoundTrip:
                 continue
             x, y = getattr(a, f.name), getattr(b, f.name)
             assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+
+
+def reference_encoder(rows, features, n_buckets, max_seq_len):
+    """The per-row encoder the columnar one replaced: vocabularies by
+    `setdefault` in row order, buckets from quantiles of the row values."""
+    vocabs = ({}, {}, {})
+    for r in rows:
+        for vocab, key in zip(vocabs, (r.user_id, r.item_id, r.category_id)):
+            vocab.setdefault(key, len(vocab) + 1)
+    qs = np.linspace(0, 1, n_buckets + 1)[1:-1]
+    edges = [np.unique(np.quantile([getattr(r, f) for r in rows], qs))
+             for f in ("price", "discount")]
+    return {"n_buckets": n_buckets, "max_seq_len": max_seq_len,
+            "user_vocab": vocabs[0], "item_vocab": vocabs[1], "cat_vocab": vocabs[2],
+            "price_edges": edges[0].tolist(), "disc_edges": edges[1].tolist(),
+            "dense_dim": features.shape[1] + 2}
+
+
+def reference_encode(enc, rows, features):
+    """Arrays of the per-row encoder, one row and one history entry at a time."""
+    n, L = len(rows), enc.max_seq_len
+    seqs = {}
+    for name in ("atc_seq", "pay_seq"):
+        ids, mask = np.zeros((n, L), dtype=np.int64), np.zeros((n, L))
+        for i, r in enumerate(rows):
+            for j, item in enumerate(getattr(r, name)[:L]):
+                ids[i, j] = enc.item_vocab.get(item, 0)
+                mask[i, j] = 1.0
+        seqs[name], seqs[name[:3] + "_mask"] = ids, mask
+    ctx = enc.dense_dim - 2
+    dense = np.zeros((n, enc.dense_dim))
+    for i, r in enumerate(rows):
+        dense[i, :ctx] = features[i, :ctx]
+        dense[i, ctx:] = r.price, r.discount
+
+    def idx(vocab, key):
+        return np.array([vocab.get(getattr(r, key), 0) for r in rows])
+    return dict(
+        seqs, dense=dense, user_idx=idx(enc.user_vocab, "user_id"),
+        item_idx=idx(enc.item_vocab, "item_id"), cat_idx=idx(enc.cat_vocab, "category_id"),
+        price_bucket=np.searchsorted(enc.price_edges, [r.price for r in rows], side="right"),
+        disc_bucket=np.searchsorted(enc.disc_edges, [r.discount for r in rows], side="right"),
+        y_all=np.array([float(r.y_all) for r in rows]),
+        y_delay=np.array([float(r.y_delay) for r in rows]),
+        A=np.array([float(r.A) for r in rows]))
+
+
+class TestFeatureEncoderReference:
+    """The columnar encoder equals the per-row one: same vocabulary order,
+    same edges, same arrays."""
+
+    @given(data=st.data(), ctx=st.integers(0, 3), n_buckets=st.integers(1, 6),
+           max_seq_len=st.integers(1, 4))
+    def test_matches_per_row_encoder(self, data, ctx, n_buckets, max_seq_len):
+        fit_on = data.draw(click_samples(ctx))
+        probe = data.draw(click_samples(ctx))
+        enc = FeatureEncoder(n_buckets=n_buckets, max_seq_len=max_seq_len).fit(fit_on)
+        want = reference_encoder(list(fit_on), fit_on.features, n_buckets, max_seq_len)
+        got = enc.to_dict()
+        assert got == want
+        for vocab in ("user_vocab", "item_vocab", "cat_vocab"):
+            assert list(got[vocab]) == list(want[vocab])
+        a = enc.encode(probe)
+        for name, x in reference_encode(enc, list(probe), probe.features).items():
+            y = getattr(a, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+    def test_generated_clicks(self):
+        from prepromo.synth import GenConfig, generate_dataset, sample_world
+
+        clicks = generate_dataset(sample_world(3, d=4), 3000, "prepromo", seed=5,
+                                  gen=GenConfig(n_users=60, n_items=150, max_seq_len=6))
+        rows = list(clicks)
+        enc = FeatureEncoder(n_buckets=8, max_seq_len=4).fit(clicks)
+        assert enc.to_dict() == reference_encoder(rows, clicks.features, 8, 4)
+        a = enc.encode(clicks)
+        for name, x in reference_encode(enc, rows, clicks.features).items():
+            assert np.array_equal(x, getattr(a, name)), name
+
+
+def row_contract_problems(clicks) -> list[str]:
+    """Ways the rows of a click table break what an external reader relies on:
+    every field a str, int or float or a tuple of str, and prices that
+    survive `repr` and `float`."""
+    out = []
+    for r in clicks:
+        for name, value in zip(r._fields, r):
+            ok = (all(type(v) is str for v in value) if type(value) is tuple
+                  else type(value) in (str, int, float))
+            if not ok:
+                out.append(f"{name} is {type(value).__name__}")
+        for name in ("price", "discount"):
+            if not _survives_repr(getattr(r, name)):
+                out.append(f"{name} {getattr(r, name)!r} does not survive repr")
+    return out
+
+
+def _survives_repr(value) -> bool:
+    try:
+        return float(repr(value)) == value
+    except ValueError:
+        return False
+
+
+class TestRowContract:
+    """Rows as the benchmark's event-log writer and round-trip check read them."""
+
+    @pytest.fixture(scope="class")
+    def generated(self):
+        from prepromo.synth import GenConfig, generate_dataset, sample_world
+
+        world, gen = sample_world(7), GenConfig(n_users=50, n_items=90)
+        return (generate_dataset(world, 400, "daily", 1, gen)
+                + generate_dataset(world, 600, "prepromo", 2, gen)), gen
+
+    def test_generated_rows(self, generated):
+        clicks, gen = generated
+        assert len(clicks) == 1000
+        sub = clicks[::7]
+        assert len(sub) == len(range(0, 1000, 7))
+        assert [r.click_ts for r in sub] == [r.click_ts for r in list(clicks)[::7]]
+        assert row_contract_problems(clicks) == []
+        assert clicks[-1] == list(clicks)[-1]
+        split = partition_dataset(clicks, gen.calendar, 0.8, seed=3)
+        assert len(split.daily_train) == 400
+        assert len(split.prepromo_train) + len(split.prepromo_eval) == 600
+
+    def test_assembled_rows_carry_tuples(self, generated):
+        from prepromo.synth import samples_to_events
+
+        clicks, gen = generated
+        built = build_click_dataset(samples_to_events(clicks, gen.calendar), gen.calendar,
+                                    max_seq_len=gen.max_seq_len)
+        assert row_contract_problems(built) == []
+        rows = list(built)
+        assert any(r.atc_seq for r in rows) and any(r.pay_seq for r in rows)
+        assert all(type(r.atc_seq) is tuple and type(r.pay_seq) is tuple for r in rows)
+
+    def test_numpy_scalar_rows_are_caught(self, generated):
+        clicks, _ = generated
+
+        class NumpyRows(type(clicks)):
+            __slots__ = ()
+
+            def __iter__(self):
+                for r in super().__iter__():
+                    yield r._replace(price=np.float64(r.price), A=np.int8(r.A))
+
+        leaky = NumpyRows(**{f: getattr(clicks, f) for f in clicks.__dataclass_fields__})
+        problems = row_contract_problems(leaky)
+        assert "price is float64" in problems and "A is int8" in problems
+        assert any("does not survive repr" in p for p in problems)

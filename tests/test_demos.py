@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+pytestmark = pytest.mark.slow
+
 ROOT = Path(__file__).resolve().parent.parent
 QUICK_DEMOS = ("01_autodiff_basics.py", "02_synthetic_world.py",
                "03_label_semantics.py", "04_doubly_robust.py",

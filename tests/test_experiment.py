@@ -122,7 +122,7 @@ class TestConfigFile:
         cal = cfg.dataset.calendar()
         # 1511918000s is 2017-11-29 00:33 UTC, four days after daily_start.
         assert cal.day_of(1511918000) == cfg.dataset.daily_start + 4
-        assert cal.in_pre_promo(cal.day_of(1511918000))
+        assert cal.pre_promo_range[0] == cal.day_of(1511918000)
         assert len(cal.promo_days) == 2
 
     def test_paper_profile(self):
@@ -283,13 +283,11 @@ class TestFailureHandling:
         cfg.out_dir = str(tmp_path)
         original = exp.run_variant
 
-        def explode_on_finetune(cfg_, seed_data, plan, run_seed, imputation,
-                                trace, return_model=False):
+        def explode_on_finetune(cfg_, seed_data, plan, run_seed, imputation, trace):
             if plan.kind == "delay":
                 trace.append(f"seed={run_seed}:finetune:{plan.name}")
                 raise FloatingPointError("simulated blowup")
-            return original(cfg_, seed_data, plan, run_seed, imputation, trace,
-                            return_model)
+            return original(cfg_, seed_data, plan, run_seed, imputation, trace)
 
         monkeypatch.setattr(exp, "run_variant", explode_on_finetune)
         with pytest.raises(TrainingError, match="finetune:naive_finetune"):

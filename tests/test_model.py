@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from prepromo import autodiff as ad
 from prepromo.causal import ImputationConfig, ImputationModel
-from prepromo.data import ClickSample, FeatureEncoder
+from prepromo.data import ClickRow, FeatureEncoder
 from prepromo.errors import ConfigError, DataError, TrainingError
 from prepromo.model import (DelayConfig, DelayModel, DelayPrediction,
                             build_gated_input, delay_loss, dump_diagnostics,
@@ -17,6 +17,7 @@ from prepromo.pretrain import PretrainConfig, PretrainedModel, pretrain_fit
 from prepromo.synth import GenConfig, generate_dataset, sample_world
 
 from oracles import finite_difference_grads, max_grad_mismatch
+from tables import click_table
 
 
 def tiny_world():
@@ -69,7 +70,7 @@ class TestPoolSequence:
             "n_buckets": 2, "max_seq_len": 3, "user_vocab": {"u": 1},
             "item_vocab": {"a": 1, "b": 2}, "cat_vocab": {"c": 1},
             "price_edges": [], "disc_edges": [], "dense_dim": 2})
-        data = encoder.encode([ClickSample("u", "a", "c", 0, 0, 1.0, 0.0, atc_seq=seq)])
+        data = encoder.encode(click_table([ClickRow("u", "a", "c", 0, 0, 1.0, 0.0, atc_seq=seq)]))
         return ad.embedding_bag(table.node(), data.atc_seq, data.atc_mask).data[0]
 
     def test_empty_sequence_is_zero(self):

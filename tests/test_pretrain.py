@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from prepromo import autodiff as ad
-from prepromo.data import ClickSample, FeatureEncoder
+from prepromo.data import ClickRow, FeatureEncoder
 from prepromo.errors import DataError
 from prepromo.metrics import auc_all
 from prepromo.pretrain import PretrainConfig, PretrainedModel, pretrain_fit
 from prepromo.synth import generate_dataset, sample_world
+
+from tables import click_table
 
 DESK = PretrainConfig(learning_rate=0.05, epochs=3)
 
@@ -40,7 +42,7 @@ class TestFit:
 
     def test_non_finite_feature_rejected_before_training(self, world):
         daily = generate_dataset(world, 500, "daily", seed=3)
-        daily[42].features[2] = np.nan
+        daily.features[42, 2] = np.nan
         with pytest.raises(DataError, match="sample 42 .*non-finite"):
             pretrain_fit(daily, DESK, seed=5)
 
@@ -65,11 +67,15 @@ class TestFit:
         assert score > ceiling - 0.03
 
 
+def _eight_clicks(rng):
+    return click_table([ClickRow(f"u{i}", f"i{i}", "c", 100 + i, 0, 1.0, 0.5)
+                        for i in range(8)], features=rng.normal(size=(8, 4)))
+
+
 class TestForward:
     def test_zero_initialized_model_outputs_half(self):
         rng = np.random.default_rng(0)
-        samples = [ClickSample(f"u{i}", f"i{i}", "c", 100 + i, 0, 1.0, 0.5,
-                               features=rng.normal(size=4)) for i in range(8)]
+        samples = _eight_clicks(rng)
         encoder = FeatureEncoder(n_buckets=4, max_seq_len=5).fit(samples)
         model = PretrainedModel(encoder, PretrainConfig(), rng)
         for p in model.parameters():
@@ -81,8 +87,7 @@ class TestForward:
     def test_untrained_heads_output_half(self):
         # Heads start at zero, so a freshly built model is calibrated at 0.5.
         rng = np.random.default_rng(0)
-        samples = [ClickSample(f"u{i}", f"i{i}", "c", 100 + i, 0, 1.0, 0.5,
-                               features=rng.normal(size=4)) for i in range(8)]
+        samples = _eight_clicks(rng)
         encoder = FeatureEncoder(n_buckets=4, max_seq_len=5).fit(samples)
         model = PretrainedModel(encoder, PretrainConfig(), rng)
         out = model.forward(encoder.encode(samples))
@@ -96,18 +101,18 @@ class TestForward:
         assert np.array_equal(a.h_cvr[0].data, b.h_cvr[0].data)
 
     def test_out_of_vocabulary_ids_are_finite(self, trained):
-        stranger = ClickSample("never-seen-user", "never-seen-item", "zzz",
-                               100, 0, 0.0, 0.5,
-                               features=np.zeros(trained.encoder.dense_dim - 2))
-        data = trained.encoder.encode([stranger])
+        stranger = click_table([ClickRow("never-seen-user", "never-seen-item", "zzz",
+                                         100, 0, 0.0, 0.5)],
+                               features=np.zeros((1, trained.encoder.dense_dim - 2)))
+        data = trained.encoder.encode(stranger)
         assert data.user_idx[0] == 0
         out = trained.forward(data)
         assert np.isfinite(out.p_cvr.data).all()
         assert np.isfinite(out.p_atc.data).all()
 
     def test_exposes_all_hidden_layers(self, trained):
-        samples = [ClickSample("u0", "i0", "c0", 100, 0, 0.0, 0.5,
-                               features=np.zeros(trained.encoder.dense_dim - 2))]
+        samples = click_table([ClickRow("u0", "i0", "c0", 100, 0, 0.0, 0.5)],
+                              features=np.zeros((1, trained.encoder.dense_dim - 2)))
         out = trained.forward(trained.encoder.encode(samples))
         widths = trained.config.tower_widths
         assert [h.data.shape[1] for h in out.h_cvr] == list(widths)

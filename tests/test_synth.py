@@ -25,6 +25,11 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def _q_del(clicks):
+    """Each click's delayed-conversion probability under its own cart action."""
+    return np.where(clicks.A == 1, clicks.truth["mu1_true"], clicks.truth["mu0_true"])
+
+
 class TestSampleWorld:
     def test_deterministic(self):
         a, b = sample_world(3), sample_world(3)
@@ -48,19 +53,19 @@ class TestSampleWorld:
             sample_world(0, d=1)
 
     def test_base_rate_calibration(self, world, prepromo_200k):
-        rate_delay = np.mean([s.y_delay for s in prepromo_200k])
+        rate_delay = np.mean(prepromo_200k.y_delay)
         assert rate_delay == pytest.approx(world.delayed_rate_pre, rel=0.15)
-        direct = np.mean([s.y_all and not s.y_delay for s in prepromo_200k])
+        direct = np.mean(prepromo_200k.y_all - prepromo_200k.y_delay)
         assert direct == pytest.approx(world.direct_rate_pre, rel=0.25)
 
 
 class TestGenerateDataset:
     def test_single_sample_deterministic(self, world):
-        a = generate_dataset(world, 1, "prepromo", seed=5)[0]
-        b = generate_dataset(world, 1, "prepromo", seed=5)[0]
-        assert a.user_id == b.user_id
+        a = generate_dataset(world, 1, "prepromo", seed=5)
+        b = generate_dataset(world, 1, "prepromo", seed=5)
+        assert a[0] == b[0]
         assert np.array_equal(a.features, b.features)
-        assert a.truth.p_a_true == b.truth.p_a_true
+        assert a.truth["p_a_true"][0] == b.truth["p_a_true"][0]
 
     def test_n_zero_forbidden(self, world):
         with pytest.raises(UsageError):
@@ -73,41 +78,41 @@ class TestGenerateDataset:
     def test_daily_mode_never_delays(self, world):
         days = default_calendar().daily_train_range
         samples = generate_dataset(world, 5000, "daily", seed=2)
-        assert all(s.y_delay == 0 for s in samples)
-        assert all(s.truth.ice_true == 0.0 for s in samples)
-        assert all(days[0] <= s.click_day <= days[1] for s in samples)
+        assert np.all(samples.y_delay == 0)
+        assert np.all(samples.truth["ice_true"] == 0.0)
+        assert np.all((days[0] <= samples.click_day) & (samples.click_day <= days[1]))
 
     def test_prepromo_days_in_window(self, world):
         lo, hi = default_calendar().pre_promo_range
         samples = generate_dataset(world, 2000, "prepromo", seed=3)
-        assert all(lo <= s.click_day <= hi for s in samples)
+        assert np.all((lo <= samples.click_day) & (samples.click_day <= hi))
 
     @pytest.mark.parametrize("mode", ["daily", "prepromo"])
     def test_click_day_is_the_day_of_click_ts(self, world, mode):
         samples = generate_dataset(world, 3000, mode, seed=1)
-        assert len({s.click_day for s in samples}) > 1
-        assert all(s.click_day == s.click_ts // SECONDS_PER_DAY for s in samples)
+        assert len(np.unique(samples.click_day)) > 1
+        assert np.array_equal(samples.click_day, samples.click_ts // SECONDS_PER_DAY)
 
     def test_empirical_delay_rate_matches_truth(self, prepromo_200k):
-        q = np.array([s.truth.mu1_true if s.A else s.truth.mu0_true
-                      for s in prepromo_200k])
-        y = np.array([s.y_delay for s in prepromo_200k], dtype=float)
+        q = _q_del(prepromo_200k)
+        y = prepromo_200k.y_delay.astype(float)
         se = np.sqrt(np.mean(q * (1 - q)) / len(q))
         assert abs(y.mean() - q.mean()) < 3 * se
 
     def test_probability_validity(self, prepromo_200k):
-        for s in prepromo_200k[:5000]:
-            q_del = s.truth.mu1_true if s.A else s.truth.mu0_true
-            assert s.truth.q_dir_true + q_del < 1.0
+        head = prepromo_200k[:5000]
+        assert np.all(head.truth["q_dir_true"] + _q_del(head) < 1.0)
 
     def test_ice_formula(self, world, prepromo_200k):
         traits = user_traits(world, 1000)
-        for s in prepromo_200k[:500]:
-            z = (s.features @ world.w_del + world.gamma * s.discount
-                 + traits[int(s.user_id[1:])] + world.b_del)
-            ice = world.scale * (_sigmoid(z + world.tau) - _sigmoid(z))
-            assert s.truth.ice_true == pytest.approx(ice, abs=1e-12)
-            assert s.truth.mu1_true == pytest.approx(world.scale * _sigmoid(z + world.tau), abs=1e-12)
+        head = prepromo_200k[:500]
+        users = np.array([int(u[1:]) for u in head.user_id])
+        z = (head.features @ world.w_del + world.gamma * head.discount
+             + traits[users] + world.b_del)
+        ice = world.scale * (_sigmoid(z + world.tau) - _sigmoid(z))
+        assert head.truth["ice_true"] == pytest.approx(ice, abs=1e-12)
+        assert head.truth["mu1_true"] == pytest.approx(world.scale * _sigmoid(z + world.tau),
+                                                       abs=1e-12)
 
     def test_traits_stable_across_calls(self, world):
         assert np.array_equal(user_traits(world, 100), user_traits(world, 100))
@@ -121,9 +126,9 @@ class TestGenerateDataset:
     def test_determinism_bitwise(self, world):
         a = generate_dataset(world, 3000, "prepromo", seed=9)
         b = generate_dataset(world, 3000, "prepromo", seed=9)
-        assert all(x.click_ts == y.click_ts and x.user_id == y.user_id
-                   and x.y_delay == y.y_delay and np.array_equal(x.features, y.features)
-                   for x, y in zip(a, b))
+        assert list(a) == list(b)
+        assert np.array_equal(a.features, b.features)
+        assert all(np.array_equal(a.truth[k], b.truth[k]) for k in a.truth)
 
     def test_unique_user_item_pairs(self, world):
         samples = generate_dataset(world, 20_000, "prepromo", seed=13,
@@ -133,11 +138,10 @@ class TestGenerateDataset:
 
     def test_conditional_frequencies_match_truth(self, world, prepromo_200k):
         # Coarse bins on the delayed-head index, split by cart action.
-        z = np.array([s.features @ world.w_del for s in prepromo_200k])
-        a = np.array([s.A for s in prepromo_200k])
-        y = np.array([s.y_delay for s in prepromo_200k], dtype=float)
-        q = np.array([s.truth.mu1_true if s.A else s.truth.mu0_true
-                      for s in prepromo_200k])
+        z = prepromo_200k.features @ world.w_del
+        a = prepromo_200k.A
+        y = prepromo_200k.y_delay.astype(float)
+        q = _q_del(prepromo_200k)
         edges = np.quantile(z, [0.25, 0.5, 0.75])
         bins = np.searchsorted(edges, z)
         for b in range(4):
@@ -172,10 +176,10 @@ class TestTrueAte:
 
     def test_hand_arithmetic_single_sample(self):
         world = sample_world(2, d=2, trait_scale=0.0)
-        s = generate_dataset(world, 1, "prepromo", seed=4)[0]
-        z = float(s.features @ world.w_del) + world.gamma * s.discount + world.b_del
+        s = generate_dataset(world, 1, "prepromo", seed=4)
+        z = float(s.features[0] @ world.w_del) + world.gamma * s.discount[0] + world.b_del
         want = world.scale * (_sigmoid(z + world.tau) - _sigmoid(z))
-        assert true_ate([s]) == pytest.approx(want, abs=1e-12)
+        assert true_ate(s) == pytest.approx(want, abs=1e-12)
 
     def test_empty_is_error(self):
         with pytest.raises(UsageError):
@@ -187,8 +191,8 @@ class TestTrueAte:
         assert ate > 0.008
 
     def test_confounding_is_real(self, prepromo_200k):
-        y = np.array([s.y_delay for s in prepromo_200k], dtype=float)
-        a = np.array([s.A for s in prepromo_200k])
+        y = prepromo_200k.y_delay.astype(float)
+        a = prepromo_200k.A
         naive = y[a == 1].mean() - y[a == 0].mean()
         se = np.sqrt(y[a == 1].var() / (a == 1).sum() + y[a == 0].var() / (a == 0).sum())
         assert abs(naive - true_ate(prepromo_200k)) > 5 * se
@@ -201,8 +205,8 @@ class TestHandSetWorldRates:
             w_del=np.array([0.6, 0.8]), b_dir_daily=-2.0, b_dir_pre=-3.0,
             b_del=-2.5, tau=1.0, gamma=0.5, scale=0.4, trait_scale=0.0)
         samples = generate_dataset(world, 150_000, "prepromo", seed=21)
-        q_dir = np.array([s.truth.q_dir_true for s in samples])
-        got_direct = np.mean([s.y_all and not s.y_delay for s in samples])
+        q_dir = samples.truth["q_dir_true"]
+        got_direct = np.mean(samples.y_all - samples.y_delay)
         se = np.sqrt(np.mean(q_dir * (1 - q_dir)) / len(samples))
         assert abs(got_direct - q_dir.mean()) < 3 * se
         # Hand integral over x ~ N(0, I2), disc ~ U(0,1) via a fixed grid.
@@ -249,4 +253,5 @@ class TestSerialization:
         assert lines[0] == "sample_id,p_a_true,mu1_true,mu0_true,ice_true"
         assert len(lines) == 21
         first = lines[1].split(",")
-        assert float(first[1]) == samples[0].truth.p_a_true
+        assert first[0] == f"{samples[0].user_id}:{samples[0].item_id}:{samples[0].click_ts}"
+        assert float(first[1]) == samples.truth["p_a_true"][0]
