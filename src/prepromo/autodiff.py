@@ -212,8 +212,62 @@ def sigmoid(a: Node) -> Node:
     out = sigmoid_values(a.data)
 
     def back(g):
-        return (g * out * (1.0 - out),)
+        return (_activation_grad(g, out, "sigmoid"),)
     return Node(out, op="sigmoid", parents=(a,), backward=back)
+
+
+def tanh(a: Node) -> Node:
+    """Hyperbolic tangent, np.tanh; its gradient is g * (1 - t^2)."""
+    out = np.tanh(a.data)
+
+    def back(g):
+        return (_activation_grad(g, out, "tanh"),)
+    return Node(out, op="tanh", parents=(a,), backward=back)
+
+
+def _activation_grad(g: Array, out: Array, act: str) -> Array:
+    """Gradient at an activation's input from g at its output `out`."""
+    if act == "sigmoid":
+        return g * out * (1.0 - out)
+    if act == "tanh":
+        return g * (1.0 - out * out)
+    return g
+
+
+def dense(x: Node, w: Node, b: Node, act: str = "linear") -> Node:
+    """act(x @ w + b) as one node: x (n, k), w (k, m), b (m,).
+
+    For sigmoid and linear the arithmetic is that of
+    act(add(matmul(x, w), b)), operation for operation. tanh is np.tanh,
+    applied in place on the pre-activation buffer.
+    """
+    if x.data.shape[-1] != w.data.shape[0]:
+        raise ConfigError(
+            f"dense inner dimensions disagree: {x.data.shape} @ {w.data.shape}")
+    if act not in ACTIVATIONS:
+        raise ConfigError(f"unknown activation {act!r}")
+    z = x.data @ w.data
+    z += b.data
+    if act == "sigmoid":
+        out = sigmoid_values(z)
+    elif act == "tanh":
+        out = np.tanh(z, out=z)
+    else:
+        out = z
+
+    def back(g):
+        gz = _activation_grad(g, out, act)
+        return gz @ w.data.T, x.data.T @ gz, gz.sum(axis=0)
+    return Node(out, op="dense", parents=(x, w, b), backward=back)
+
+
+def columns(a: Node, start: int, stop: int) -> Node:
+    """Columns start:stop of a 2-D node; the rest of its gradient is zero."""
+    def back(g):
+        grad = np.zeros_like(a.data)
+        grad[:, start:stop] = g
+        return (grad,)
+    return Node(a.data[:, start:stop], op="columns", parents=(a,), backward=back)
 
 
 def log(a: Node) -> Node:
@@ -409,19 +463,6 @@ def bce_values(p: Array, y: Array, eps: float = PROB_EPS) -> Array:
 ACTIVATIONS = ("sigmoid", "tanh", "linear")
 
 
-def tanh(a: Node) -> Node:
-    """tanh(x) as 2*sigmoid(2x) - 1: zero-centered, one node.
-
-    Forward and backward do the arithmetic of the composite
-    sub(mul(2, sigmoid(mul(2, x))), 1), operation for operation.
-    """
-    s = sigmoid_values(2.0 * a.data)
-
-    def back(g):
-        return ((g * 2.0) * s * (1.0 - s) * 2.0,)
-    return Node(2.0 * s - 1.0, op="tanh", parents=(a,), backward=back)
-
-
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> Array:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
@@ -471,13 +512,7 @@ class MLP:
                 raise ConfigError(
                     f"{self.name}: layer {i} expects width {w.data.shape[0]}, "
                     f"got {h.data.shape[-1]}")
-            z = add(matmul(h, w.node()), b.node())
-            if act == "sigmoid":
-                h = sigmoid(z)
-            elif act == "tanh":
-                h = tanh(z)
-            else:
-                h = z
+            h = dense(h, w.node(), b.node(), act)
             outs.append(h)
         return outs
 

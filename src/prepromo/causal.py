@@ -106,15 +106,14 @@ def fit_imputation(train: EncodedDataset, config: ImputationConfig | None = None
     val_idx, fit_idx = order[:n_val], order[n_val:]
     fit = train.take(fit_idx)
 
-    params = model.parameters()
-    opt = ad.Adagrad(params, lr=config.learning_rate)
+    opt = ad.Adagrad(model.parameters(), lr=config.learning_rate)
     step = 0
     for _ in range(config.epochs):
         for batch in fit.batches(config.batch_size, rng):
             p = model._forward(batch.dense, batch.user_idx, batch.A)
             loss = ad.bce(p, batch.y_delay.reshape(-1, 1))
             ad.finite_loss(float(loss.data), "imputation", step)
-            opt.step(ad.backward(loss, params))
+            opt.step(ad.backward(loss))
             step += 1
     if n_val:
         val = train.take(val_idx)

@@ -420,8 +420,7 @@ def run_reuse_baseline(pretrained: PretrainedModel, train: EncodedDataset,
     """Relabeling baseline: fine-tune an unfrozen copy of the daily model on
     pre-promotion data, delayed conversions counted as positives (y_all)."""
     clone = clone_unfrozen(pretrained)
-    params = clone.parameters()
-    opt = ad.Adagrad(params, lr=training.learning_rate)
+    opt = ad.Adagrad(clone.parameters(), lr=training.learning_rate)
     rng = np.random.default_rng(seed)
     trace, steps = [], 0
     for _ in range(training.epochs):
@@ -430,7 +429,7 @@ def run_reuse_baseline(pretrained: PretrainedModel, train: EncodedDataset,
             out = clone.forward(batch)
             loss = ad.bce(out.p_cvr, batch.y_all.reshape(-1, 1))
             epoch.append(ad.finite_loss(float(loss.data), "reuse_relabel", steps))
-            opt.step(ad.backward(loss, params))
+            opt.step(ad.backward(loss))
             steps += 1
         trace.append(float(np.mean(epoch)))
     return clone, trace, steps

@@ -59,10 +59,25 @@ class DelayPrediction:
     gate_values: list[tuple[ad.Node, ad.Node]] = field(default_factory=list)
 
 
-def gate_forward(gate: ad.MLP, e_user: ad.Node, v_atc: ad.Node,
-                 v_pay: ad.Node) -> ad.Node:
-    """Sigmoid gate vector from the fixed concatenation (user || atc || pay)."""
-    return gate.forward(ad.concat([e_user, v_atc, v_pay]))[-1]
+def gate_pair(gate_cvr: ad.MLP, gate_atc: ad.MLP,
+              gate_in: ad.Node) -> tuple[ad.Node, ad.Node]:
+    """One level's two sigmoid gate vectors from their shared input
+    (user || atc || pay).
+
+    The two first layers run as one layer over their side-by-side weights
+    (the MMoE layout); each gate's second layer then reads its own half.
+    Both gates are two-layer MLPs of equal widths.
+    """
+    w_c, w_a = gate_cvr.weights, gate_atc.weights
+    b_c, b_a = gate_cvr.biases, gate_atc.biases
+    hidden = ad.dense(gate_in, ad.concat([w_c[0].node(), w_a[0].node()]),
+                      ad.concat([b_c[0].node(), b_a[0].node()]),
+                      gate_cvr.activations[0])
+    width = w_c[0].data.shape[1]
+    return (ad.dense(ad.columns(hidden, 0, width), w_c[1].node(), b_c[1].node(),
+                     gate_cvr.activations[1]),
+            ad.dense(ad.columns(hidden, width, 2 * width), w_a[1].node(),
+                     b_a[1].node(), gate_atc.activations[1]))
 
 
 def build_gated_input(h_cvr: ad.Node, h_atc: ad.Node, gate_cvr: ad.Node | None,
@@ -167,25 +182,27 @@ class DelayModel:
         return params
 
     def forward(self, batch: EncodedDataset) -> DelayPrediction:
-        base = self.pretrained.forward(batch)
+        # The frozen base never gets a gradient, so its pass records no graph.
+        with ad.no_grad():
+            base = self.pretrained.forward(batch)
         p_ori = ad.stop_gradient(base.p_cvr)
         h_cvr = [ad.stop_gradient(h) for h in base.h_cvr]
         h_atc = [ad.stop_gradient(h) for h in base.h_atc]
 
         v_atc = ad.embedding_bag(self.pool_atc.node(), batch.atc_seq, batch.atc_mask)
         v_pay = ad.embedding_bag(self.pool_pay.node(), batch.pay_seq, batch.pay_mask)
-        e_user = ad.embedding(self.emb_user.node(), batch.user_idx)
         e_price = ad.concat([
             ad.embedding(self.emb_price.node(), batch.price_bucket),
             ad.embedding(self.emb_disc.node(), batch.disc_bucket)])
+        if self.config.use_gates:
+            e_user = ad.embedding(self.emb_user.node(), batch.user_idx)
+            gate_in = ad.concat([e_user, v_atc, v_pay])
 
         gate_values: list[tuple[ad.Node, ad.Node]] = []
         h = None
         for i, layer in enumerate(self.layers):
             if self.config.use_gates:
-                gc, ga = self.gates[i]
-                g_cvr = gate_forward(gc, e_user, v_atc, v_pay)
-                g_atc = gate_forward(ga, e_user, v_atc, v_pay)
+                g_cvr, g_atc = gate_pair(*self.gates[i], gate_in)
                 gate_values.append((g_cvr, g_atc))
             else:
                 g_cvr = g_atc = None
@@ -274,8 +291,7 @@ def finetune(model: DelayModel, train: EncodedDataset, imputation=None,
         mu1 = imputation.mu(train, arm=1)
 
     rng = np.random.default_rng(seed)
-    params = model.parameters()
-    opt = ad.Adagrad(params, lr=cfg.learning_rate)
+    opt = ad.Adagrad(model.parameters(), lr=cfg.learning_rate)
     base_hash = model.pretrained.param_hash()
     for _ in range(cfg.epochs):
         epoch = []
@@ -286,7 +302,7 @@ def finetune(model: DelayModel, train: EncodedDataset, imputation=None,
             pred = model.forward(batch)
             total, parts = model.loss(pred, batch, mu1_batch)
             epoch.append(ad.finite_loss(parts["total"], "finetune", model.n_steps))
-            opt.step(ad.backward(total, params))
+            opt.step(ad.backward(total))
             model.n_steps += 1
         model.loss_trace.append(float(np.mean(epoch)))
     if model.pretrained.param_hash() != base_hash:

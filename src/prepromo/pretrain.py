@@ -178,8 +178,7 @@ def pretrain_fit(daily: ClickTable, config: PretrainConfig, seed: int) -> Pretra
                              max_seq_len=config.max_seq_len).fit(daily)
     model = PretrainedModel(encoder, config, rng)
     data = encoder.encode(daily)
-    params = model.parameters()
-    opt = ad.Adagrad(params, lr=config.learning_rate)
+    opt = ad.Adagrad(model.parameters(), lr=config.learning_rate)
     model.loss_trace = []
     step = 0
     for _ in range(config.epochs):
@@ -189,7 +188,7 @@ def pretrain_fit(daily: ClickTable, config: PretrainConfig, seed: int) -> Pretra
             loss = ad.add(ad.bce(out.p_cvr, batch.y_all.reshape(-1, 1)),
                           ad.bce(out.p_atc, batch.A.reshape(-1, 1)))
             epoch_losses.append(ad.finite_loss(float(loss.data), "pretrain", step))
-            opt.step(ad.backward(loss, params))
+            opt.step(ad.backward(loss))
             step += 1
         model.loss_trace.append(float(np.mean(epoch_losses)))
     return model.freeze()

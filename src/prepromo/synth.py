@@ -165,6 +165,10 @@ def generate_dataset(world: WorldParams, n: int, mode: str, seed: int,
     if mode not in ("daily", "prepromo"):
         raise ConfigError(f"mode must be 'daily' or 'prepromo', got {mode!r}")
     gen = gen or GenConfig()
+    pairs = gen.n_users * gen.n_items
+    if n > pairs:
+        raise ConfigError(f"{n} clicks exceed the {pairs} distinct (user, item) pairs "
+                          f"of {gen.n_users} users and {gen.n_items} items")
     cal = gen.calendar
     if mode == "daily":
         day_lo, day_hi = cal.daily_train_range

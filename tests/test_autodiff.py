@@ -177,6 +177,27 @@ class TestPrimitiveGradients:
         x = rng.normal(size=(4, 3)) * 2.0
         self.check(lambda: ad.mean(ad.square(ad.tanh(ad.matmul(ad.constant(x), w.node())))), [w])
 
+    @pytest.mark.parametrize("act", ad.ACTIVATIONS)
+    def test_dense(self, act):
+        rng = np.random.default_rng(13)
+        x = ad.Parameter("x", rng.normal(size=(5, 4)))
+        w = ad.Parameter("w", rng.normal(size=(4, 3)))
+        b = ad.Parameter("b", rng.normal(size=3))
+        m = rng.normal(size=(5, 3))
+        self.check(lambda: ad.mean(ad.mul(ad.dense(x.node(), w.node(), b.node(), act),
+                                          ad.constant(m))), [x, w, b])
+
+    def test_columns(self):
+        rng = np.random.default_rng(14)
+        a = ad.Parameter("a", rng.normal(size=(4, 6)))
+        m = rng.normal(size=(4, 2))
+
+        def build():
+            left = ad.columns(a.node(), 0, 2)
+            right = ad.columns(a.node(), 3, 5)
+            return ad.mean(ad.mul(ad.square(left), ad.constant(m)) + right)
+        self.check(build, [a])
+
     def test_clip_passthrough_region(self):
         w = ad.Parameter("w", np.array([0.3, 0.7]))
 
@@ -187,8 +208,8 @@ class TestPrimitiveGradients:
 
 # ---------------------------------------------------------------------------
 # Reference implementations: the plain forms of the fast primitives (masked
-# sigmoid, composite tanh, per-column bincount, allocating Adagrad). The fast
-# primitives must reproduce them bit for bit.
+# sigmoid, unfused dense layer, per-column bincount, allocating Adagrad). The
+# fast primitives must reproduce them bit for bit. tanh is np.tanh itself.
 # ---------------------------------------------------------------------------
 
 def ref_sigmoid_data(x):
@@ -208,9 +229,9 @@ def ref_sigmoid(a):
     return ad.Node(out, op="sigmoid", parents=(a,), backward=back)
 
 
-def ref_tanh(a):
-    return ad.sub(ad.mul(ad.constant(2.0), ref_sigmoid(ad.mul(ad.constant(2.0), a))),
-                  ad.constant(1.0))
+def ref_dense(x, w, b, act):
+    z = ad.add(ad.matmul(x, w), b)
+    return ad.sigmoid(z) if act == "sigmoid" else z
 
 
 def ref_scatter(ids, rows, shape):
@@ -264,17 +285,53 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("case", GRID)
     def test_tanh_forward_and_backward(self, case):
+        # tanh is np.tanh and its gradient g * (1 - t^2).
         rng = np.random.default_rng(2)
         for x in GRID[case]:
-            w = ad.constant(rng.normal(size=np.shape(x)))
+            node = ad.tanh(ad.constant(x))
+            t = np.tanh(x)
+            assert_bitwise(node.data, t)
+            g = rng.normal(size=np.shape(x))
+            assert_bitwise(node._backward(g)[0], g * (1.0 - t * t))
+
+    @staticmethod
+    def dense_cases(case, rng):
+        """2-D inputs with an identity layer (pre-activation == input) and a
+        random one."""
+        for x in GRID[case]:
+            x = x.reshape(1, -1) if x.ndim < 2 else x
+            k = x.shape[1]
+            yield x, np.eye(k), np.zeros(k)
+            yield x, rng.normal(size=(k, 7)), rng.normal(size=7)
+
+    @pytest.mark.parametrize("act", ["sigmoid", "linear"])
+    @pytest.mark.parametrize("case", GRID)
+    def test_dense_equals_unfused(self, case, act):
+        rng = np.random.default_rng(6)
+        for x, w, b in self.dense_cases(case, rng):
+            r = ad.constant(rng.normal(size=(x.shape[0], w.shape[1])))
             results = []
-            for build in (ad.tanh, ref_tanh):
-                p = ad.Parameter("x", x.copy())
-                out = build(p.node())
-                results.append((out.data, ad.backward(ad.mean(ad.mul(out, w)), [p])["x"]))
-            (fast_out, fast_grad), (ref_out, ref_grad) = results
+            for build in (ad.dense, ref_dense):
+                params = [ad.Parameter(n, v.copy()) for n, v in (("x", x), ("w", w), ("b", b))]
+                out = build(*(p.node() for p in params), act)
+                results.append((out.data, ad.backward(ad.mean(ad.mul(out, r)))))
+            (fast_out, fast_grads), (ref_out, ref_grads) = results
             assert_bitwise(fast_out, ref_out)
-            assert_bitwise(fast_grad, ref_grad)
+            assert fast_grads.keys() == ref_grads.keys() == {"x", "w", "b"}
+            for name in fast_grads:
+                assert_bitwise(fast_grads[name], ref_grads[name])
+
+    @pytest.mark.parametrize("case", GRID)
+    def test_dense_tanh(self, case):
+        rng = np.random.default_rng(7)
+        for x, w, b in self.dense_cases(case, rng):
+            node = ad.dense(ad.constant(x), ad.constant(w), ad.constant(b), "tanh")
+            t = np.tanh(x @ w + b)
+            assert_bitwise(node.data, t)
+            g = rng.normal(size=t.shape)
+            gz = g * (1.0 - t * t)
+            for got, want in zip(node._backward(g), (gz @ w.T, x.T @ gz, gz.sum(axis=0))):
+                assert_bitwise(got, want)
 
     def test_tanh_is_one_node(self):
         x = ad.Parameter("x", np.zeros(3))
@@ -390,6 +447,13 @@ class TestMlp:
         mlp = ad.MLP("m", [4, 6, 5, 1], ["sigmoid", "sigmoid", "linear"], rng)
         outs = mlp.forward(ad.constant(rng.normal(size=(2, 4))))
         assert [o.data.shape[1] for o in outs] == [6, 5, 1]
+
+    def test_dense_rejects_bad_shapes_and_activations(self):
+        x, b = ad.constant(np.ones((2, 3))), ad.constant(np.ones(1))
+        with pytest.raises(ConfigError, match="inner dimensions"):
+            ad.dense(x, ad.constant(np.ones((4, 1))), b)
+        with pytest.raises(ConfigError, match="unknown activation"):
+            ad.dense(x, ad.constant(np.ones((3, 1))), b, "relu")
 
     def test_width_mismatch_names_layer(self):
         rng = np.random.default_rng(2)

@@ -133,6 +133,15 @@ class TestErrorCodes:
         assert code == 2
         assert "widhts" in capsys.readouterr().err
 
+    def test_more_clicks_than_pairs_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "crowded.ini"
+        cfg.write_text("[dataset]\nn_daily = 500\nn_prepromo = 3000\n"
+                       "n_users = 40\nn_items = 60\n"
+                       "[experiment]\nseeds = 1\nvariants = pretrained_only\n")
+        code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert "2400 distinct (user, item) pairs" in capsys.readouterr().err
+
     def test_missing_events_file_exit_3(self, tmp_path):
         cfg = tmp_path / "csv.ini"
         cfg.write_text("[dataset]\nmode = csv\nevents_path = missing.csv\n"

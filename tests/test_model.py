@@ -12,7 +12,7 @@ from prepromo.data import ClickRow, FeatureEncoder
 from prepromo.errors import ConfigError, DataError, TrainingError
 from prepromo.model import (DelayConfig, DelayModel, DelayPrediction,
                             build_gated_input, delay_loss, dump_diagnostics,
-                            finetune, gate_forward)
+                            finetune, gate_pair)
 from prepromo.pretrain import PretrainConfig, PretrainedModel, pretrain_fit
 from prepromo.synth import GenConfig, generate_dataset, sample_world
 
@@ -86,21 +86,49 @@ class TestPoolSequence:
         assert np.array_equal(self.pool(("zzz",)), [0.0, 0.0])
 
 
+def gate_nets(rng, zero_last=False):
+    return [ad.MLP(f"g{k}", [6, 4, 4], ["tanh", "sigmoid"], rng, zero_last=zero_last)
+            for k in range(2)]
+
+
 class TestGateForward:
     def test_zero_initialized_gate_is_half(self):
         rng = np.random.default_rng(0)
-        gate = ad.MLP("g", [6, 4, 4], ["sigmoid", "sigmoid"], rng, zero_last=True)
+        gc, ga = gate_nets(rng, zero_last=True)
         e = ad.constant(rng.normal(size=(3, 2)))
-        out = gate_forward(gate, e, e, e)
-        assert np.all(out.data == 0.5)
+        for out in gate_pair(gc, ga, ad.concat([e, e, e])):
+            assert np.all(out.data == 0.5)
 
     def test_output_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(1)
-        gate = ad.MLP("g", [6, 4, 4], ["sigmoid", "sigmoid"], rng)
+        gc, ga = gate_nets(rng)
         for _ in range(20):
             e = ad.constant(rng.normal(size=(2, 2)) * 10)
-            out = gate_forward(gate, e, e, e)
-            assert np.all((out.data > 0) & (out.data < 1))
+            for out in gate_pair(gc, ga, ad.concat([e, e, e])):
+                assert np.all((out.data > 0) & (out.data < 1))
+
+    def test_pair_equals_each_gates_own_forward(self):
+        rng = np.random.default_rng(2)
+        gc, ga = gate_nets(rng)
+        randomize(gc.parameters() + ga.parameters(), 3)
+        x = ad.constant(rng.normal(size=(50, 6)) * 3)
+        for paired, net in zip(gate_pair(gc, ga, x), (gc, ga)):
+            alone = net.forward(x)[-1].data
+            assert np.max(np.abs(paired.data - alone) / np.abs(alone)) < 1e-12
+
+    def test_pair_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(4)
+        gc, ga = gate_nets(rng)
+        params = gc.parameters() + ga.parameters()
+        x = ad.constant(rng.normal(size=(5, 6)))
+        w = rng.normal(size=(5, 4))
+
+        def build():
+            g_cvr, g_atc = gate_pair(gc, ga, x)
+            return ad.mean(ad.mul(ad.sub(g_cvr, g_atc), ad.constant(w)))
+        analytic = ad.backward(build(), params)
+        numeric = finite_difference_grads(lambda: float(build().data), params)
+        assert max_grad_mismatch(analytic, numeric) < 1e-4
 
 
 class TestBuildGatedInput:
@@ -346,6 +374,57 @@ class TestFinetune:
         pred = model.forward(data.take(np.array([busy[0], idle[0]])))
         g = pred.gate_values[0][0].data
         assert not np.allclose(g[0], g[1])
+
+
+def desk_width_model(pretrained, **overrides):
+    """A delay model at desk widths (32, 16, 8) over an untrained frozen base."""
+    base = PretrainedModel(pretrained.encoder,
+                           PretrainConfig(tower_widths=(32, 16, 8), embedding_dim=2,
+                                          n_buckets=4, max_seq_len=3),
+                           np.random.default_rng(0)).freeze()
+    return DelayModel(base, DelayConfig(embedding_dim=4, **overrides),
+                      np.random.default_rng(5))
+
+
+class TestStepStructure:
+    """What one training step builds and touches, pinned."""
+
+    def test_initial_parameters_unchanged_by_gate_pairing(self, setup):
+        # Digest of the same construction before the gates' first layers
+        # were paired: same draws, same order, same names.
+        _, pretrained, _ = setup
+        model = desk_width_model(pretrained)
+        assert len(model.parameters()) == 37
+        assert ad.param_hash(model.parameters()) == (
+            "b90a69910ea33de534421c4bf49aef4c1be1ba5133a2953078e69568a8cc19c7")
+
+    def test_cmdcm_step_node_count(self, setup):
+        _, pretrained, data = setup
+        model = desk_width_model(pretrained, lambda_cm=0.1)
+        batch = data.take(np.arange(64))
+        total, _ = model.loss(model.forward(batch), batch, np.full(64, 0.2))
+        assert len(ad.Tape.trace(total).nodes) <= 123
+
+    def test_naive_finetune_step_touches_only_reachable_parameters(self, setup):
+        _, pretrained, data = setup
+        model = desk_width_model(pretrained, lambda_all=0.0, lambda_cm=0.0,
+                                 use_gates=False)
+        batch = data.take(np.arange(64))
+        total, _ = model.loss(model.forward(batch), batch, None)
+        grads = ad.backward(total)
+        params = model.parameters()
+        reachable = {p.name for p in params if not p.name.startswith(
+            ("delay/gate_", "delay/emb_user"))}
+        assert len(reachable) == 12 and set(grads) == reachable
+        opt = ad.Adagrad(params, lr=0.05)
+        opt.step({name: np.ones_like(g) for name, g in grads.items()})
+        before = {p.name: (p.data.tobytes(), opt.accum[p.name].tobytes())
+                  for p in params if p.name not in reachable}
+        assert len(before) == 25
+        opt.step(grads)
+        for p in params:
+            if p.name in before:
+                assert before[p.name] == (p.data.tobytes(), opt.accum[p.name].tobytes())
 
 
 class TestCheckpoint:

@@ -75,6 +75,13 @@ class TestGenerateDataset:
         with pytest.raises(ConfigError):
             generate_dataset(world, 10, "weekly", seed=0)
 
+    def test_more_clicks_than_pairs_is_config_error(self, world):
+        # Each (user, item) pair is clicked at most once: 40 * 60 = 2400 pairs
+        # cannot hold 3000 clicks, and the call must say so at once.
+        with pytest.raises(ConfigError, match="3000 clicks exceed the 2400"):
+            generate_dataset(world, 3000, "prepromo", seed=0,
+                             gen=GenConfig(n_users=40, n_items=60))
+
     def test_daily_mode_never_delays(self, world):
         days = default_calendar().daily_train_range
         samples = generate_dataset(world, 5000, "daily", seed=2)
