@@ -24,16 +24,17 @@ Tie rules (timestamps compare as plain integers):
 - `atc_seq` / `pay_seq` use only events strictly before the click, newest
   first; events with equal timestamps keep input order.
 
-Assembly is columnar: one stable sort per key plus `np.searchsorted`, so it
-costs O(n log n) in the number of events.
+Assembly is columnar: one stable sort per key plus searches by counting, so
+it costs O(n log n) in the number of events.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-import math
 from dataclasses import dataclass, field
+from itertools import compress, islice
+from operator import length_hint
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -44,6 +45,8 @@ log = logging.getLogger("prepromo.data")
 
 SECONDS_PER_DAY = 86400
 ACTIONS = ("click", "atc", "fav", "buy")
+_ACTION_CODE = {a: k for k, a in enumerate(ACTIONS)}
+_CLICK, _ATC, _BUY = _ACTION_CODE["click"], _ACTION_CODE["atc"], _ACTION_CODE["buy"]
 DEFAULT_MAX_SEQ_LEN = 50
 
 
@@ -62,6 +65,46 @@ class ActionEvent:
             raise DataError(f"unknown action {self.action!r}")
         if self.timestamp <= 0:
             raise DataError(f"non-positive timestamp {self.timestamp}")
+
+
+@dataclass(slots=True, eq=False)
+class EventLog:
+    """Events as columns: string ids, int8 action codes (indices into
+    ACTIONS), int64 timestamps and float64 prices and discounts.
+
+    `user` and `item` number the distinct user and item ids from 0, in any
+    order: assembly only tests codes for equality. `ingest_csv` returns an
+    EventLog; `EventLog.of` adapts a sequence of ActionEvents.
+    """
+
+    user_id: np.ndarray
+    item_id: np.ndarray
+    category_id: np.ndarray
+    action: np.ndarray
+    timestamp: np.ndarray
+    price: np.ndarray
+    discount: np.ndarray
+    user: np.ndarray
+    item: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    @classmethod
+    def of(cls, events: Sequence[ActionEvent]) -> "EventLog":
+        """The columns of the events, in their order."""
+        n = len(events)
+        user_id, item_id, category_id = (
+            np.array([getattr(e, name) for e in events], dtype=str)
+            for name in ("user_id", "item_id", "category_id"))
+        return cls(
+            user_id=user_id, item_id=item_id, category_id=category_id,
+            action=np.fromiter((_ACTION_CODE[e.action] for e in events), np.int8, n),
+            timestamp=np.fromiter((e.timestamp for e in events), np.int64, n),
+            price=np.fromiter((e.price for e in events), np.float64, n),
+            discount=np.fromiter((e.discount for e in events), np.float64, n),
+            user=np.unique(user_id, return_inverse=True)[1],
+            item=np.unique(item_id, return_inverse=True)[1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,10 +240,6 @@ class DatasetSplit:
 # Label derivation and dataset assembly
 # ---------------------------------------------------------------------------
 
-_ACTION_CODE = {a: k for k, a in enumerate(ACTIONS)}
-_CLICK, _ATC, _BUY = _ACTION_CODE["click"], _ACTION_CODE["atc"], _ACTION_CODE["buy"]
-
-
 def derive_labels(clicks: Sequence[ActionEvent], purchases: Sequence[ActionEvent],
                   calendar: PromotionCalendar,
                   count_intermediate_as_all: bool = False) -> ClickTable:
@@ -210,26 +249,27 @@ def derive_labels(clicks: Sequence[ActionEvent], purchases: Sequence[ActionEvent
     dropped, but still participate in purchase attribution. Purchases with
     no preceding click of the same (user, item) are ignored.
     """
-    action = np.repeat(np.array([_CLICK, _BUY], dtype=np.int8),
-                       [len(clicks), len(purchases)])
-    return _assemble([*clicks, *purchases], action, calendar, 0,
-                     count_intermediate_as_all)
+    events = EventLog.of([*clicks, *purchases])
+    events.action = np.repeat(np.array([_CLICK, _BUY], dtype=np.int8),
+                              [len(clicks), len(purchases)])
+    return _assemble(events, calendar, 0, count_intermediate_as_all)
 
 
-def build_click_dataset(events: Sequence[ActionEvent], calendar: PromotionCalendar,
+def build_click_dataset(events: EventLog | Sequence[ActionEvent],
+                        calendar: PromotionCalendar,
                         max_seq_len: int = DEFAULT_MAX_SEQ_LEN,
                         count_intermediate_as_all: bool = False) -> ClickTable:
     """Full assembly from a raw event log: labels, ATC indicator, sequences."""
-    action = np.fromiter((_ACTION_CODE[e.action] for e in events), dtype=np.int8,
-                         count=len(events))
-    return _assemble(events, action, calendar, max_seq_len, count_intermediate_as_all)
+    if not isinstance(events, EventLog):
+        events = EventLog.of(events)
+    return _assemble(events, calendar, max_seq_len, count_intermediate_as_all)
 
 
 def _grouped_order(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable order by the keys (first key major) and a dense code per group.
 
     Events with equal keys form a group and keep their input order. The codes
-    never fall along the order, so `np.searchsorted` locates an event within
+    never fall along the order, so `_searchsorted` locates an event within
     any subsequence of it, such as the cart events alone, without packing
     several keys into one integer.
     """
@@ -244,37 +284,40 @@ def _grouped_order(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, code
 
 
-def _assemble(events: Sequence[ActionEvent], action: np.ndarray,
-              calendar: PromotionCalendar, max_seq_len: int,
+def _searchsorted(codes: np.ndarray, queries: np.ndarray, side: str) -> np.ndarray:
+    """`np.searchsorted(codes, queries, side)` for sorted non-negative integer
+    codes, by counting the codes below each value: O(len + largest code)
+    instead of a binary search per query."""
+    below = np.zeros(max(codes.max(initial=-1), queries.max(initial=-1)) + 2, np.int64)
+    np.cumsum(np.bincount(codes, minlength=len(below) - 1), out=below[1:])
+    return below[queries + (side == "right")]
+
+
+def _assemble(events: EventLog, calendar: PromotionCalendar, max_seq_len: int,
               count_intermediate_as_all: bool) -> ClickTable:
     """Labels, cart indicator and sequences of every in-window click.
 
-    `action[k]` is the action code of `events[k]`; clicks come out in their
-    input order.
+    Clicks come out in their input order.
     """
-    n = len(events)
-    ts = np.fromiter((e.timestamp for e in events), dtype=np.int64, count=n)
+    action, ts = events.action, events.timestamp
     day = (ts + calendar.tz_offset) // SECONDS_PER_DAY
     daily = (calendar.daily_train_range[0] <= day) & (day <= calendar.daily_train_range[1])
     pre = (calendar.pre_promo_range[0] <= day) & (day <= calendar.pre_promo_range[1])
     sample = np.flatnonzero((action == _CLICK) & (daily | pre))
-    user_id = np.array([e.user_id for e in events], dtype=str)
-    item_id = np.array([e.item_id for e in events], dtype=str)
-    user = np.unique(user_id, return_inverse=True)[1]
-    pair = _grouped_order(user, np.unique(item_id, return_inverse=True)[1])[1]
+    # One integer per (user, item) pair. Codes are below the id counts, so
+    # the key stays under n_events ** 2 and fits int64.
+    pair = events.user * (events.item.max(initial=0) + 1) + events.item
     y_all, y_delay, A = _pair_outcomes(action, pair, ts, day, daily, pre, sample,
                                        calendar, count_intermediate_as_all)
     atc_items, atc_len, pay_items, pay_len = user_histories(
-        user, ts, item_id, sample, max_seq_len, action == _ATC, action == _BUY)
-    clicks = [events[k] for k in sample.tolist()]
+        events.user, ts, events.item_id, sample, max_seq_len, action == _ATC,
+        action == _BUY)
     return ClickTable(
-        user_id=user_id[sample], item_id=item_id[sample],
-        category_id=np.array([e.category_id for e in clicks], dtype=str),
-        click_ts=ts[sample], click_day=day[sample],
-        price=np.array([e.price for e in clicks], dtype=np.float64),
-        discount=np.array([e.discount for e in clicks], dtype=np.float64),
-        A=A, y_all=y_all, y_delay=y_delay, atc_items=atc_items, atc_len=atc_len,
-        pay_items=pay_items, pay_len=pay_len)
+        user_id=events.user_id[sample], item_id=events.item_id[sample],
+        category_id=events.category_id[sample], click_ts=ts[sample],
+        click_day=day[sample], price=events.price[sample],
+        discount=events.discount[sample], A=A, y_all=y_all, y_delay=y_delay,
+        atc_items=atc_items, atc_len=atc_len, pay_items=pay_items, pay_len=pay_len)
 
 
 def _pair_outcomes(action, pair, ts, day, daily, pre, sample, calendar,
@@ -289,7 +332,7 @@ def _pair_outcomes(action, pair, ts, day, daily, pre, sample, calendar,
     # of its pair whose (pair, ts) group is not after its own.
     buys = np.flatnonzero(action == _BUY)
     buys = buys[np.argsort(ts[buys], kind="stable")]
-    k = np.searchsorted(pair_code[clicks], pair_code[buys], side="right") - 1
+    k = _searchsorted(pair_code[clicks], pair_code[buys], side="right") - 1
     buys, owner = buys[k >= 0], clicks[k[k >= 0]]
     found = pair[owner] == pair[buys]
     owner, buy_day = owner[found], day[buys[found]]
@@ -310,7 +353,7 @@ def _pair_outcomes(action, pair, ts, day, daily, pre, sample, calendar,
     atcs = by_pair[action[by_pair] == _ATC]
     A = np.zeros(len(sample), dtype=np.int8)
     if len(atcs):
-        k = np.searchsorted(pair_code[atcs], pair_code[sample], side="left")
+        k = _searchsorted(pair_code[atcs], pair_code[sample], side="left")
         nxt = atcs[np.minimum(k, len(atcs) - 1)]
         window_end = np.where(pre[sample], calendar.promo_start_ts(),
                               (day[sample] + 1) * SECONDS_PER_DAY - calendar.tz_offset)
@@ -323,10 +366,11 @@ def user_histories(user: np.ndarray, ts: np.ndarray, item: np.ndarray,
                    rows: np.ndarray, max_seq_len: int, *kinds: np.ndarray) -> list:
     """Padded item histories of the events `rows`, one per kind of event.
 
-    `user` holds integer user codes, `item` the item ids and each kind a
-    boolean mask over the events. A row's history of a kind holds the items
-    of that kind's events by the same user strictly before the row's ts,
-    newest first (equal timestamps in input order), cut to max_seq_len.
+    `user` holds non-negative integer user codes, `item` the item ids and
+    each kind a boolean mask over the events. A row's history of a kind holds
+    the items of that kind's events by the same user strictly before the
+    row's ts, newest first (equal timestamps in input order), cut to
+    max_seq_len.
     Returns, per kind, an item array padded with "" to the longest history
     and the (n,) count of real entries.
     """
@@ -336,8 +380,8 @@ def user_histories(user: np.ndarray, ts: np.ndarray, item: np.ndarray,
     out = []
     for kind in kinds:
         found = by_user[kind[by_user]]
-        lo = np.searchsorted(user_code[found], user_code[rows], side="right")
-        length = np.minimum(np.searchsorted(user[found], user[rows], side="right") - lo,
+        lo = _searchsorted(user_code[found], user_code[rows], side="right")
+        length = np.minimum(_searchsorted(user[found], user[rows], side="right") - lo,
                             max_seq_len)
         at = lo[:, None] + np.arange(length.max(initial=0))
         # Index len(found) picks the "" appended as padding.
@@ -395,87 +439,208 @@ class CsvSchema:
     max_malformed: int = 100
 
 
-def ingest_csv(path, schema: CsvSchema | None = None) -> list[ActionEvent]:
+# Records parsed at a time. A block's csv rows cost about 500 bytes a record
+# while they are alive, the columns they leave about 50. Blocks of 512 to
+# 1024 records parsed fastest: their rows stay in cache while being split
+# into columns.
+_BLOCK = 1 << 10
+_UNMAPPED, _INVALID = -1, -2
+
+
+def ingest_csv(path, schema: CsvSchema | None = None) -> EventLog:
     """Parse an event log, skipping malformed rows up to the schema threshold.
 
-    Rows with an unmapped action string are skipped per row (logged, never
-    fatal). A nan or inf price or discount raises DataError naming the row.
-    Output is sorted ascending by timestamp, ties keeping file order.
+    Blank records are skipped. A record shorter than the schema is
+    malformed; then a row with an unmapped action string is skipped
+    (counted, logged, never fatal); then a row whose timestamp is not a
+    positive 64-bit int, or whose price or discount is not a float, is
+    malformed. More than `max_malformed` malformed rows abort the load. A
+    nan or inf price or discount on an otherwise sound row raises DataError
+    naming the row; bytes that are not UTF-8, or a record the csv module
+    refuses, raise DataError naming the last record read. Row numbers count
+    csv records. Output is sorted ascending by timestamp, ties keeping file
+    order.
     """
-    schema = schema or CsvSchema()
-    needed = [schema.user_col, schema.item_col, schema.category_col,
-              schema.action_col, schema.timestamp_col]
-    if schema.price_col is not None:
-        needed.append(schema.price_col)
-    if schema.discount_col is not None:
-        needed.append(schema.discount_col)
-    width = max(needed) + 1
-
-    events: list[ActionEvent] = []
-    malformed: list[int] = []
-    unknown_actions = 0
+    parser = _LogParser(path, schema or CsvSchema())
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) < width:
-                malformed.append(lineno)
-                continue
-            action = schema.action_map.get(row[schema.action_col].strip())
-            if action is None:
-                unknown_actions += 1
-                continue
+        reader = csv.reader(fh, delimiter=parser.schema.delimiter)
+        done = 0
+        while True:
+            rows, error = [], None
             try:
-                event = ActionEvent(
-                    user_id=row[schema.user_col].strip(),
-                    item_id=row[schema.item_col].strip(),
-                    category_id=row[schema.category_col].strip(),
-                    action=action,
-                    timestamp=int(row[schema.timestamp_col]),
-                    price=float(row[schema.price_col]) if schema.price_col is not None else 0.0,
-                    discount=float(row[schema.discount_col]) if schema.discount_col is not None else 0.0,
-                )
-            except (ValueError, DataError):
-                malformed.append(lineno)
-                continue
-            # A non-finite feature would reach every parameter through the
-            # optimizer, so it aborts the load instead of counting as malformed.
-            if not (math.isfinite(event.price) and math.isfinite(event.discount)):
-                raise DataError(f"row {lineno} of {path}: non-finite price {event.price!r} "
-                                f"or discount {event.discount!r}")
-            events.append(event)
-    if len(malformed) > schema.max_malformed:
-        shown = ", ".join(map(str, malformed[:20]))
-        raise DataError(
-            f"{len(malformed)} malformed rows in {path} (threshold "
-            f"{schema.max_malformed}); first rows: {shown}")
-    if malformed:
-        log.warning("skipped %d malformed rows in %s", len(malformed), path)
-    if unknown_actions:
-        log.warning("skipped %d rows with unmapped actions in %s", unknown_actions, path)
-    if not events:
-        log.warning("no events parsed from %s", path)
-    events.sort(key=lambda e: e.timestamp)
-    return events
+                rows.extend(islice(reader, _BLOCK))
+            except (csv.Error, UnicodeDecodeError) as exc:
+                error = exc
+            parser.add(rows, done + 1)
+            done += len(rows)
+            if error is not None:
+                raise DataError(f"cannot read {path} past record {done}: {error}") from error
+            if len(rows) < _BLOCK:
+                break
+    return parser.finish()
+
+
+class _Memo(dict):
+    """fn(key) for each key, computed once per distinct key."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _id_codes() -> tuple[_Memo, dict[str, int]]:
+    """A memo from raw id to the code of its stripped value, and the stripped
+    ids numbered in order of first appearance."""
+    ids: dict[str, int] = {}
+    return _Memo(lambda raw: ids.setdefault(raw.strip(), len(ids))), ids
+
+
+def _parse(fn, raw: Sequence[str], out: np.ndarray, ok: np.ndarray) -> None:
+    """Write fn of every string into out; where fn refuses one, clear ok.
+
+    The strings between two refusals are parsed in one pass; only the
+    refused ones are looked at alone.
+    """
+    n, rest, start = len(raw), iter(raw), 0
+    while True:
+        try:
+            out[start:] = np.fromiter(map(fn, rest), out.dtype, n - start)
+            return
+        except (ValueError, OverflowError):
+            bad = n - length_hint(rest) - 1
+            out[start:bad] = np.fromiter(map(fn, raw[start:bad]), out.dtype, bad - start)
+            ok[bad] = False
+            start = bad + 1
+
+
+class _LogParser:
+    """Event columns of a CSV log, one block of records at a time."""
+
+    def __init__(self, path, schema: CsvSchema):
+        self.path, self.schema = path, schema
+        self.columns = {schema.user_col, schema.item_col, schema.category_col,
+                        schema.action_col, schema.timestamp_col,
+                        schema.price_col, schema.discount_col} - {None}
+        self.width = max(self.columns) + 1
+        self.actions = _Memo(self._action_code)
+        self.ids = [(column, *_id_codes()) for column in
+                    (schema.user_col, schema.item_col, schema.category_col)]
+        self.blocks: list[tuple[np.ndarray, ...]] = []
+        self.malformed: list[np.ndarray] = []
+        self.unknown_actions = 0
+
+    def _action_code(self, raw: str) -> int:
+        action = self.schema.action_map.get(raw.strip())
+        return _UNMAPPED if action is None else _ACTION_CODE.get(action, _INVALID)
+
+    def add(self, rows: list[list[str]], first: int) -> None:
+        """Parse rows, the csv records numbered from `first`."""
+        schema = self.schema
+        lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+        line = first + np.flatnonzero(lengths >= self.width)
+        self.malformed.append(first + np.flatnonzero((lengths > 0) & (lengths < self.width)))
+        if len(line) < len(rows):
+            rows = [rows[k] for k in (line - first).tolist()]
+        if not rows:
+            return
+        raw = {column: values
+               for column, values in enumerate(islice(zip(*rows), self.width))
+               if column in self.columns}
+        action = np.fromiter(map(self.actions.__getitem__, raw[schema.action_col]),
+                             np.int8, len(rows))
+        mapped = action != _UNMAPPED
+        self.unknown_actions += len(rows) - int(np.count_nonzero(mapped))
+        raw, line, action = _select(raw, mapped), line[mapped], action[mapped]
+
+        n = len(line)
+        ts, price, discount = np.zeros(n, np.int64), np.zeros(n), np.zeros(n)
+        ok = action != _INVALID
+        for fn, out, column in ((int, ts, schema.timestamp_col),
+                                (float, price, schema.price_col),
+                                (float, discount, schema.discount_col)):
+            if column is not None:
+                _parse(fn, raw[column], out, ok)
+        ok &= ts > 0
+        # A non-finite feature would reach every parameter through the
+        # optimizer, so it aborts the load instead of counting as malformed.
+        nonfinite = np.flatnonzero(ok & ~(np.isfinite(price) & np.isfinite(discount)))
+        if len(nonfinite):
+            k = nonfinite[0]
+            raise DataError(f"row {line[k]} of {self.path}: non-finite price "
+                            f"{float(price[k])!r} or discount {float(discount[k])!r}")
+        self.malformed.append(line[~ok])
+        raw, n = _select(raw, ok), int(np.count_nonzero(ok))
+        codes = [np.fromiter(map(memo.__getitem__, raw[column]), np.int64, n)
+                 for column, memo, _ in self.ids]
+        self.blocks.append((*codes, action[ok], ts[ok], price[ok], discount[ok]))
+
+    def finish(self) -> EventLog:
+        schema, path = self.schema, self.path
+        malformed = np.sort(np.concatenate(self.malformed))
+        if len(malformed) > schema.max_malformed:
+            shown = ", ".join(map(str, malformed[:20].tolist()))
+            raise DataError(
+                f"{len(malformed)} malformed rows in {path} (threshold "
+                f"{schema.max_malformed}); first rows: {shown}")
+        if len(malformed):
+            log.warning("skipped %d malformed rows in %s", len(malformed), path)
+        if self.unknown_actions:
+            log.warning("skipped %d rows with unmapped actions in %s",
+                        self.unknown_actions, path)
+        empty = [np.zeros(0, dtype) for dtype in
+                 (np.int64, np.int64, np.int64, np.int8, np.int64, np.float64, np.float64)]
+        user, item, category, action, ts, price, discount = (
+            np.concatenate(parts) for parts in zip(empty, *self.blocks))
+        if not len(ts):
+            log.warning("no events parsed from %s", path)
+        order = np.argsort(ts, kind="stable")
+        user, item, category = user[order], item[order], category[order]
+        user_ids, item_ids, category_ids = (
+            np.array(list(ids), dtype=str) for _, _, ids in self.ids)
+        return EventLog(
+            user_id=user_ids[user], item_id=item_ids[item],
+            category_id=category_ids[category], action=action[order],
+            timestamp=ts[order], price=price[order], discount=discount[order],
+            user=user, item=item)
+
+
+def _select(raw: dict[int, Sequence[str]], keep: np.ndarray) -> dict[int, Sequence[str]]:
+    """The kept entries of every raw column."""
+    if keep.all():
+        return raw
+    keep = keep.tolist()
+    return {column: list(compress(values, keep)) for column, values in raw.items()}
 
 
 def write_events_csv(events: Iterable[ActionEvent], path,
                      schema: CsvSchema | None = None) -> None:
-    """Inverse of ingest_csv for the default five-column layout (+price/discount)."""
+    """Inverse of ingest_csv: each field at its schema column, gaps left empty."""
     schema = schema or CsvSchema()
     reverse_action = {}
     for raw, canon in schema.action_map.items():
         reverse_action.setdefault(canon, raw)
+    fields = [(schema.user_col, lambda e: e.user_id),
+              (schema.item_col, lambda e: e.item_id),
+              (schema.category_col, lambda e: e.category_id),
+              (schema.action_col, lambda e: reverse_action.get(e.action, e.action)),
+              (schema.timestamp_col, lambda e: str(e.timestamp))]
+    if schema.price_col is not None:
+        fields.append((schema.price_col, lambda e: repr(e.price)))
+    if schema.discount_col is not None:
+        fields.append((schema.discount_col, lambda e: repr(e.discount)))
+    width = 1 + max(column for column, _ in fields)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=schema.delimiter)
         for e in sorted(events, key=lambda e: e.timestamp):
-            row = [e.user_id, e.item_id, e.category_id,
-                   reverse_action.get(e.action, e.action), str(e.timestamp)]
-            if schema.price_col is not None:
-                row.append(repr(e.price))
-            if schema.discount_col is not None:
-                row.append(repr(e.discount))
+            row = [""] * width
+            for column, value in fields:
+                row[column] = value(e)
             writer.writerow(row)
 
 

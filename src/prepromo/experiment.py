@@ -140,6 +140,9 @@ class ExperimentConfig:
         for v in self.variants:
             if v not in VARIANT_NAMES:
                 raise ConfigError(f"unknown variant {v!r}; known: {VARIANT_NAMES}")
+        if len(self.dataset.delimiter) != 1:
+            raise ConfigError("dataset.delimiter must be one character, "
+                              f"got {self.dataset.delimiter!r}")
 
 
 def make_config(profile: str = "desk") -> ExperimentConfig:

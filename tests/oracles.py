@@ -1,15 +1,22 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the library's own fast paths: finite differences
-instead of backprop, O(n^2) pair counting instead of rank sums, and a direct
-per-click scan instead of the grouped label derivation.
+instead of backprop, O(n^2) pair counting instead of rank sums, a direct
+per-click scan instead of the grouped label derivation, and one event per
+CSV row instead of columns parsed in blocks.
 """
 
 from __future__ import annotations
 
+import csv
+import logging
+import math
+
 import numpy as np
 
 from prepromo import autodiff as ad
+from prepromo.data import ActionEvent, CsvSchema
+from prepromo.errors import DataError
 
 
 def finite_difference_grads(loss_fn, params, step: float = 1e-5):
@@ -153,3 +160,70 @@ def brute_force_sequences(click, events, max_len):
     atc = [e.item_id for _, _, e in before if e.action == "atc"]
     pay = [e.item_id for _, _, e in before if e.action == "buy"]
     return tuple(atc[:max_len]), tuple(pay[:max_len])
+
+
+def row_wise_ingest_csv(path, schema: CsvSchema | None = None) -> list[ActionEvent]:
+    """An event log parsed one row at a time into ActionEvents.
+
+    Same contract as `data.ingest_csv`, with the same warnings on the
+    `prepromo.data` logger: blank records skipped; short records malformed;
+    then unmapped actions skipped and counted; then a failed int/float parse
+    or a non-positive timestamp malformed; the first sound row with a
+    non-finite price or discount raises; more than `max_malformed` malformed
+    rows raise. Sorted by timestamp, ties in file order.
+    """
+    log = logging.getLogger("prepromo.data")
+    schema = schema or CsvSchema()
+    needed = [schema.user_col, schema.item_col, schema.category_col,
+              schema.action_col, schema.timestamp_col]
+    if schema.price_col is not None:
+        needed.append(schema.price_col)
+    if schema.discount_col is not None:
+        needed.append(schema.discount_col)
+    width = max(needed) + 1
+
+    events: list[ActionEvent] = []
+    malformed: list[int] = []
+    unknown_actions = 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=schema.delimiter)
+        for lineno, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) < width:
+                malformed.append(lineno)
+                continue
+            action = schema.action_map.get(row[schema.action_col].strip())
+            if action is None:
+                unknown_actions += 1
+                continue
+            try:
+                event = ActionEvent(
+                    user_id=row[schema.user_col].strip(),
+                    item_id=row[schema.item_col].strip(),
+                    category_id=row[schema.category_col].strip(),
+                    action=action,
+                    timestamp=int(row[schema.timestamp_col]),
+                    price=float(row[schema.price_col]) if schema.price_col is not None else 0.0,
+                    discount=float(row[schema.discount_col]) if schema.discount_col is not None else 0.0,
+                )
+            except (ValueError, DataError):
+                malformed.append(lineno)
+                continue
+            if not (math.isfinite(event.price) and math.isfinite(event.discount)):
+                raise DataError(f"row {lineno} of {path}: non-finite price {event.price!r} "
+                                f"or discount {event.discount!r}")
+            events.append(event)
+    if len(malformed) > schema.max_malformed:
+        shown = ", ".join(map(str, malformed[:20]))
+        raise DataError(
+            f"{len(malformed)} malformed rows in {path} (threshold "
+            f"{schema.max_malformed}); first rows: {shown}")
+    if malformed:
+        log.warning("skipped %d malformed rows in %s", len(malformed), path)
+    if unknown_actions:
+        log.warning("skipped %d rows with unmapped actions in %s", unknown_actions, path)
+    if not events:
+        log.warning("no events parsed from %s", path)
+    events.sort(key=lambda e: e.timestamp)
+    return events

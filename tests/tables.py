@@ -1,10 +1,11 @@
-"""Small ClickTables written out row by row, for tests."""
+"""Small ClickTables written out row by row, and event logs read back as
+rows, for tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from prepromo.data import ClickRow, ClickTable
+from prepromo.data import ACTIONS, ActionEvent, ClickRow, ClickTable, EventLog
 
 
 def click_table(rows, features=None) -> ClickTable:
@@ -26,3 +27,10 @@ def click_table(rows, features=None) -> ClickTable:
         *(np.array(c, dtype=np.float64) for c in cols[5:7]), *labels,
         atc_items=atc_items, atc_len=atc_len, pay_items=pay_items, pay_len=pay_len,
         features=None if features is None else np.asarray(features, dtype=np.float64))
+
+
+def event_rows(events: EventLog) -> list[ActionEvent]:
+    """The events of an EventLog as ActionEvents, in its order."""
+    columns = (getattr(events, name).tolist() for name in (
+        "user_id", "item_id", "category_id", "action", "timestamp", "price", "discount"))
+    return [ActionEvent(u, i, c, ACTIONS[a], t, p, d) for u, i, c, a, t, p, d in zip(*columns)]

@@ -149,6 +149,27 @@ class TestErrorCodes:
         code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 5  # open() on a missing path surfaces as I/O
 
+    def test_undecodable_events_file_exit_3(self, tmp_path, capsys):
+        log = tmp_path / "events.csv"
+        log.write_bytes(b"u1,i1,c1,pv,100\nu\xe9,i1,c1,pv,200\n")
+        cfg = tmp_path / "csv.ini"
+        cfg.write_text(f"[dataset]\nmode = csv\nevents_path = {log}\n"
+                       "[experiment]\nseeds = 1\nvariants = pretrained_only\n")
+        code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 3
+        assert f"data error: cannot read {log} past record 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delimiter", [";;", "\\t", ""])
+    def test_delimiter_of_other_than_one_character_exit_2(self, tmp_path, capsys,
+                                                          delimiter):
+        cfg = tmp_path / "csv.ini"
+        cfg.write_text(f"[dataset]\nmode = csv\nevents_path = x.csv\n"
+                       f"delimiter = {delimiter}\n"
+                       "[experiment]\nseeds = 1\nvariants = pretrained_only\n")
+        code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert "dataset.delimiter must be one character" in capsys.readouterr().err
+
     def test_generate_requires_synthetic_mode(self, tmp_path):
         cfg = tmp_path / "csv.ini"
         cfg.write_text("[dataset]\nmode = csv\nevents_path = x.csv\n")

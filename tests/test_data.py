@@ -1,19 +1,28 @@
+import csv
 import dataclasses
+import io
 import json
+import logging
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from prepromo import data
 from prepromo.data import (
-    ActionEvent, ClickRow, CsvSchema, FeatureEncoder, PromotionCalendar,
-    SECONDS_PER_DAY, build_click_dataset, derive_labels, ingest_csv,
-    partition_dataset, write_events_csv,
+    DEFAULT_ACTION_MAP, ActionEvent, ClickRow, CsvSchema, FeatureEncoder,
+    PromotionCalendar, SECONDS_PER_DAY, build_click_dataset, derive_labels,
+    ingest_csv, partition_dataset, write_events_csv,
 )
 from prepromo.errors import ConfigError, DataError
 
-from oracles import brute_force_atc, brute_force_labels, brute_force_sequences
-from tables import click_table
+from oracles import (brute_force_atc, brute_force_labels, brute_force_sequences,
+                     row_wise_ingest_csv)
+from tables import click_table, event_rows
 
 DAY = SECONDS_PER_DAY
 
@@ -317,21 +326,20 @@ class TestCsv:
     def test_action_mapping(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("u1,i1,c1,pv,1511918000\n")
-        events = ingest_csv(path)
-        assert len(events) == 1
-        assert events[0].action == "click"
-        assert events[0].timestamp == 1511918000
+        (event,) = event_rows(ingest_csv(path))
+        assert event.action == "click"
+        assert event.timestamp == 1511918000
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        assert ingest_csv(path) == []
+        assert event_rows(ingest_csv(path)) == []
 
     def test_output_sorted(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("u1,i1,c1,pv,300\nu2,i2,c1,buy,100\nu3,i3,c1,cart,200\n")
         events = ingest_csv(path)
-        assert [e.timestamp for e in events] == [100, 200, 300]
+        assert events.timestamp.tolist() == [100, 200, 300]
 
     def test_unknown_action_skipped(self, tmp_path):
         path = tmp_path / "events.csv"
@@ -347,6 +355,10 @@ class TestCsv:
             ingest_csv(path, schema)
         schema = CsvSchema(max_malformed=10)
         assert len(ingest_csv(path, schema)) == 1
+        # The threshold itself passes; one malformed row more aborts.
+        assert len(ingest_csv(path, CsvSchema(max_malformed=5))) == 1
+        with pytest.raises(DataError, match="5 malformed rows .* first rows: 1, 2, 3, 4, 5"):
+            ingest_csv(path, CsvSchema(max_malformed=4))
 
     @pytest.mark.parametrize("price,discount", [("nan", "0.1"), ("inf", "0.1"),
                                                 ("1.5", "-inf"), ("1.5", "NaN")])
@@ -356,21 +368,127 @@ class TestCsv:
         with pytest.raises(DataError, match="row 2 of .*non-finite"):
             ingest_csv(path, CsvSchema(price_col=5, discount_col=6))
 
+    def test_timestamp_beyond_int64_is_malformed(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("u1,i1,c1,pv,100\nu2,i2,c1,pv,99999999999999999999\n")
+        events = ingest_csv(path, CsvSchema(max_malformed=1))
+        assert events.timestamp.tolist() == [100]
+        with pytest.raises(DataError, match="first rows: 2$"):
+            ingest_csv(path, CsvSchema(max_malformed=0))
+
+    @pytest.mark.parametrize("content,record", [
+        (b"u1,i1,c1,pv,100\nu\xe9,i1,c1,pv,200\n", 0),
+        (b"u1,i1,c1,pv,100\n" + b"x" * 200_000 + b",i,c,pv,5\n", 1)])
+    def test_unreadable_record_is_a_data_error(self, tmp_path, content, record):
+        path = tmp_path / "events.csv"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=f"cannot read .*events.csv past record {record}"):
+            ingest_csv(path)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
-        events = []
-        for k in range(50):
-            events.append(ActionEvent(
-                f"u{rng.integers(5)}", f"i{rng.integers(5)}", f"c{rng.integers(3)}",
-                ["click", "atc", "fav", "buy"][int(rng.integers(4))],
-                int(rng.integers(1, 10 * DAY)),
-                price=float(np.round(rng.uniform(0, 100), 4)),
-                discount=float(np.round(rng.uniform(), 4))))
-        schema = CsvSchema(price_col=5, discount_col=6)
-        path = tmp_path / "roundtrip.csv"
-        write_events_csv(events, path, schema)
-        back = ingest_csv(path, schema)
-        assert back == sorted(events, key=lambda e: e.timestamp)
+        layouts = {
+            "default": CsvSchema(),
+            "price-discount": CsvSchema(price_col=5, discount_col=6),
+            "swapped": CsvSchema(price_col=6, discount_col=5),
+            "gapped": CsvSchema(user_col=2, category_col=0, price_col=7, discount_col=9,
+                                delimiter=";"),
+            "discount-only": CsvSchema(discount_col=5),
+        }
+        for name, schema in layouts.items():
+            events = []
+            for k in range(50):
+                events.append(ActionEvent(
+                    f"u{rng.integers(5)}", f"i{rng.integers(5)}", f"c{rng.integers(3)}",
+                    ["click", "atc", "fav", "buy"][int(rng.integers(4))],
+                    int(rng.integers(1, 10 * DAY)),
+                    price=(float(np.round(rng.uniform(0, 100), 4))
+                           if schema.price_col is not None else 0.0),
+                    discount=(float(np.round(rng.uniform(), 4))
+                              if schema.discount_col is not None else 0.0)))
+            path = tmp_path / f"{name}.csv"
+            write_events_csv(events, path, schema)
+            back = ingest_csv(path, schema)
+            assert event_rows(back) == sorted(events, key=lambda e: e.timestamp), name
+
+
+@contextmanager
+def data_warnings():
+    """The messages logged on `prepromo.data` inside the block."""
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("prepromo.data")
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
+@st.composite
+def csv_logs(draw):
+    """CSV text with the oddities a log reader meets, and a schema to read it.
+
+    Ids carry spaces, quotes, the delimiter and line breaks (quoted, so one
+    record spans lines); timestamps are drawn from a few equal values, forms
+    Python's int accepts (" 7 ", "+5", "1_000"), zero, negatives and
+    unparsable text; actions include unmapped ones; records may be blank or
+    short. Half the logs also draw non-finite prices.
+    """
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    ids = st.sampled_from(["u1", " u1", "u1 ", "u2", "a,b", "a;b", 'q"x', "x\ny", "", " "])
+    actions = st.sampled_from(["pv", " pv ", "click", "cart", "atc", "buy", "fav",
+                               "teleport", "", "PV", "look"])
+    stamps = (st.integers(1, 300).map(str) | st.sampled_from(["100", "200"])
+              | st.sampled_from([" 7 ", "+5", "1_000", "0", "-3", "abc", "1.5", ""]))
+    odd_numbers = [" 2 ", "-1e3", "1_0.5", "abc", "", "0x1"]
+    if draw(st.booleans()):
+        odd_numbers += ["nan", "inf", "-Infinity", "1e400"]
+    numbers = st.sampled_from(["1.5", "0.0", "2"]) | st.sampled_from(odd_numbers)
+    row = st.tuples(ids, ids, ids, actions, stamps, numbers, numbers).map(list)
+    record = (row | row | row | row.map(lambda r: r[:4]) | st.just([]) | st.just([""]))
+    records = draw(st.lists(record, min_size=1, max_size=30))
+    text = io.StringIO()
+    csv.writer(text, delimiter=delimiter,
+               lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(records)
+    columns = draw(st.sampled_from([(None, None), (5, None), (5, 6), (6, 5)]))
+    # "look" is unmapped, or mapped to an action the package does not know.
+    action_map = {**DEFAULT_ACTION_MAP, **draw(st.sampled_from([{}, {"look": "view"}]))}
+    schema = CsvSchema(delimiter=delimiter, price_col=columns[0], discount_col=columns[1],
+                       action_map=action_map,
+                       max_malformed=draw(st.sampled_from([0, 1, 2, 5, 100])))
+    return text.getvalue(), schema
+
+
+class TestIngestOracle:
+    """ingest_csv equals the row-wise reader on generated logs."""
+
+    @given(log=csv_logs(), block=st.sampled_from([1, 2, 3, data._BLOCK]))
+    def test_matches_row_wise_reader(self, log, block):
+        text, schema = log
+
+        def run(ingest):
+            with data_warnings() as messages:
+                try:
+                    return ingest(path, schema), messages
+                except DataError as exc:
+                    return str(exc), messages
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "events.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            want, want_warnings = run(row_wise_ingest_csv)
+            with mock.patch.object(data, "_BLOCK", block):
+                got, got_warnings = run(ingest_csv)
+        assert got_warnings == want_warnings
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert event_rows(got) == want
+        for codes, ids in ((got.user, got.user_id), (got.item, got.item_id)):
+            pairs = set(zip(codes.tolist(), ids.tolist()))
+            assert len(pairs) == len(set(codes.tolist())) == len(set(ids.tolist()))
 
 
 class TestBuildClickDataset:
