@@ -8,7 +8,7 @@ Run: python3 demos/05_train_and_evaluate.py
 
 import numpy as np
 
-from prepromo.causal import ImputationConfig, PropensitySource, dr_ate_from_model, fit_imputation
+from prepromo.causal import ImputationConfig, dr_ate_from_model, fit_imputation, propensity
 from prepromo.data import partition_dataset
 from prepromo.metrics import evaluate_scores
 from prepromo.model import DelayConfig, DelayModel, finetune
@@ -38,8 +38,8 @@ def main():
         train, ImputationConfig(learning_rate=0.1, epochs=6), seed=5)
     print(f"    held-out bce: {imputation.val_bce:.4f}")
 
-    est = dr_ate_from_model(
-        eval_, imputation, PropensitySource("pretrained_atc", pretrained=pretrained))
+    p_a = propensity(pretrained.predict(eval_)[1])  # the frozen cart head, clipped
+    est = dr_ate_from_model(eval_, imputation, p_a)
     print(f"    doubly robust cart effect (diagnostic): {est.mean:.5f} ± {est.stderr:.5f}")
 
     print("\n[3] fine-tuning the delay head with gates and both regularizers")

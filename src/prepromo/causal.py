@@ -21,8 +21,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import EncodedDataset
-from .errors import ConfigError, DataError, UsageError
-from .pretrain import PretrainedModel
+from .errors import DataError, UsageError
+from .metrics import nll_delay
 
 Array = np.ndarray
 
@@ -118,69 +118,24 @@ def fit_imputation(train: EncodedDataset, config: ImputationConfig | None = None
     if n_val:
         val = train.take(val_idx)
         p = model.mu(val)
-        model.val_bce = bce_value(p, val.y_delay)
+        model.val_bce = nll_delay(p, val.y_delay)
     return model
 
 
-def bce_value(p: Array, y: Array) -> float:
-    """Mean clipped binary cross-entropy of plain probability arrays."""
-    return float(np.mean(ad.bce_values(p, y)))
-
-
 # ---------------------------------------------------------------------------
-# Propensity
+# Propensity and doubly robust estimation
 # ---------------------------------------------------------------------------
-
-class PropensitySource:
-    """Where p_a(x) comes from: the frozen cart head, generator truth, or a constant.
-
-    End-to-end training uses the pretrained head; the truth and constant
-    sources exist for oracle checks and robustness probes. All scores are
-    clipped into [eps, 1 - eps] so the inverse-propensity terms stay bounded.
-    """
-
-    def __init__(self, kind: str, pretrained: PretrainedModel | None = None,
-                 value: float = 0.5, eps: float = DEFAULT_PROPENSITY_CLIP):
-        if kind not in ("pretrained_atc", "ground_truth", "constant"):
-            raise ConfigError(f"unknown propensity source {kind!r}")
-        if kind == "pretrained_atc" and pretrained is None:
-            raise ConfigError("pretrained_atc source needs a model")
-        self.kind = kind
-        self.pretrained = pretrained
-        self.value = value
-        self.eps = eps
-
-    def scores(self, data: EncodedDataset) -> Array:
-        if self.kind == "pretrained_atc":
-            _, p_atc = self.pretrained.predict(data)
-            raw = p_atc
-        elif self.kind == "ground_truth":
-            if "p_a_true" not in data.truth:
-                raise DataError("dataset carries no ground-truth propensity")
-            raw = data.truth["p_a_true"]
-        else:
-            raw = np.full(data.n, self.value)
-        return propensity(raw, self.eps)
-
 
 def propensity(raw: Array | float, eps: float = DEFAULT_PROPENSITY_CLIP) -> Array:
     """Clip raw scores into [eps, 1 - eps]."""
     return np.clip(np.asarray(raw, dtype=np.float64), eps, 1.0 - eps)
 
 
-# ---------------------------------------------------------------------------
-# Doubly robust estimation
-# ---------------------------------------------------------------------------
-
 @dataclass(slots=True)
 class DREstimate:
     tau: Array            # per-sample estimates
     mean: float
     stderr: float
-
-    @property
-    def n(self) -> int:
-        return self.tau.size
 
 
 def dr_ice(a: Array | float, y: Array | float, mu1: Array | float,
@@ -205,10 +160,11 @@ def dr_ate(a: Array, y: Array, mu1: Array, mu0: Array, p_a: Array) -> DREstimate
 
 
 def dr_ate_from_model(data: EncodedDataset, imputation: ImputationModel,
-                      source: PropensitySource) -> DREstimate:
+                      p_a: Array) -> DREstimate:
+    """dr_ate with both arms imputed by the fitted model; p_a is pre-clipped."""
     mu1 = imputation.mu(data, arm=1)
     mu0 = imputation.mu(data, arm=0)
-    return dr_ate(data.A, data.y_delay, mu1, mu0, source.scores(data))
+    return dr_ate(data.A, data.y_delay, mu1, mu0, p_a)
 
 
 def naive_diff_in_means(a: Array, y: Array) -> tuple[float, float]:
@@ -220,21 +176,3 @@ def naive_diff_in_means(a: Array, y: Array) -> tuple[float, float]:
     se = float(np.sqrt(treated.var(ddof=1) / treated.size
                        + control.var(ddof=1) / control.size))
     return diff, se
-
-
-def write_dr_diagnostics(data: EncodedDataset, imputation: ImputationModel,
-                         source: PropensitySource, path) -> None:
-    """Per-sample CSV: A, Y, mu0, mu1, p_a, tau_hat."""
-    import csv
-
-    mu1 = imputation.mu(data, arm=1)
-    mu0 = imputation.mu(data, arm=0)
-    p_a = source.scores(data)
-    tau = dr_ice(data.A, data.y_delay, mu1, mu0, p_a)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["A", "Y", "mu0", "mu1", "p_a", "tau_hat"])
-        for i in range(data.n):
-            writer.writerow([int(data.A[i]), int(data.y_delay[i]),
-                             f"{mu0[i]:.6f}", f"{mu1[i]:.6f}",
-                             f"{p_a[i]:.6f}", f"{tau[i]:.6f}"])

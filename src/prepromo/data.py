@@ -438,6 +438,19 @@ class CsvSchema:
     action_map: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_ACTION_MAP))
     max_malformed: int = 100
 
+    def __post_init__(self):
+        taken: dict[int, str] = {}
+        for name in ("user", "item", "category", "action", "timestamp", "price",
+                     "discount"):
+            col = getattr(self, f"{name}_col")
+            if col is None:
+                continue
+            if col < 0:
+                raise ConfigError(f"csv {name} column must be non-negative, got {col}")
+            if col in taken:
+                raise ConfigError(f"csv {name} and {taken[col]} columns are both {col}")
+            taken[col] = name
+
 
 # Records parsed at a time. A block's csv rows cost about 500 bytes a record
 # while they are alive, the columns they leave about 50. Blocks of 512 to

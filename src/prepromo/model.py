@@ -19,7 +19,6 @@ fine-tuning (the imputation model must not be pulled toward p_delay).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -220,11 +219,9 @@ class DelayModel:
                           lambda_all=cfg.lambda_all, lambda_cm=cfg.lambda_cm,
                           cm_on_atc_only=cfg.cm_on_atc_only, a=batch.A)
 
-    def predict(self, data: EncodedDataset, chunk: int = 8192,
-                with_gates: bool = False) -> dict[str, Array]:
-        """Scores for ranking and diagnostics, as flat arrays; records no graph."""
+    def predict(self, data: EncodedDataset, chunk: int = 8192) -> dict[str, Array]:
+        """Scores for ranking, as flat arrays; records no graph."""
         cols: dict[str, list[Array]] = {"p_delay": [], "p_all_raw": [], "p_ori_cvr": []}
-        gate_cols: dict[str, list[Array]] = {}
         with ad.no_grad():
             for start in range(0, data.n, chunk):
                 batch = data.take(np.arange(start, min(start + chunk, data.n)))
@@ -232,15 +229,7 @@ class DelayModel:
                 cols["p_delay"].append(pred.p_delay.data[:, 0])
                 cols["p_all_raw"].append(pred.p_all_raw.data[:, 0])
                 cols["p_ori_cvr"].append(pred.p_ori_cvr.data[:, 0])
-                if with_gates:
-                    for i, (gc, ga) in enumerate(pred.gate_values):
-                        gate_cols.setdefault(f"gate_cvr{i}_mean", []).append(
-                            gc.data.mean(axis=1))
-                        gate_cols.setdefault(f"gate_atc{i}_mean", []).append(
-                            ga.data.mean(axis=1))
-        out = {k: np.concatenate(v) for k, v in cols.items()}
-        out.update({k: np.concatenate(v) for k, v in gate_cols.items()})
-        return out
+        return {k: np.concatenate(v) for k, v in cols.items()}
 
     # -- checkpointing -----------------------------------------------------
 
@@ -308,15 +297,3 @@ def finetune(model: DelayModel, train: EncodedDataset, imputation=None,
     if model.pretrained.param_hash() != base_hash:
         raise RuntimeError("frozen base parameters changed during fine-tuning")
     return model.loss_trace
-
-
-def dump_diagnostics(model: DelayModel, data: EncodedDataset, path) -> None:
-    """Per-sample probabilities and mean gate activations, for offline review."""
-    scores = model.predict(data, with_gates=model.config.use_gates)
-    keys = ["p_ori_cvr", "p_delay", "p_all_raw"] + sorted(
-        k for k in scores if k.startswith("gate_"))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", *keys])
-        for i in range(data.n):
-            writer.writerow([i] + [f"{scores[k][i]:.6f}" for k in keys])

@@ -3,12 +3,11 @@ import pytest
 
 from prepromo import autodiff as ad
 from prepromo.causal import (DEFAULT_PROPENSITY_CLIP, ImputationConfig,
-                             ImputationModel, PropensitySource, bce_value,
                              dr_ate, dr_ate_from_model, dr_ice,
-                             fit_imputation, naive_diff_in_means, propensity,
-                             write_dr_diagnostics)
+                             fit_imputation, naive_diff_in_means, propensity)
 from prepromo.data import FeatureEncoder
-from prepromo.errors import ConfigError, DataError, TrainingError, UsageError
+from prepromo.errors import DataError, TrainingError, UsageError
+from prepromo.metrics import nll_delay
 from prepromo.pretrain import PretrainConfig, pretrain_fit
 from prepromo.synth import generate_dataset, sample_world, true_ate
 
@@ -50,9 +49,9 @@ class TestImputationFit:
         held_idx = np.arange(80_000, 100_000)
         model = fit_imputation(data.take(fit_idx), IMP_DESK, seed=1)
         held = data.take(held_idx)
-        got = bce_value(model.mu(held), held.y_delay)
+        got = nll_delay(model.mu(held), held.y_delay)
         q_true = np.where(held.A == 1, held.truth["mu1_true"], held.truth["mu0_true"])
-        bayes = bce_value(q_true, held.y_delay)
+        bayes = nll_delay(q_true, held.y_delay)
         print(f"imputation held-out bce {got:.4f} vs bayes {bayes:.4f}")
         assert got >= bayes - 3 * _bce_stderr(q_true, held.y_delay)
         assert got - bayes < 0.02
@@ -84,24 +83,14 @@ class TestPropensity:
 
     def test_ground_truth_source(self, world100k):
         _, _, data = world100k
-        src = PropensitySource("ground_truth")
-        got = src.scores(data.take(np.arange(100)))
+        got = propensity(data.truth["p_a_true"][:100])
         want = np.clip(data.truth["p_a_true"][:100], DEFAULT_PROPENSITY_CLIP,
                        1 - DEFAULT_PROPENSITY_CLIP)
         assert np.array_equal(got, want)
 
-    def test_constant_source(self, world100k):
-        _, _, data = world100k
-        src = PropensitySource("constant", value=0.5)
-        assert np.all(src.scores(data.take(np.arange(10))) == 0.5)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            PropensitySource("oracle")
-
-    def test_pretrained_source_needs_model(self):
-        with pytest.raises(ConfigError):
-            PropensitySource("pretrained_atc")
+    def test_constant_source(self):
+        got = propensity(np.full(10, 0.5))
+        assert got.dtype == np.float64 and np.all(got == 0.5)
 
 
 class TestDrIce:
@@ -181,7 +170,7 @@ class TestDrAte:
     def test_fitted_model_end_to_end(self, world100k):
         _, samples, data = world100k
         model = fit_imputation(data.take(np.arange(60_000)), IMP_DESK, seed=3)
-        est = dr_ate_from_model(data, model, PropensitySource("ground_truth"))
+        est = dr_ate_from_model(data, model, propensity(data.truth["p_a_true"]))
         ate = true_ate(samples)
         # Fitted nuisances are close but not exact; allow a wider band.
         assert abs(est.mean - ate) < max(6 * est.stderr, 0.01)
@@ -218,20 +207,7 @@ class TestCmTargets:
             assert np.all(grads[p_.name] == 0.0)
 
 
-class TestDiagnosticsFile:
-    def test_columns(self, world100k, tmp_path):
-        _, _, data = world100k
-        model = fit_imputation(data.take(np.arange(3000)),
-                               ImputationConfig(epochs=1), seed=6)
-        path = tmp_path / "dr.csv"
-        write_dr_diagnostics(data.take(np.arange(25)), model,
-                             PropensitySource("ground_truth"), path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "A,Y,mu0,mu1,p_a,tau_hat"
-        assert len(lines) == 26
-
-
-class TestPretrainedPropensitySource:
+class TestPretrainedPropensity:
     def test_scores_are_clipped_probabilities(self):
         world = sample_world(7)
         daily = generate_dataset(world, 20_000, "daily", seed=61)
@@ -239,5 +215,5 @@ class TestPretrainedPropensitySource:
                              seed=7)
         prepromo = generate_dataset(world, 5000, "prepromo", seed=62)
         data = model.encoder.encode(prepromo)
-        scores = PropensitySource("pretrained_atc", pretrained=model).scores(data)
+        scores = propensity(model.predict(data)[1])
         assert np.all((scores >= 0.05) & (scores <= 0.95))

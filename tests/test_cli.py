@@ -170,6 +170,18 @@ class TestErrorCodes:
         assert code == 2
         assert "dataset.delimiter must be one character" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("price_col,message", [
+        (4, "price and timestamp columns are both 4"),  # the timestamp's column
+        (-5, "price column must be non-negative"),      # -1 alone means absent
+    ])
+    def test_bad_price_column_exit_2(self, tmp_path, capsys, price_col, message):
+        cfg = tmp_path / "csv.ini"
+        cfg.write_text(f"[dataset]\nmode = csv\nevents_path = x.csv\nprice_col = {price_col}\n"
+                       "[experiment]\nseeds = 1\nvariants = pretrained_only\n")
+        code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_generate_requires_synthetic_mode(self, tmp_path):
         cfg = tmp_path / "csv.ini"
         cfg.write_text("[dataset]\nmode = csv\nevents_path = x.csv\n")
@@ -184,5 +196,5 @@ class TestAblationVerb:
         # Tiny single-seed runs may violate the ordering; both outcomes are
         # legitimate here, but the table must be printed either way.
         assert code in (0, 1)
-        assert "wo_ccra" in printed.out
+        assert "wo_cm" in printed.out
         assert (out / "ablation.csv").exists()

@@ -385,6 +385,20 @@ class TestCsv:
         with pytest.raises(DataError, match=f"cannot read .*events.csv past record {record}"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("columns,message", [
+        (dict(price_col=4), "price and timestamp columns are both 4"),
+        (dict(price_col=5, discount_col=5), "discount and price columns are both 5"),
+        (dict(user_col=1), "item and user columns are both 1"),
+    ])
+    def test_schema_rejects_two_fields_in_one_column(self, columns, message):
+        with pytest.raises(ConfigError, match=message):
+            CsvSchema(**columns)
+
+    @pytest.mark.parametrize("columns", [dict(user_col=-1), dict(discount_col=-2)])
+    def test_schema_rejects_negative_column(self, columns):
+        with pytest.raises(ConfigError, match="must be non-negative"):
+            CsvSchema(**columns)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         layouts = {

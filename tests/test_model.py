@@ -11,8 +11,7 @@ from prepromo.causal import ImputationConfig, ImputationModel
 from prepromo.data import ClickRow, FeatureEncoder
 from prepromo.errors import ConfigError, DataError, TrainingError
 from prepromo.model import (DelayConfig, DelayModel, DelayPrediction,
-                            build_gated_input, delay_loss, dump_diagnostics,
-                            finetune, gate_pair)
+                            build_gated_input, delay_loss, finetune, gate_pair)
 from prepromo.pretrain import PretrainConfig, PretrainedModel, pretrain_fit
 from prepromo.synth import GenConfig, generate_dataset, sample_world
 
@@ -479,17 +478,6 @@ class TestCheckpoint:
             DelayModel.load(path)
 
 
-class TestDiagnostics:
-    def test_dump_writes_csv(self, setup, tmp_path):
-        _, pretrained, data = setup
-        model = make_model(pretrained)
-        path = tmp_path / "diag.csv"
-        dump_diagnostics(model, data.take(np.arange(10)), path)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 11
-        assert lines[0].startswith("index,p_ori_cvr,p_delay,p_all_raw,gate_")
-
-
 class TestGraphFreeScoring:
     """predict and mu build no graph and return the recorded forward's values."""
 
@@ -497,14 +485,12 @@ class TestGraphFreeScoring:
         _, pretrained, data = setup
         model = make_model(pretrained)
         randomize(model.parameters(), 1)
-        scores = model.predict(data, with_gates=True)
+        scores = model.predict(data)
         pred = model.forward(data)
         assert pred.p_delay.parents  # recording is back on after predict
-        for key in ("p_delay", "p_all_raw", "p_ori_cvr"):
+        assert scores.keys() == {"p_delay", "p_all_raw", "p_ori_cvr"}
+        for key in scores:
             assert np.array_equal(scores[key], getattr(pred, key).data[:, 0]), key
-        for i, (gc, ga) in enumerate(pred.gate_values):
-            assert np.array_equal(scores[f"gate_cvr{i}_mean"], gc.data.mean(axis=1))
-            assert np.array_equal(scores[f"gate_atc{i}_mean"], ga.data.mean(axis=1))
 
     def test_pretrained_predict_equals_recorded_forward(self, setup):
         _, pretrained, data = setup
@@ -593,7 +579,11 @@ class TestCheckpointRoundTrip:
         same_parameter_bytes(model.parameters(), back.parameters())
         same_parameter_bytes(model.pretrained.parameters(), back.pretrained.parameters())
         assert (back.n_steps, back.config) == (steps, model.config)
-        got, want = back.predict(data, with_gates=True), model.predict(data, with_gates=True)
-        assert got.keys() == want.keys()
+        got, want = back.predict(data), model.predict(data)
         for key in want:
             assert np.array_equal(got[key], want[key]), key
+        got, want = back.forward(data).gate_values, model.forward(data).gate_values
+        assert len(got) == len(want)
+        for pair_got, pair_want in zip(got, want):
+            for g, w in zip(pair_got, pair_want):
+                assert np.array_equal(g.data, w.data)
