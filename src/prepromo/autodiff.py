@@ -78,36 +78,10 @@ class Node:
     def __repr__(self):
         return f"Node({self.op}, shape={self.data.shape}, id={self.nid})"
 
-    # Arithmetic sugar; non-Node operands become constants.
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __neg__(self):
-        return mul(self, constant(-1.0))
-
 
 def constant(value) -> Node:
     """A leaf that never receives gradient."""
     return Node(value, op="const")
-
-
-def _wrap(value) -> Node:
-    return value if isinstance(value, Node) else constant(value)
 
 
 class Parameter:
@@ -270,12 +244,6 @@ def columns(a: Node, start: int, stop: int) -> Node:
     return Node(a.data[:, start:stop], op="columns", parents=(a,), backward=back)
 
 
-def log(a: Node) -> Node:
-    def back(g):
-        return (g / a.data,)
-    return Node(np.log(a.data), op="log", parents=(a,), backward=back)
-
-
 def square(a: Node) -> Node:
     def back(g):
         return (2.0 * a.data * g,)
@@ -289,15 +257,6 @@ def mean(a: Node) -> Node:
     def back(g):
         return (np.full(a.data.shape, float(g) / size),)
     return Node(a.data.mean(), op="mean", parents=(a,), backward=back)
-
-
-def clip(a: Node, lo: float, hi: float) -> Node:
-    """Clamp values into [lo, hi]; gradient passes only where unclipped."""
-    inside = (a.data > lo) & (a.data < hi)
-
-    def back(g):
-        return (g * inside,)
-    return Node(np.clip(a.data, lo, hi), op="clip", parents=(a,), backward=back)
 
 
 def stop_gradient(a: Node) -> Node:
@@ -436,15 +395,24 @@ PROB_EPS = 1e-7
 
 
 def bce(p: Node, y, eps: float = PROB_EPS) -> Node:
-    """Binary cross-entropy, averaged when batched.
+    """Binary cross-entropy, averaged when batched, as one node.
 
     p is clamped into [eps, 1 - eps] before the logs; additive probability
-    compositions can land outside (0, 1) and the logs must stay finite.
+    compositions can land outside (0, 1) and the logs must stay finite. No
+    gradient passes where the clamp binds. Value and gradient are those of
+    mean(-(y log(pc) + (1 - y) log(1 - pc))) built from elementwise nodes,
+    operation for operation. y must broadcast to p's shape.
     """
     y = _as_array(y)
-    pc = clip(p, eps, 1.0 - eps)
-    losses = -(mul(constant(y), log(pc)) + mul(constant(1.0 - y), log(constant(1.0) - pc)))
-    return mean(losses)
+    if np.broadcast_shapes(p.data.shape, y.shape) != p.data.shape:
+        raise ConfigError(f"bce labels {y.shape} do not fit predictions {p.data.shape}")
+    pc = np.clip(p.data, eps, 1.0 - eps)
+    inside = (p.data > eps) & (p.data < 1.0 - eps)
+
+    def back(g):
+        ga = np.full(p.data.shape, float(g) / p.data.size) * -1.0
+        return (((ga * y) / pc + -((ga * (1.0 - y)) / (1.0 - pc))) * inside,)
+    return Node(bce_values(p.data, y, eps).mean(), op="bce", parents=(p,), backward=back)
 
 
 def bce_values(p: Array, y: Array, eps: float = PROB_EPS) -> Array:

@@ -240,29 +240,38 @@ class DatasetSplit:
 # Label derivation and dataset assembly
 # ---------------------------------------------------------------------------
 
-def derive_labels(clicks: Sequence[ActionEvent], purchases: Sequence[ActionEvent],
-                  calendar: PromotionCalendar,
-                  count_intermediate_as_all: bool = False) -> ClickTable:
-    """Turn click/purchase events into labeled clicks.
-
-    Clicks outside both calendar windows (promotion days included) are
-    dropped, but still participate in purchase attribution. Purchases with
-    no preceding click of the same (user, item) are ignored.
-    """
-    events = EventLog.of([*clicks, *purchases])
-    events.action = np.repeat(np.array([_CLICK, _BUY], dtype=np.int8),
-                              [len(clicks), len(purchases)])
-    return _assemble(events, calendar, 0, count_intermediate_as_all)
-
-
 def build_click_dataset(events: EventLog | Sequence[ActionEvent],
                         calendar: PromotionCalendar,
                         max_seq_len: int = DEFAULT_MAX_SEQ_LEN,
                         count_intermediate_as_all: bool = False) -> ClickTable:
-    """Full assembly from a raw event log: labels, ATC indicator, sequences."""
+    """Labels, cart indicator and sequences of every in-window click of a
+    raw event log, in input order.
+
+    Clicks outside both calendar windows (promotion days included) are
+    dropped, but still take part in purchase attribution. Purchases with no
+    preceding click of the same (user, item) are ignored.
+    """
     if not isinstance(events, EventLog):
         events = EventLog.of(events)
-    return _assemble(events, calendar, max_seq_len, count_intermediate_as_all)
+    action, ts = events.action, events.timestamp
+    day = (ts + calendar.tz_offset) // SECONDS_PER_DAY
+    daily = (calendar.daily_train_range[0] <= day) & (day <= calendar.daily_train_range[1])
+    pre = (calendar.pre_promo_range[0] <= day) & (day <= calendar.pre_promo_range[1])
+    sample = np.flatnonzero((action == _CLICK) & (daily | pre))
+    # One integer per (user, item) pair. Codes are below the id counts, so
+    # the key stays under n_events ** 2 and fits int64.
+    pair = events.user * (events.item.max(initial=0) + 1) + events.item
+    y_all, y_delay, A = _pair_outcomes(action, pair, ts, day, daily, pre, sample,
+                                       calendar, count_intermediate_as_all)
+    atc_items, atc_len, pay_items, pay_len = user_histories(
+        events.user, ts, events.item_id, sample, max_seq_len, action == _ATC,
+        action == _BUY)
+    return ClickTable(
+        user_id=events.user_id[sample], item_id=events.item_id[sample],
+        category_id=events.category_id[sample], click_ts=ts[sample],
+        click_day=day[sample], price=events.price[sample],
+        discount=events.discount[sample], A=A, y_all=y_all, y_delay=y_delay,
+        atc_items=atc_items, atc_len=atc_len, pay_items=pay_items, pay_len=pay_len)
 
 
 def _grouped_order(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,33 +300,6 @@ def _searchsorted(codes: np.ndarray, queries: np.ndarray, side: str) -> np.ndarr
     below = np.zeros(max(codes.max(initial=-1), queries.max(initial=-1)) + 2, np.int64)
     np.cumsum(np.bincount(codes, minlength=len(below) - 1), out=below[1:])
     return below[queries + (side == "right")]
-
-
-def _assemble(events: EventLog, calendar: PromotionCalendar, max_seq_len: int,
-              count_intermediate_as_all: bool) -> ClickTable:
-    """Labels, cart indicator and sequences of every in-window click.
-
-    Clicks come out in their input order.
-    """
-    action, ts = events.action, events.timestamp
-    day = (ts + calendar.tz_offset) // SECONDS_PER_DAY
-    daily = (calendar.daily_train_range[0] <= day) & (day <= calendar.daily_train_range[1])
-    pre = (calendar.pre_promo_range[0] <= day) & (day <= calendar.pre_promo_range[1])
-    sample = np.flatnonzero((action == _CLICK) & (daily | pre))
-    # One integer per (user, item) pair. Codes are below the id counts, so
-    # the key stays under n_events ** 2 and fits int64.
-    pair = events.user * (events.item.max(initial=0) + 1) + events.item
-    y_all, y_delay, A = _pair_outcomes(action, pair, ts, day, daily, pre, sample,
-                                       calendar, count_intermediate_as_all)
-    atc_items, atc_len, pay_items, pay_len = user_histories(
-        events.user, ts, events.item_id, sample, max_seq_len, action == _ATC,
-        action == _BUY)
-    return ClickTable(
-        user_id=events.user_id[sample], item_id=events.item_id[sample],
-        category_id=events.category_id[sample], click_ts=ts[sample],
-        click_day=day[sample], price=events.price[sample],
-        discount=events.discount[sample], A=A, y_all=y_all, y_delay=y_delay,
-        atc_items=atc_items, atc_len=atc_len, pay_items=pay_items, pay_len=pay_len)
 
 
 def _pair_outcomes(action, pair, ts, day, daily, pre, sample, calendar,

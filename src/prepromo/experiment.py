@@ -28,6 +28,7 @@ import datetime
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -141,6 +142,14 @@ class ExperimentConfig:
         if len(self.dataset.delimiter) != 1:
             raise ConfigError("dataset.delimiter must be one character, "
                               f"got {self.dataset.delimiter!r}")
+        t = self.training
+        for name in ("batch_size", "epochs", "pretrain_epochs", "imputation_epochs"):
+            if getattr(t, name) < 1:
+                raise ConfigError(f"training.{name} must be at least 1, "
+                                  f"got {getattr(t, name)}")
+        if not 0.0 < t.learning_rate < math.inf:
+            raise ConfigError("training.learning_rate must be finite and positive, "
+                              f"got {t.learning_rate}")
 
 
 def make_config(profile: str = "desk") -> ExperimentConfig:

@@ -131,15 +131,17 @@ class TestPrimitiveGradients:
         x = rng.normal(size=(5, 4))
         self.check(lambda: ad.mean(ad.add(ad.matmul(ad.constant(x), w.node()), b.node())), [w, b])
 
-    def test_sigmoid_log_square(self):
+    def test_bce(self):
+        # p spans the clamp on both sides; its entries sit at least 0.01 from
+        # eps and 1 - eps, so the central differences never straddle a kink.
         rng = np.random.default_rng(8)
-        w = ad.Parameter("w", rng.normal(size=(3, 2)))
-        x = rng.normal(size=(4, 3))
-
-        def build():
-            s = ad.sigmoid(ad.matmul(ad.constant(x), w.node()))
-            return ad.mean(ad.square(ad.log(s)))
-        self.check(build, [w])
+        p = ad.Parameter("p", rng.uniform(-0.5, 1.5, size=(40, 1)))
+        y = rng.integers(0, 2, size=(40, 1)).astype(float)
+        y[:8] = rng.uniform(size=(8, 1))
+        assert np.all(np.minimum(np.abs(p.data - ad.PROB_EPS),
+                                 np.abs(p.data - 1.0 + ad.PROB_EPS)) > 0.01)
+        assert (p.data < 0).any() and (p.data > 1).any()
+        self.check(lambda: ad.bce(p.node(), y), [p])
 
     def test_concat_mul_sub(self):
         rng = np.random.default_rng(9)
@@ -195,21 +197,15 @@ class TestPrimitiveGradients:
         def build():
             left = ad.columns(a.node(), 0, 2)
             right = ad.columns(a.node(), 3, 5)
-            return ad.mean(ad.mul(ad.square(left), ad.constant(m)) + right)
+            return ad.mean(ad.add(ad.mul(ad.square(left), ad.constant(m)), right))
         self.check(build, [a])
-
-    def test_clip_passthrough_region(self):
-        w = ad.Parameter("w", np.array([0.3, 0.7]))
-
-        def build():
-            return ad.mean(ad.clip(w.node(), 0.1, 0.9))
-        self.check(build, [w])
 
 
 # ---------------------------------------------------------------------------
 # Reference implementations: the plain forms of the fast primitives (masked
-# sigmoid, unfused dense layer, per-column bincount, allocating Adagrad). The
-# fast primitives must reproduce them bit for bit. tanh is np.tanh itself.
+# sigmoid, unfused dense layer, per-column bincount, allocating Adagrad, the
+# 13-node BCE graph). The fast primitives must reproduce them bit for bit.
+# tanh is np.tanh itself.
 # ---------------------------------------------------------------------------
 
 def ref_sigmoid_data(x):
@@ -232,6 +228,29 @@ def ref_sigmoid(a):
 def ref_dense(x, w, b, act):
     z = ad.add(ad.matmul(x, w), b)
     return ad.sigmoid(z) if act == "sigmoid" else z
+
+
+def ref_log(a):
+    def back(g):
+        return (g / a.data,)
+    return ad.Node(np.log(a.data), op="log", parents=(a,), backward=back)
+
+
+def ref_clip(a, lo, hi):
+    inside = (a.data > lo) & (a.data < hi)
+
+    def back(g):
+        return (g * inside,)
+    return ad.Node(np.clip(a.data, lo, hi), op="clip", parents=(a,), backward=back)
+
+
+def ref_bce(p, y, eps=ad.PROB_EPS):
+    """-(y log(pc) + (1 - y) log(1 - pc)), averaged, from elementwise nodes."""
+    y = np.asarray(y, dtype=np.float64)
+    pc = ref_clip(p, eps, 1.0 - eps)
+    s = ad.add(ad.mul(ad.constant(y), ref_log(pc)),
+               ad.mul(ad.constant(1.0 - y), ref_log(ad.sub(ad.constant(1.0), pc))))
+    return ad.mean(ad.mul(s, ad.constant(-1.0)))
 
 
 def ref_scatter(ids, rows, shape):
@@ -332,6 +351,43 @@ class TestBitIdentity:
             gz = g * (1.0 - t * t)
             for got, want in zip(node._backward(g), (gz @ w.T, x.T @ gz, gz.sum(axis=0))):
                 assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("shape", [(), (64, 1)])
+    def test_bce_forward_and_backward(self, shape):
+        eps = ad.PROB_EPS
+        lo, hi = eps, 1.0 - eps
+        near = [np.nextafter(lo, 0.0), lo, np.nextafter(lo, 1.0),
+                np.nextafter(hi, 0.0), hi, np.nextafter(hi, 1.0)]
+        rng = np.random.default_rng(8)
+        edges = np.array([-0.5, -TINY, 0.0, TINY, 1e-9, 0.5, 1.0 - 1e-9, 1.0, 1.5, *near])
+        cases = []
+        for y in (0.0, 1.0, 0.3):
+            if shape == ():
+                cases += [(np.asarray(v), np.asarray(y)) for v in edges]
+            else:
+                p = rng.permutation(np.concatenate(
+                    [edges, rng.uniform(-0.2, 1.2, size=64 - edges.size)])).reshape(shape)
+                cases.append((p, np.full(shape, y)))
+                cases.append((p, rng.integers(0, 2, size=shape).astype(float)))
+        for p, y in cases:
+            results = []
+            for build in (ad.bce, ref_bce):
+                param = ad.Parameter("p", p.copy())
+                # An upstream gradient other than 1 reaches the loss node.
+                loss = ad.mul(ad.constant(-2.75), build(param.node(), y))
+                results.append((loss.data, ad.backward(loss)["p"]))
+            (fast_loss, fast_grad), (ref_loss, ref_grad) = results
+            assert_bitwise(fast_loss, ref_loss)
+            assert_bitwise(fast_grad, ref_grad)
+
+    def test_bce_is_one_node(self):
+        p = ad.Parameter("p", np.full((3, 1), 0.4))
+        loss = ad.bce(p.node(), np.ones((3, 1)))
+        assert [n.op for n in ad.Tape.trace(loss).nodes] == ["param", "bce"]
+
+    def test_bce_rejects_labels_wider_than_predictions(self):
+        with pytest.raises(ConfigError, match="do not fit"):
+            ad.bce(ad.constant(np.full((3, 1), 0.4)), np.ones(3))
 
     def test_tanh_is_one_node(self):
         x = ad.Parameter("x", np.zeros(3))
@@ -624,7 +680,7 @@ class TestBceValues:
         rng = np.random.default_rng(4)
         p = rng.uniform(-0.2, 1.2, size=(64, 1))
         y = rng.integers(0, 2, size=(64, 1)).astype(float)
-        assert float(np.mean(ad.bce_values(p, y))) == float(ad.bce(ad.constant(p), y).data)
+        assert float(np.mean(ad.bce_values(p, y))) == float(ref_bce(ad.constant(p), y).data)
 
     def test_clips_like_bce(self):
         out = ad.bce_values(np.array([0.0, 1.0]), np.array([1.0, 0.0]))

@@ -182,6 +182,25 @@ class TestErrorCodes:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb,setting,message", [
+        ("experiment", "batch_size = 0", "training.batch_size must be at least 1, got 0"),
+        ("experiment", "batch_size = -5", "training.batch_size must be at least 1, got -5"),
+        ("experiment", "epochs = 0", "training.epochs must be at least 1, got 0"),
+        ("experiment", "imputation_epochs = 0", "training.imputation_epochs must be at least 1"),
+        ("pretrain", "pretrain_epochs = 0", "training.pretrain_epochs must be at least 1"),
+        ("experiment", "learning_rate = 0", "learning_rate must be finite and positive, got 0.0"),
+        ("experiment", "learning_rate = nan", "learning_rate must be finite and positive, got nan"),
+        ("experiment", "learning_rate = inf", "learning_rate must be finite and positive, got inf"),
+    ])
+    def test_bad_training_size_exit_2(self, tmp_path, capsys, verb, setting, message):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[training]\n{setting}\n"
+                       "[experiment]\nseeds = 1\nvariants = pretrained_only\n")
+        code = main([verb, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_generate_requires_synthetic_mode(self, tmp_path):
         cfg = tmp_path / "csv.ini"
         cfg.write_text("[dataset]\nmode = csv\nevents_path = x.csv\n")

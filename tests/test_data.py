@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 from prepromo import data
 from prepromo.data import (
     DEFAULT_ACTION_MAP, ActionEvent, ClickRow, CsvSchema, FeatureEncoder,
-    PromotionCalendar, SECONDS_PER_DAY, build_click_dataset, derive_labels,
+    PromotionCalendar, SECONDS_PER_DAY, build_click_dataset,
     ingest_csv, partition_dataset, write_events_csv,
 )
 from prepromo.errors import ConfigError, DataError
@@ -41,59 +41,59 @@ def buy(user, item, day, offset=500):
 
 class TestDeriveLabels:
     def test_direct_conversion(self):
-        out = derive_labels([click("u", "i", 5)], [buy("u", "i", 5)], CAL)
+        out = build_click_dataset([click("u", "i", 5), buy("u", "i", 5)], CAL)
         assert (out[0].y_all, out[0].y_delay) == (1, 0)
 
     def test_delayed_conversion(self):
-        out = derive_labels([click("u", "i", 5)], [buy("u", "i", 7)], CAL)
+        out = build_click_dataset([click("u", "i", 5), buy("u", "i", 7)], CAL)
         assert (out[0].y_all, out[0].y_delay) == (1, 1)
 
     def test_non_conversion(self):
-        out = derive_labels([click("u", "i", 5)], [], CAL)
+        out = build_click_dataset([click("u", "i", 5)], CAL)
         assert (out[0].y_all, out[0].y_delay) == (0, 0)
 
     def test_intermediate_day_purchase_is_non_conversion(self):
         # Click day 4, buy day 6: neither same-day nor promotion day.
-        out = derive_labels([click("u", "i", 4)], [buy("u", "i", 6)], CAL)
+        out = build_click_dataset([click("u", "i", 4), buy("u", "i", 6)], CAL)
         assert (out[0].y_all, out[0].y_delay) == (0, 0)
 
     def test_intermediate_switch_counts_as_direct(self):
-        out = derive_labels([click("u", "i", 4)], [buy("u", "i", 6)], CAL,
-                            count_intermediate_as_all=True)
+        out = build_click_dataset([click("u", "i", 4), buy("u", "i", 6)], CAL,
+                                  count_intermediate_as_all=True)
         assert (out[0].y_all, out[0].y_delay) == (1, 0)
 
     def test_same_day_beats_promo_day(self):
         # Earliest qualifying purchase wins: the same-day one.
-        out = derive_labels([click("u", "i", 5)],
-                            [buy("u", "i", 5), buy("u", "i", 7)], CAL)
+        out = build_click_dataset(
+            [click("u", "i", 5), buy("u", "i", 5), buy("u", "i", 7)], CAL)
         assert (out[0].y_all, out[0].y_delay) == (1, 0)
 
     def test_purchase_goes_to_latest_preceding_click(self):
         c1, c2 = click("u", "i", 5, offset=100), click("u", "i", 5, offset=200)
-        out = derive_labels([c1, c2], [buy("u", "i", 5, offset=300)], CAL)
+        out = build_click_dataset([c1, c2, buy("u", "i", 5, offset=300)], CAL)
         by_ts = {s.click_ts: s for s in out}
         assert by_ts[c2.timestamp].y_all == 1
         assert by_ts[c1.timestamp].y_all == 0
 
     def test_purchase_before_any_click_ignored(self):
-        out = derive_labels([click("u", "i", 5, offset=500)],
-                            [buy("u", "i", 5, offset=100)], CAL)
+        out = build_click_dataset([click("u", "i", 5, offset=500),
+                                   buy("u", "i", 5, offset=100)], CAL)
         assert out[0].y_all == 0
 
     def test_promo_day_click_excluded(self):
-        out = derive_labels([click("u", "i", 7)], [], CAL)
+        out = build_click_dataset([click("u", "i", 7)], CAL)
         assert len(out) == 0
 
     def test_daily_click_gets_same_day_label_only(self):
-        out = derive_labels([click("u", "i", 2)], [buy("u", "i", 7)], CAL)
+        out = build_click_dataset([click("u", "i", 2), buy("u", "i", 7)], CAL)
         assert (out[0].y_all, out[0].y_delay) == (0, 0)
-        out = derive_labels([click("u", "i", 2)], [buy("u", "i", 2)], CAL)
+        out = build_click_dataset([click("u", "i", 2), buy("u", "i", 2)], CAL)
         assert (out[0].y_all, out[0].y_delay) == (1, 0)
 
     def test_label_implication_invariant(self):
         rng = np.random.default_rng(0)
         clicks, buys = _random_log(rng, n_users=20, n_items=10)
-        for s in derive_labels(clicks, buys, CAL):
+        for s in build_click_dataset([*clicks, *buys], CAL):
             assert s.y_delay <= s.y_all
 
 
@@ -120,7 +120,8 @@ class TestLabelOracleEquivalence:
             rng, n_users=int(rng.integers(2, 12)), n_items=int(rng.integers(2, 8)),
             n_clicks=int(rng.integers(5, 60)), n_buys=int(rng.integers(0, 40)))
         inter = bool(rng.integers(0, 2))
-        got = derive_labels(clicks, buys, CAL, count_intermediate_as_all=inter)
+        got = build_click_dataset([*clicks, *buys], CAL,
+                                  count_intermediate_as_all=inter)
         want = brute_force_labels(clicks, buys, CAL, count_intermediate_as_all=inter)
         got_by_id = {(s.user_id, s.item_id, s.click_ts): (s.y_all, s.y_delay) for s in got}
         want_by_click = {

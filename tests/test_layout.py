@@ -18,7 +18,6 @@ PACKAGE = ROOT / "src" / "prepromo"
 SEARCHED = ("src", "demos", "perfbench")
 
 ALLOWED = {
-    "data.derive_labels": "AC-7's entry point: the label oracle checks it on 1000 logs",
     "data.PromotionCalendar.day_of": "the test oracles place timestamps on the calendar with it",
 }
 

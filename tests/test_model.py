@@ -402,7 +402,7 @@ class TestStepStructure:
         model = desk_width_model(pretrained, lambda_cm=0.1)
         batch = data.take(np.arange(64))
         total, _ = model.loss(model.forward(batch), batch, np.full(64, 0.2))
-        assert len(ad.Tape.trace(total).nodes) <= 123
+        assert len(ad.Tape.trace(total).nodes) <= 99
 
     def test_naive_finetune_step_touches_only_reachable_parameters(self, setup):
         _, pretrained, data = setup
