@@ -143,6 +143,28 @@ class TestPrimitiveGradients:
         assert (p.data < 0).any() and (p.data > 1).any()
         self.check(lambda: ad.bce(p.node(), y), [p])
 
+    def test_sigmoid_log_square(self):
+        # The log is the one inside bce, fed by a squared sigmoid.
+        rng = np.random.default_rng(8)
+        w = ad.Parameter("w", rng.normal(size=(3, 2)))
+        x = rng.normal(size=(4, 3))
+        y = rng.integers(0, 2, size=(4, 2)).astype(float)
+
+        def build():
+            s = ad.sigmoid(ad.matmul(ad.constant(x), w.node()))
+            return ad.bce(ad.square(s), y)
+        self.check(build, [w])
+
+    def test_clip_passthrough_region(self):
+        # Inside (eps, 1 - eps) the clamp in bce passes the gradient through;
+        # outside it the gradient is exactly zero.
+        w = ad.Parameter("w", np.array([0.3, 0.7]))
+        y = np.array([1.0, 0.0])
+        self.check(lambda: ad.bce(w.node(), y), [w])
+        assert np.all(ad.backward(ad.bce(w.node(), y), [w])["w"] != 0.0)
+        out = ad.Parameter("out", np.array([-0.2, 1.2]))
+        assert np.all(ad.backward(ad.bce(out.node(), y), [out])["out"] == 0.0)
+
     def test_concat_mul_sub(self):
         rng = np.random.default_rng(9)
         a = ad.Parameter("a", rng.normal(size=(4, 2)))
