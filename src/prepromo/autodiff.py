@@ -10,17 +10,14 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import itertools
 import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError, UsageError
+from .errors import ConfigError, DataError, TrainingError, UsageError
 
 Array = np.ndarray
-
-_node_ids = itertools.count()
 
 # False inside no_grad(): new nodes keep their data but record no graph.
 _recording = True
@@ -55,14 +52,13 @@ class Node:
     Outside recording (see no_grad) parents and backward rule are dropped.
     """
 
-    __slots__ = ("data", "op", "nid", "parents", "_backward", "param")
+    __slots__ = ("data", "op", "parents", "_backward", "param")
 
     def __init__(self, data, op: str = "const", parents: tuple = (),
                  backward: Callable[[Array], tuple] | None = None,
                  param: "Parameter | None" = None):
         self.data = _as_array(data)
         self.op = op
-        self.nid = next(_node_ids)
         if _recording:
             self.parents = parents
             self._backward = backward
@@ -76,7 +72,7 @@ class Node:
         return self.data.shape
 
     def __repr__(self):
-        return f"Node({self.op}, shape={self.data.shape}, id={self.nid})"
+        return f"Node({self.op}, shape={self.data.shape})"
 
 
 def constant(value) -> Node:
@@ -489,17 +485,6 @@ class MLP:
 # Optimizer
 # ---------------------------------------------------------------------------
 
-def finite_loss(value: float, stage: str, step: int) -> float:
-    """A step's loss value, checked before the optimizer applies its gradients.
-
-    A nan or inf loss would carry into every parameter through Adagrad's
-    accumulators, so training stops with TrainingError naming stage and step.
-    """
-    if not math.isfinite(value):
-        raise TrainingError(f"{stage}: non-finite loss {value} at step {step}")
-    return value
-
-
 class Adagrad:
     """Per-coordinate Adagrad: accum += g^2; p -= lr * g / (sqrt(accum) + eps).
 
@@ -537,6 +522,58 @@ class Adagrad:
             den += self.eps
             num /= den
             p.data -= num
+
+
+# ---------------------------------------------------------------------------
+# Training and scoring loops
+# ---------------------------------------------------------------------------
+
+def minimize(params: Iterable[Parameter], data, loss_of: Callable, config,
+             rng: np.random.Generator, stage: str) -> tuple[list[float], int]:
+    """Minibatch Adagrad over `data`; returns (per-epoch mean losses, steps).
+
+    config supplies learning_rate, batch_size and epochs. Each epoch visits
+    the rows of `data` (anything with .n and .take(rows)) in one fresh
+    rng.permutation; loss_of(data.take(rows), rows) builds a batch's scalar
+    loss node. A nan or inf loss would carry into every parameter through
+    Adagrad's accumulators, so training stops with TrainingError naming stage
+    and step before the optimizer applies its gradients.
+    """
+    if data.n == 0:
+        raise DataError(f"{stage}: empty training set")
+    opt = Adagrad(params, lr=config.learning_rate)
+    epoch_means: list[float] = []
+    step = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(data.n)
+        losses = []
+        for start in range(0, data.n, config.batch_size):
+            rows = order[start:start + config.batch_size]
+            loss = loss_of(data.take(rows), rows)
+            value = float(loss.data)
+            if not math.isfinite(value):
+                raise TrainingError(f"{stage}: non-finite loss {value} at step {step}")
+            opt.step(backward(loss))
+            losses.append(value)
+            step += 1
+        epoch_means.append(float(np.mean(losses)))
+    return epoch_means, step
+
+
+SCORE_CHUNK = 8192
+
+
+def score(n: int, forward: Callable[[slice], Sequence[Node]]) -> list[Array]:
+    """Column 0 of each node forward(rows) returns, over rows 0..n in chunks.
+
+    Runs in no_grad, SCORE_CHUNK rows at a time, and returns one flat array
+    per returned node. An empty set still makes one pass, over the empty
+    slice, so each output is an empty array.
+    """
+    with no_grad():
+        chunks = [forward(slice(start, start + SCORE_CHUNK))
+                  for start in range(0, max(n, 1), SCORE_CHUNK)]
+    return [np.concatenate([node.data[:, 0] for node in nodes]) for nodes in zip(*chunks)]
 
 
 def param_hash(params: Iterable[Parameter]) -> str:

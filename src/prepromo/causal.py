@@ -69,17 +69,14 @@ class ImputationModel:
         rest = ad.constant(np.concatenate([dense, a.reshape(-1, 1)], axis=1))
         return ad.sigmoid(self.net.forward(ad.concat([eu, rest]))[-1])
 
-    def mu(self, data: EncodedDataset, arm: int | None = None,
-           chunk: int = 16384) -> Array:
+    def mu(self, data: EncodedDataset, arm: int | None = None) -> Array:
         """mu(x, arm); arm=None evaluates at each sample's observed action."""
-        out = []
-        with ad.no_grad():
-            for start in range(0, data.n, chunk):
-                stop = min(start + chunk, data.n)
-                dense = data.dense[start:stop]
-                a = data.A[start:stop] if arm is None else np.full(stop - start, float(arm))
-                out.append(self._forward(dense, data.user_idx[start:stop], a).data[:, 0])
-        return np.concatenate(out)
+        def forward(rows):
+            a = data.A[rows]
+            if arm is not None:
+                a = np.full(a.shape, float(arm))
+            return (self._forward(data.dense[rows], data.user_idx[rows], a),)
+        return ad.score(data.n, forward)[0]
 
 
 def fit_imputation(train: EncodedDataset, config: ImputationConfig | None = None,
@@ -106,15 +103,10 @@ def fit_imputation(train: EncodedDataset, config: ImputationConfig | None = None
     val_idx, fit_idx = order[:n_val], order[n_val:]
     fit = train.take(fit_idx)
 
-    opt = ad.Adagrad(model.parameters(), lr=config.learning_rate)
-    step = 0
-    for _ in range(config.epochs):
-        for batch in fit.batches(config.batch_size, rng):
-            p = model._forward(batch.dense, batch.user_idx, batch.A)
-            loss = ad.bce(p, batch.y_delay.reshape(-1, 1))
-            ad.finite_loss(float(loss.data), "imputation", step)
-            opt.step(ad.backward(loss))
-            step += 1
+    def loss_of(batch, rows):
+        p = model._forward(batch.dense, batch.user_idx, batch.A)
+        return ad.bce(p, batch.y_delay.reshape(-1, 1))
+    ad.minimize(model.parameters(), fit, loss_of, config, rng, "imputation")
     if n_val:
         val = train.take(val_idx)
         p = model.mu(val)

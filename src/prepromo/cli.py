@@ -16,19 +16,24 @@ variable. Exit codes: 0 success, 1 failed quality gate (ablation ordering),
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .data import CsvSchema, write_events_csv
 from .errors import ConfigError, DataError, PrepromoError, TrainingError
-from .experiment import (ExperimentConfig, apply_variant, config_to_dict,
-                         fit_seed_imputation, format_ablation_table,
-                         load_config, make_config, prepare_seed, run_ablation,
-                         run_experiment, run_variant, stage_seed,
-                         synthetic_world)
-from .metrics import emit_report
+from .experiment import (ExperimentConfig, acquire_data, apply_variant,
+                         config_to_dict, fit_seed_imputation,
+                         format_ablation_table, load_config, make_config,
+                         prepare_seed, run_ablation, run_experiment,
+                         run_variant, stage_seed, synthetic_world)
+from .metrics import emit_report, evaluate_scores
+from .model import DelayModel
+from .pretrain import PretrainedModel
 from .synth import generate_dataset, samples_to_events, write_ground_truth_csv
 
 log = logging.getLogger("prepromo.cli")
@@ -139,42 +144,34 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    import numpy as np
-
-    from .model import DelayModel
-    from .metrics import evaluate_scores
-    from .pretrain import PretrainedModel
-
     cfg = _load(args)
     out = _outdir(cfg)
     try:
         with np.load(args.checkpoint) as blob:
-            import json as _json
             # Without metadata the pretrained loader names the problem.
-            kind = (_json.loads(bytes(blob["__meta__"]).decode()).get("kind")
+            kind = (json.loads(bytes(blob["__meta__"]).decode()).get("kind")
                     if "__meta__" in blob.files else None)
     except FileNotFoundError as exc:
         raise DataError(f"checkpoint not found: {args.checkpoint}") from exc
     except ValueError as exc:  # not an .npz archive, or unreadable metadata
         raise DataError(f"{args.checkpoint} is not a checkpoint: {exc}") from exc
+    if kind == "delay":
+        model = DelayModel.load(args.checkpoint)
+        encoder = model.pretrained.encoder
+    else:
+        model = PretrainedModel.load(args.checkpoint)
+        encoder = model.encoder
     reports = []
     for seed in cfg.seeds:
-        from .experiment import acquire_data
-        split = acquire_data(cfg, seed)
+        eval_ = encoder.encode(acquire_data(cfg, seed).prepromo_eval)
         if kind == "delay":
-            model = DelayModel.load(args.checkpoint)
-            eval_ = model.pretrained.encoder.encode(split.prepromo_eval)
             scores = model.predict(eval_)
-            report = evaluate_scores("checkpoint", seed, scores["p_all_raw"],
-                                     scores["p_delay"], eval_.y_all, eval_.y_delay,
-                                     nll_exclude_direct=cfg.model.nll_exclude_direct)
+            p_all, p_delay = scores["p_all_raw"], scores["p_delay"]
         else:
-            model = PretrainedModel.load(args.checkpoint)
-            eval_ = model.encoder.encode(split.prepromo_eval)
-            p_cvr, _ = model.predict(eval_)
-            report = evaluate_scores("checkpoint", seed, p_cvr, p_cvr,
-                                     eval_.y_all, eval_.y_delay,
-                                     nll_exclude_direct=cfg.model.nll_exclude_direct)
+            p_all = p_delay = model.predict(eval_)[0]
+        report = evaluate_scores("checkpoint", seed, p_all, p_delay, eval_.y_all,
+                                 eval_.y_delay,
+                                 nll_exclude_direct=cfg.model.nll_exclude_direct)
         reports.append(report)
         print(f"seed {seed}: auc_all={report.auc_all:.4f} "
               f"auc_delay={report.auc_delay:.4f} nll_delay={report.nll_delay:.4f}")

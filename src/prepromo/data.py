@@ -388,6 +388,10 @@ def partition_dataset(clicks: ClickTable, calendar: PromotionCalendar,
         raise DataError("no pre-promotion samples in calendar window")
     order = np.random.default_rng(seed).permutation(len(prepromo))
     cut = int(len(prepromo) * split_ratio)
+    if cut == 0:
+        raise DataError(f"split_ratio {split_ratio} puts 0 of {len(prepromo)} "
+                        "pre-promotion clicks in the training split and all "
+                        f"{len(prepromo)} in the eval split")
     return DatasetSplit(daily_train=clicks[np.flatnonzero((lo <= day) & (day <= hi))],
                         prepromo_train=clicks[prepromo[order[:cut]]],
                         prepromo_eval=clicks[prepromo[order[cut:]]])
@@ -678,11 +682,6 @@ class EncodedDataset:
             pay_seq=self.pay_seq[idx], pay_mask=self.pay_mask[idx],
             y_all=self.y_all[idx], y_delay=self.y_delay[idx], A=self.A[idx],
             truth={k: v[idx] for k, v in self.truth.items()})
-
-    def batches(self, batch_size: int, rng: np.random.Generator | None = None):
-        order = np.arange(self.n) if rng is None else rng.permutation(self.n)
-        for start in range(0, self.n, batch_size):
-            yield self.take(order[start:start + batch_size])
 
 
 class FeatureEncoder:

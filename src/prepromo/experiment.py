@@ -426,18 +426,11 @@ def run_reuse_baseline(pretrained: PretrainedModel, train: EncodedDataset,
     """Relabeling baseline: fine-tune an unfrozen copy of the daily model on
     pre-promotion data, delayed conversions counted as positives (y_all)."""
     clone = clone_unfrozen(pretrained)
-    opt = ad.Adagrad(clone.parameters(), lr=training.learning_rate)
-    rng = np.random.default_rng(seed)
-    trace, steps = [], 0
-    for _ in range(training.epochs):
-        epoch = []
-        for batch in train.batches(training.batch_size, rng):
-            out = clone.forward(batch)
-            loss = ad.bce(out.p_cvr, batch.y_all.reshape(-1, 1))
-            epoch.append(ad.finite_loss(float(loss.data), "reuse_relabel", steps))
-            opt.step(ad.backward(loss))
-            steps += 1
-        trace.append(float(np.mean(epoch)))
+
+    def loss_of(batch, rows):
+        return ad.bce(clone.forward(batch).p_cvr, batch.y_all.reshape(-1, 1))
+    trace, steps = ad.minimize(clone.parameters(), train, loss_of, training,
+                               np.random.default_rng(seed), "reuse_relabel")
     return clone, trace, steps
 
 

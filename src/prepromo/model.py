@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import EncodedDataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .pretrain import (CHECKPOINT_VERSION, PretrainConfig, PretrainedModel,
                        load_parameters, read_checkpoint_meta)
 
@@ -168,7 +168,6 @@ class DelayModel:
         self.head = ad.MLP("delay/head", [widths[-1], 1], ["linear"], rng,
                            zero_last=True)
         self.n_steps = 0
-        self.loss_trace: list[float] = []
 
     def parameters(self) -> list[ad.Parameter]:
         params = [self.emb_user, self.pool_atc, self.pool_pay,
@@ -219,17 +218,12 @@ class DelayModel:
                           lambda_all=cfg.lambda_all, lambda_cm=cfg.lambda_cm,
                           cm_on_atc_only=cfg.cm_on_atc_only, a=batch.A)
 
-    def predict(self, data: EncodedDataset, chunk: int = 8192) -> dict[str, Array]:
+    def predict(self, data: EncodedDataset) -> dict[str, Array]:
         """Scores for ranking, as flat arrays; records no graph."""
-        cols: dict[str, list[Array]] = {"p_delay": [], "p_all_raw": [], "p_ori_cvr": []}
-        with ad.no_grad():
-            for start in range(0, data.n, chunk):
-                batch = data.take(np.arange(start, min(start + chunk, data.n)))
-                pred = self.forward(batch)
-                cols["p_delay"].append(pred.p_delay.data[:, 0])
-                cols["p_all_raw"].append(pred.p_all_raw.data[:, 0])
-                cols["p_ori_cvr"].append(pred.p_ori_cvr.data[:, 0])
-        return {k: np.concatenate(v) for k, v in cols.items()}
+        def scores(rows):
+            pred = self.forward(data.take(rows))
+            return pred.p_delay, pred.p_all_raw, pred.p_ori_cvr
+        return dict(zip(("p_delay", "p_all_raw", "p_ori_cvr"), ad.score(data.n, scores)))
 
     # -- checkpointing -----------------------------------------------------
 
@@ -271,29 +265,20 @@ def finetune(model: DelayModel, train: EncodedDataset, imputation=None,
     everyone treated); its targets stay fixed for the whole run.
     """
     cfg = model.config
-    if train.n == 0:
-        raise DataError("empty fine-tuning set")
     mu1 = None
     if cfg.lambda_cm > 0.0:
         if imputation is None:
             raise ConfigError("lambda_cm > 0 requires an imputation model")
         mu1 = imputation.mu(train, arm=1)
 
-    rng = np.random.default_rng(seed)
-    opt = ad.Adagrad(model.parameters(), lr=cfg.learning_rate)
+    def loss_of(batch, rows):
+        total, _ = model.loss(model.forward(batch), batch,
+                              None if mu1 is None else mu1[rows])
+        return total
     base_hash = model.pretrained.param_hash()
-    for _ in range(cfg.epochs):
-        epoch = []
-        order = rng.permutation(train.n)
-        for start in range(0, train.n, cfg.batch_size):
-            batch = train.take(order[start:start + cfg.batch_size])
-            mu1_batch = None if mu1 is None else mu1[order[start:start + cfg.batch_size]]
-            pred = model.forward(batch)
-            total, parts = model.loss(pred, batch, mu1_batch)
-            epoch.append(ad.finite_loss(parts["total"], "finetune", model.n_steps))
-            opt.step(ad.backward(total))
-            model.n_steps += 1
-        model.loss_trace.append(float(np.mean(epoch)))
+    losses, steps = ad.minimize(model.parameters(), train, loss_of, cfg,
+                                np.random.default_rng(seed), "finetune")
+    model.n_steps += steps
     if model.pretrained.param_hash() != base_hash:
         raise RuntimeError("frozen base parameters changed during fine-tuning")
-    return model.loss_trace
+    return losses

@@ -88,17 +88,12 @@ class PretrainedModel:
             p_cvr=ad.sigmoid(cvr[-1]), p_atc=ad.sigmoid(atc[-1]),
             h_cvr=cvr[:-1], h_atc=atc[:-1])
 
-    def predict(self, data: EncodedDataset, chunk: int = 8192
-                ) -> tuple[np.ndarray, np.ndarray]:
+    def predict(self, data: EncodedDataset) -> tuple[np.ndarray, np.ndarray]:
         """Head probabilities as flat arrays, computed in chunks with no graph."""
-        p_cvr, p_atc = [], []
-        with ad.no_grad():
-            for start in range(0, data.n, chunk):
-                batch = data.take(np.arange(start, min(start + chunk, data.n)))
-                out = self.forward(batch)
-                p_cvr.append(out.p_cvr.data[:, 0])
-                p_atc.append(out.p_atc.data[:, 0])
-        return np.concatenate(p_cvr), np.concatenate(p_atc)
+        def heads(rows):
+            out = self.forward(data.take(rows))
+            return out.p_cvr, out.p_atc
+        return tuple(ad.score(data.n, heads))
 
     def freeze(self) -> "PretrainedModel":
         for p in self.parameters():
@@ -178,17 +173,11 @@ def pretrain_fit(daily: ClickTable, config: PretrainConfig, seed: int) -> Pretra
                              max_seq_len=config.max_seq_len).fit(daily)
     model = PretrainedModel(encoder, config, rng)
     data = encoder.encode(daily)
-    opt = ad.Adagrad(model.parameters(), lr=config.learning_rate)
-    model.loss_trace = []
-    step = 0
-    for _ in range(config.epochs):
-        epoch_losses = []
-        for batch in data.batches(config.batch_size, rng):
-            out = model.forward(batch)
-            loss = ad.add(ad.bce(out.p_cvr, batch.y_all.reshape(-1, 1)),
-                          ad.bce(out.p_atc, batch.A.reshape(-1, 1)))
-            epoch_losses.append(ad.finite_loss(float(loss.data), "pretrain", step))
-            opt.step(ad.backward(loss))
-            step += 1
-        model.loss_trace.append(float(np.mean(epoch_losses)))
+
+    def loss_of(batch, rows):
+        out = model.forward(batch)
+        return ad.add(ad.bce(out.p_cvr, batch.y_all.reshape(-1, 1)),
+                      ad.bce(out.p_atc, batch.A.reshape(-1, 1)))
+    model.loss_trace, _ = ad.minimize(model.parameters(), data, loss_of, config,
+                                      rng, "pretrain")
     return model.freeze()

@@ -16,7 +16,7 @@ import numpy as np
 
 from prepromo import autodiff as ad
 from prepromo.data import ActionEvent, CsvSchema
-from prepromo.errors import DataError
+from prepromo.errors import DataError, TrainingError
 
 
 def finite_difference_grads(loss_fn, params, step: float = 1e-5):
@@ -67,6 +67,34 @@ def gradcheck(loss_builder, params, step: float = 1e-5, tol: float = 1e-4) -> fl
     err = max_grad_mismatch(analytic, numeric)
     assert err < tol, f"gradient mismatch {err:.3e} >= {tol}"
     return err
+
+
+def hand_written_minimize(params, data, loss_of, config, rng, stage):
+    """The minibatch Adagrad loop each fit used to spell out for itself.
+
+    A generator of batches over one permutation per epoch, a finite-loss
+    check before each step, and per-epoch means; returns (epoch means, steps).
+    """
+    def batches():
+        order = rng.permutation(data.n)
+        for start in range(0, data.n, config.batch_size):
+            rows = order[start:start + config.batch_size]
+            yield data.take(rows), rows
+
+    opt = ad.Adagrad(params, lr=config.learning_rate)
+    trace, steps = [], 0
+    for _ in range(config.epochs):
+        epoch = []
+        for batch, rows in batches():
+            loss = loss_of(batch, rows)
+            value = float(loss.data)
+            if not math.isfinite(value):
+                raise TrainingError(f"{stage}: non-finite loss {value} at step {steps}")
+            epoch.append(value)
+            opt.step(ad.backward(loss))
+            steps += 1
+        trace.append(float(np.mean(epoch)))
+    return trace, steps
 
 
 def brute_force_auc(pos_scores, neg_scores) -> float:

@@ -1,12 +1,17 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from prepromo import autodiff as ad
-from prepromo.errors import ConfigError, UsageError
+from prepromo.causal import ImputationConfig, ImputationModel
+from prepromo.errors import ConfigError, DataError, TrainingError, UsageError
+from prepromo.model import DelayConfig, DelayModel
+from prepromo.pretrain import PretrainConfig, pretrain_fit
+from prepromo.synth import GenConfig, generate_dataset, sample_world
 
-from oracles import finite_difference_grads, max_grad_mismatch
+from oracles import finite_difference_grads, hand_written_minimize, max_grad_mismatch
 
 
 def scalar(x):
@@ -582,6 +587,128 @@ class TestAdagrad:
             opt.step({"w": rng.normal(size=4)})
             assert np.all(opt.accum["w"] >= prev)
             prev = opt.accum["w"].copy()
+
+
+
+class Rows:
+    """Features and labels that minimize can draw batches from."""
+
+    def __init__(self, x, y):
+        self.x, self.y = x, y
+
+    @property
+    def n(self):
+        return len(self.y)
+
+    def take(self, rows):
+        return Rows(self.x[rows], self.y[rows])
+
+
+class TestMinimize:
+    # 50 rows in batches of 16: the last batch of each epoch holds 2 rows.
+    CONFIG = SimpleNamespace(learning_rate=0.05, batch_size=16, epochs=2)
+
+    @staticmethod
+    def problem():
+        rng = np.random.default_rng(3)
+        mlp = ad.MLP("m", [3, 5, 1], ["tanh", "linear"], rng)
+        data = Rows(rng.normal(size=(50, 3)), rng.integers(0, 2, size=50).astype(float))
+        return mlp, data
+
+    @staticmethod
+    def loss_of(mlp, data):
+        def loss(batch, rows):
+            assert np.array_equal(batch.y, data.y[rows])
+            p = ad.sigmoid(mlp.forward(ad.constant(batch.x))[-1])
+            return ad.bce(p, batch.y.reshape(-1, 1))
+        return loss
+
+    def test_matches_hand_written_loop_bitwise(self):
+        runs = []
+        for loop in (ad.minimize, hand_written_minimize):
+            mlp, data = self.problem()
+            trace, steps = loop(mlp.parameters(), data, self.loss_of(mlp, data),
+                                self.CONFIG, np.random.default_rng(9), "test")
+            runs.append((trace, steps, mlp.parameters()))
+        (trace, steps, params), (ref_trace, ref_steps, ref_params) = runs
+        assert steps == ref_steps == 2 * math.ceil(50 / 16)
+        assert len(trace) == 2
+        assert_bitwise(trace, ref_trace)
+        for p, q in zip(params, ref_params):
+            assert p.name == q.name
+            assert_bitwise(p.data, q.data)
+
+    def test_non_finite_loss_names_stage_and_step_before_stepping(self):
+        mlp, data = self.problem()
+        base = self.loss_of(mlp, data)
+        calls, at_failure = [], []
+
+        def loss(batch, rows):
+            calls.append(None)
+            if len(calls) == 4:
+                at_failure.append(ad.param_hash(mlp.parameters()))
+                return ad.constant(np.nan)
+            return base(batch, rows)
+
+        with pytest.raises(TrainingError, match=r"^test: non-finite loss nan at step 3$"):
+            ad.minimize(mlp.parameters(), data, loss, self.CONFIG,
+                        np.random.default_rng(9), "test")
+        assert ad.param_hash(mlp.parameters()) == at_failure[0]
+
+    def test_empty_training_set_is_a_data_error(self):
+        mlp, data = self.problem()
+        empty = data.take(np.arange(0))
+        with pytest.raises(DataError, match="^test: empty training set$"):
+            ad.minimize(mlp.parameters(), empty, self.loss_of(mlp, empty),
+                        self.CONFIG, np.random.default_rng(9), "test")
+
+
+def randomize(params, seed):
+    """Normal draws for every parameter, so zero-initialized heads vary."""
+    rng = np.random.default_rng(seed)
+    for p in params:
+        p.data = rng.normal(scale=0.5, size=p.data.shape)
+
+
+class TestScore:
+    """Chunked scoring against one unchunked pass, compared as bits."""
+
+    @pytest.fixture(scope="class")
+    def scored(self):
+        world = sample_world(3, d=4)
+        gen = GenConfig(n_users=100, n_items=200, n_categories=5, max_seq_len=3)
+        daily = generate_dataset(world, 400, "daily", seed=7, gen=gen)
+        pretrained = pretrain_fit(daily, PretrainConfig(
+            tower_widths=(5, 3), embedding_dim=2, n_buckets=4, max_seq_len=3,
+            batch_size=128, epochs=1), seed=2)
+        data = pretrained.encoder.encode(generate_dataset(
+            world, ad.SCORE_CHUNK + 3, "prepromo", seed=11, gen=gen))
+        return pretrained, data
+
+    def test_delay_predict(self, scored):
+        pretrained, data = scored
+        model = DelayModel(pretrained, DelayConfig(embedding_dim=2),
+                           np.random.default_rng(5))
+        randomize(model.parameters(), 6)
+        scores = model.predict(data)
+        with ad.no_grad():
+            whole = model.forward(data)
+        for key in ("p_delay", "p_all_raw", "p_ori_cvr"):
+            assert_bitwise(scores[key], getattr(whole, key).data[:, 0])
+
+    def test_imputation_mu(self, scored):
+        _, data = scored
+        model = ImputationModel(data.dense.shape[1], int(data.user_idx.max()) + 1,
+                                ImputationConfig(widths=(6,)), np.random.default_rng(4))
+        randomize(model.parameters(), 8)
+        with ad.no_grad():
+            whole = model._forward(data.dense, data.user_idx, np.ones(data.n))
+        assert_bitwise(model.mu(data, arm=1), whole.data[:, 0])
+
+    def test_empty_set_scores_to_empty_arrays(self, scored):
+        pretrained, data = scored
+        p_cvr, p_atc = pretrained.predict(data.take(np.arange(0)))
+        assert p_cvr.shape == p_atc.shape == (0,)
 
 
 class TestDeterminism:

@@ -94,6 +94,18 @@ class TestTrainEvaluate:
         assert code == 0
         assert (out / "report_naive_finetune.json").exists()
 
+    def test_evaluate_delay_checkpoint_matches_train_report(self, tiny_ini, tmp_path):
+        out = tmp_path / "train"
+        assert main(["train", "--config", str(tiny_ini), "--out", str(out),
+                     "--variant", "cmdcm"]) == 0
+        code = main(["evaluate", "--config", str(tiny_ini), "--out", str(out),
+                     "--checkpoint", str(out / "cmdcm_seed1.npz")])
+        assert code == 0
+        trained = json.loads((out / "report_cmdcm.json").read_text())["reports"][0]
+        scored = json.loads((out / "report_checkpoint.json").read_text())["reports"][0]
+        for key in ("auc_all", "auc_delay", "nll_delay"):
+            assert scored[key] == trained[key], key
+
     def test_unknown_variant_is_config_error(self, tiny_ini, tmp_path):
         code = main(["train", "--config", str(tiny_ini), "--out",
                      str(tmp_path), "--variant", "wo_everything"])
@@ -200,6 +212,19 @@ class TestErrorCodes:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_empty_training_split_exit_3(self, tmp_path, capsys):
+        # 3 000 pre-promotion clicks at ratio 0.0001 leave no training sample;
+        # the reuse baseline would otherwise report NaN losses and rates.
+        cfg = tmp_path / "thin.ini"
+        cfg.write_text(TINY.replace("[dataset]\n", "[dataset]\nsplit_ratio = 0.0001\n")
+                       .replace("pretrained_only,cmdcm", "pretrained_only,reuse_relabel"))
+        out = tmp_path / "out"
+        code = main(["experiment", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        assert ("puts 0 of 3000 pre-promotion clicks in the training split"
+                in capsys.readouterr().err)
+        assert not (out / "report.json").exists()
 
     def test_generate_requires_synthetic_mode(self, tmp_path):
         cfg = tmp_path / "csv.ini"

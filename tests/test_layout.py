@@ -79,3 +79,26 @@ def test_every_public_definition_has_a_caller():
 
 def test_allowlist_names_only_unreferenced_definitions():
     assert sorted(ALLOWED) == sorted(n for n in unreferenced() if n in ALLOWED)
+
+
+def test_benchmark_probes_wrap_and_restore(monkeypatch):
+    """The benchmark's tracer finds every function it wraps under its name,
+    and closing it puts back the identical objects. A refactor that renames
+    or moves a traced function fails here, in the fast suite."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+
+    def current(owner, attr):
+        return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, full=True)
+        probes = list(tracer._restore)
+        assert probes
+        for owner, attr, raw in probes:
+            assert current(owner, attr) is not raw, f"{owner.__name__}.{attr} not wrapped"
+    finally:
+        tracer.close()
+    for owner, attr, raw in probes:
+        assert current(owner, attr) is raw, f"{owner.__name__}.{attr} not restored"

@@ -352,6 +352,14 @@ class TestFinetune:
         with pytest.raises(ConfigError):
             finetune(model, data, imputation=None, seed=0)
 
+    def test_empty_set_is_a_data_error(self, setup):
+        _, pretrained, data = setup
+        model = make_model(pretrained, lambda_cm=0.1)
+        imputation = ImputationModel(data.dense.shape[1], 30, ImputationConfig(),
+                                     np.random.default_rng(0))
+        with pytest.raises(DataError, match="^finetune: empty training set$"):
+            finetune(model, data.take(np.arange(0)), imputation=imputation, seed=0)
+
     def test_non_finite_loss_names_stage_and_step(self, setup):
         _, pretrained, data = setup
         poisoned = data.take(np.arange(data.n))
