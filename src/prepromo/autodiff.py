@@ -560,19 +560,34 @@ def minimize(params: Iterable[Parameter], data, loss_of: Callable, config,
     return epoch_means, step
 
 
+# A scoring chunk holds at most SCORE_CHUNK rows and SCORE_FLOATS activation
+# floats (32 MB of float64).
 SCORE_CHUNK = 8192
+SCORE_FLOATS = 1 << 22
 
 
-def score(n: int, forward: Callable[[slice], Sequence[Node]]) -> list[Array]:
+def score(n: int, forward: Callable[[slice], Sequence[Node]],
+          params: Iterable[Parameter]) -> list[Array]:
     """Column 0 of each node forward(rows) returns, over rows 0..n in chunks.
 
-    Runs in no_grad, SCORE_CHUNK rows at a time, and returns one flat array
-    per returned node. An empty set still makes one pass, over the empty
-    slice, so each output is an empty array.
+    Runs in no_grad and returns one flat array per returned node. `params`
+    are the parameters forward reads; a row emits `width` floats, the sum of
+    shape[1] over the 2-D ones (dense weights and embedding tables). A chunk
+    holds SCORE_CHUNK rows, halved while rows * width > SCORE_FLOATS (down to
+    one row). With OpenBLAS, power-of-two chunks give the bits of one pass
+    over the whole set, except in a last chunk of a few rows, which BLAS
+    computes through other kernels (an ulp or two off, at any chunk size).
+    A 653-row chunk, the float budget alone, also moved rows elsewhere. An
+    empty set still makes one pass, over the empty slice, so each output is
+    an empty array.
     """
+    width = sum(p.data.shape[1] for p in params if p.data.ndim == 2)
+    rows = SCORE_CHUNK
+    while rows > 1 and rows * width > SCORE_FLOATS:
+        rows //= 2
     with no_grad():
-        chunks = [forward(slice(start, start + SCORE_CHUNK))
-                  for start in range(0, max(n, 1), SCORE_CHUNK)]
+        chunks = [forward(slice(start, start + rows))
+                  for start in range(0, max(n, 1), rows)]
     return [np.concatenate([node.data[:, 0] for node in nodes]) for nodes in zip(*chunks)]
 
 

@@ -76,7 +76,7 @@ class ImputationModel:
             if arm is not None:
                 a = np.full(a.shape, float(arm))
             return (self._forward(data.dense[rows], data.user_idx[rows], a),)
-        return ad.score(data.n, forward)[0]
+        return ad.score(data.n, forward, self.parameters())[0]
 
 
 def fit_imputation(train: EncodedDataset, config: ImputationConfig | None = None,

@@ -150,6 +150,11 @@ class ExperimentConfig:
         if not 0.0 < t.learning_rate < math.inf:
             raise ConfigError("training.learning_rate must be finite and positive, "
                               f"got {t.learning_rate}")
+        # propensity() clips into [clip, 1 - clip]; from 0.5 up that interval
+        # is one point or empty, and every propensity becomes the same number.
+        if not 0.0 <= t.propensity_clip < 0.5:
+            raise ConfigError("training.propensity_clip must be in [0, 0.5), "
+                              f"got {t.propensity_clip}")
 
 
 def make_config(profile: str = "desk") -> ExperimentConfig:
@@ -343,6 +348,13 @@ class SeedData:
     enc_train: EncodedDataset
     enc_eval: EncodedDataset
     pretrained: PretrainedModel
+    base_eval: tuple[np.ndarray, np.ndarray] | None = None
+
+    def base_eval_scores(self) -> tuple[np.ndarray, np.ndarray]:
+        """The frozen base's (p_cvr, p_atc) on the eval split, scored once."""
+        if self.base_eval is None:
+            self.base_eval = self.pretrained.predict(self.enc_eval)
+        return self.base_eval
 
 
 def synthetic_world(ds: DatasetConfig) -> tuple[WorldParams, GenConfig]:
@@ -452,7 +464,7 @@ def run_variant(cfg: ExperimentConfig, seed_data: SeedData, plan: VariantPlan,
     nll_ex = cfg.model.nll_exclude_direct
     if plan.kind == "frozen":
         trace.append(f"seed={run_seed}:score:{plan.name}")
-        p_cvr, _ = seed_data.pretrained.predict(eval_)
+        p_cvr, _ = seed_data.base_eval_scores()
         report = evaluate_scores(plan.name, run_seed, p_cvr, p_cvr,
                                  eval_.y_all, eval_.y_delay, chash, nll_ex)
         report.extras["finetune_steps"] = 0.0
@@ -513,8 +525,7 @@ def seed_diagnostics(cfg: ExperimentConfig, seed_data: SeedData, run_seed: int,
         out["naive_diff_in_means"] = naive
         out["naive_diff_stderr"] = naive_se
     if imputation is not None:
-        p_a = propensity(seed_data.pretrained.predict(eval_)[1],
-                         cfg.training.propensity_clip)
+        p_a = propensity(seed_data.base_eval_scores()[1], cfg.training.propensity_clip)
         est = dr_ate_from_model(eval_, imputation, p_a)
         out["dr_ate"] = est.mean
         out["dr_ate_stderr"] = est.stderr

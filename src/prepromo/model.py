@@ -223,7 +223,9 @@ class DelayModel:
         def scores(rows):
             pred = self.forward(data.take(rows))
             return pred.p_delay, pred.p_all_raw, pred.p_ori_cvr
-        return dict(zip(("p_delay", "p_all_raw", "p_ori_cvr"), ad.score(data.n, scores)))
+        params = self.parameters() + self.pretrained.parameters()
+        return dict(zip(("p_delay", "p_all_raw", "p_ori_cvr"),
+                        ad.score(data.n, scores, params)))
 
     # -- checkpointing -----------------------------------------------------
 

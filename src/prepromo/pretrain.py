@@ -93,7 +93,7 @@ class PretrainedModel:
         def heads(rows):
             out = self.forward(data.take(rows))
             return out.p_cvr, out.p_atc
-        return tuple(ad.score(data.n, heads))
+        return tuple(ad.score(data.n, heads, self.parameters()))
 
     def freeze(self) -> "PretrainedModel":
         for p in self.parameters():

@@ -1,14 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from prepromo import autodiff as ad
 from prepromo.causal import ImputationConfig, ImputationModel
+from prepromo.data import FeatureEncoder
 from prepromo.errors import ConfigError, DataError, TrainingError, UsageError
 from prepromo.model import DelayConfig, DelayModel
-from prepromo.pretrain import PretrainConfig, pretrain_fit
+from prepromo.pretrain import PretrainConfig, PretrainedModel, pretrain_fit
 from prepromo.synth import GenConfig, generate_dataset, sample_world
 
 from oracles import finite_difference_grads, hand_written_minimize, max_grad_mismatch
@@ -709,6 +714,137 @@ class TestScore:
         pretrained, data = scored
         p_cvr, p_atc = pretrained.predict(data.take(np.arange(0)))
         assert p_cvr.shape == p_atc.shape == (0,)
+
+    def test_narrow_models_score_full_chunks(self, scored, monkeypatch):
+        pretrained, data = scored
+        delay = DelayModel(pretrained, DelayConfig(embedding_dim=2), np.random.default_rng(5))
+        imputation = ImputationModel(data.dense.shape[1], int(data.user_idx.max()) + 1,
+                                     ImputationConfig(widths=(6,)), np.random.default_rng(4))
+        lengths = []
+        score = ad.score
+
+        def spy(n, forward, params):
+            def counted(rows):
+                lengths.append(len(range(n)[rows]))
+                return forward(rows)
+            return score(n, counted, params)
+
+        monkeypatch.setattr(ad, "score", spy)
+        for run in (lambda: pretrained.predict(data), lambda: delay.predict(data),
+                    lambda: imputation.mu(data, arm=1)):
+            lengths.clear()
+            run()
+            assert lengths == [ad.SCORE_CHUNK, 3]
+
+
+def chunk_rows(width):
+    """The rows per scoring chunk that score's docstring states."""
+    rows = ad.SCORE_CHUNK
+    while rows > 1 and rows * width > ad.SCORE_FLOATS:
+        rows //= 2
+    return rows
+
+
+def paper_width_delay(n):
+    """A DelayModel at paper widths (512/256/128, embeddings 16, sequences 50),
+    zero-started parameters randomized, and n encoded pre-promotion clicks."""
+    world = sample_world(3, d=8)
+    gen = GenConfig(n_users=300, n_items=600, n_categories=10, max_seq_len=50)
+    pcfg = PretrainConfig(tower_widths=(512, 256, 128), embedding_dim=16,
+                          n_buckets=16, max_seq_len=50)
+    encoder = FeatureEncoder(pcfg.n_buckets, pcfg.max_seq_len).fit(
+        generate_dataset(world, 1000, "daily", seed=7, gen=gen))
+    rng = np.random.default_rng(5)
+    pretrained = PretrainedModel(encoder, pcfg, rng).freeze()
+    model = DelayModel(pretrained, DelayConfig(embedding_dim=16), rng)
+    for p in model.parameters() + pretrained.parameters():
+        if not p.data.any():
+            p.data = rng.normal(scale=0.1, size=p.data.shape)
+    return model, encoder.encode(generate_dataset(world, n, "prepromo", seed=11, gen=gen))
+
+
+class TestScoreChunks:
+    """score's chunk rule: SCORE_CHUNK rows, halved to fit SCORE_FLOATS floats."""
+
+    @given(n=st.integers(0, 20000), widths=st.lists(st.integers(1, 1 << 16), max_size=3))
+    @example(n=0, widths=[])
+    @example(n=5, widths=[ad.SCORE_FLOATS + 1])
+    def test_slices_cover_rows_once_in_order(self, n, widths):
+        # Zero-row weights carry a width and no floats; the 1-D bias adds none.
+        params = [ad.Parameter(f"w{i}", np.empty((0, w))) for i, w in enumerate(widths)]
+        params.append(ad.Parameter("b", np.zeros(7)))
+        width = sum(widths)
+        limit = chunk_rows(width)
+        assert limit == 1 or limit * width <= ad.SCORE_FLOATS
+        seen = []
+
+        def forward(rows):
+            seen.append(range(n)[rows])
+            return (ad.constant(np.arange(n, dtype=np.float64)[rows].reshape(-1, 1)),)
+
+        (out,) = ad.score(n, forward, params)
+        assert [i for chunk in seen for i in chunk] == list(range(n))
+        assert all(len(chunk) == limit for chunk in seen[:-1])
+        if n == 0:
+            assert len(seen) == 1  # one pass over the empty slice
+        else:
+            assert 0 < len(seen[-1]) <= limit
+        assert_bitwise(out, np.arange(n, dtype=np.float64))
+
+    def test_paper_width_delay_predict_matches_one_pass(self):
+        model, data = paper_width_delay(512 + 256 + 3)
+        width = sum(p.data.shape[1] for p in
+                    model.parameters() + model.pretrained.parameters() if p.data.ndim == 2)
+        assert (width, chunk_rows(width)) == (6419, 512)
+        # A tail of a few rows goes through BLAS's small-matrix kernels, so
+        # at n = 515 rows 512-514 may move by an ulp or two against one pass
+        # (as they do at n = 8195 with 8192-row chunks); at 771 every bit holds.
+        for n, exact in ((771, 771), (515, 512)):
+            part = data.take(slice(0, n))
+            scores = model.predict(part)
+            with ad.no_grad():
+                whole = model.forward(part)
+            for key in ("p_delay", "p_all_raw", "p_ori_cvr"):
+                ref = getattr(whole, key).data[:, 0]
+                assert_bitwise(scores[key][:exact], ref[:exact])
+                np.testing.assert_allclose(scores[key], ref, rtol=1e-12, atol=0)
+
+
+# Run in a fresh process, so earlier tests' allocations do not set its peak.
+# The peak is VmHWM, this process's own high-water mark: ru_maxrss also
+# counts the RSS of the process that started it, which under pytest is
+# hundreds of MB.
+SCORE_PEAK = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_autodiff import paper_width_delay
+
+def status_mb(key):
+    with open("/proc/self/status") as fh:
+        line = next(line for line in fh if line.startswith(key + ":"))
+    return int(line.split()[1]) / 1024
+
+model, data = paper_width_delay(4000)
+before = status_mb("VmRSS")
+model.predict(data)
+print(status_mb("VmHWM") - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_paper_width_scoring_peak_memory():
+    """Scoring 4 000 paper-width rows stays within a chunk's activations.
+
+    With fixed 8 192-row chunks the whole set was one chunk, and its
+    activations (about 46 KB a row) grew the peak by about 200 MB.
+    """
+    src = os.path.dirname(os.path.dirname(ad.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", SCORE_PEAK, os.path.dirname(__file__)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 80.0
 
 
 class TestDeterminism:

@@ -203,6 +203,11 @@ class TestErrorCodes:
         ("experiment", "learning_rate = 0", "learning_rate must be finite and positive, got 0.0"),
         ("experiment", "learning_rate = nan", "learning_rate must be finite and positive, got nan"),
         ("experiment", "learning_rate = inf", "learning_rate must be finite and positive, got inf"),
+        # np.clip(p, 0.7, 0.3) would make every propensity 0.3.
+        ("experiment", "propensity_clip = 0.7", "propensity_clip must be in [0, 0.5), got 0.7"),
+        ("experiment", "propensity_clip = 0.5", "propensity_clip must be in [0, 0.5), got 0.5"),
+        ("experiment", "propensity_clip = -0.1", "propensity_clip must be in [0, 0.5), got -0.1"),
+        ("experiment", "propensity_clip = nan", "propensity_clip must be in [0, 0.5), got nan"),
     ])
     def test_bad_training_size_exit_2(self, tmp_path, capsys, verb, setting, message):
         cfg = tmp_path / "bad.ini"

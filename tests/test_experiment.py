@@ -246,6 +246,31 @@ class TestRunExperiment:
         assert f"seed=1:imputation" in result.stage_trace
 
 
+def test_frozen_base_scores_the_eval_split_once(tmp_path, monkeypatch):
+    # pretrained_only scores it, and seed_diagnostics reuses those scores
+    # for its propensities.
+    from prepromo import experiment as exp
+    from prepromo.pretrain import PretrainedModel
+
+    prepare, predict = exp.prepare_seed, PretrainedModel.predict
+    prepared, scored = [], []
+
+    def keep(*args):
+        prepared.append(prepare(*args))
+        return prepared[-1]
+
+    def count(model, data):
+        scored.append(data)
+        return predict(model, data)
+
+    monkeypatch.setattr(exp, "prepare_seed", keep)
+    monkeypatch.setattr(PretrainedModel, "predict", count)
+    result = run_experiment(tiny_config(variants=("pretrained_only", "cmdcm"),
+                                        out_dir=str(tmp_path)))
+    assert sum(data is prepared[0].enc_eval for data in scored) == 1
+    assert "dr_ate" in result.diagnostics[1]
+
+
 class TestVariantIsolation:
     def test_wo_cm_alone_builds_imputation(self, tmp_path):
         cfg = tiny_config(variants=("wo_cm",), out_dir=str(tmp_path))
