@@ -16,13 +16,10 @@ variable. Exit codes: 0 success, 1 failed quality gate (ablation ordering),
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .data import CsvSchema, write_events_csv
 from .errors import ConfigError, DataError, PrepromoError, TrainingError
@@ -32,8 +29,7 @@ from .experiment import (ExperimentConfig, acquire_data, apply_variant,
                          prepare_seed, run_ablation, run_experiment,
                          run_variant, stage_seed, synthetic_world)
 from .metrics import emit_report, evaluate_scores
-from .model import DelayModel
-from .pretrain import PretrainedModel
+from .model import DelayModel, load_checkpoint, save_checkpoint
 from .synth import generate_dataset, samples_to_events, write_ground_truth_csv
 
 log = logging.getLogger("prepromo.cli")
@@ -108,7 +104,7 @@ def cmd_pretrain(args) -> int:
     for seed in cfg.seeds:
         seed_data = prepare_seed(cfg, seed, trace=[])
         path = out / f"pretrained_seed{seed}.npz"
-        seed_data.pretrained.save(path)
+        save_checkpoint(seed_data.pretrained, path)
         print(f"seed {seed}: saved base model to {path} "
               f"(final loss {seed_data.pretrained.loss_trace[-1]:.4f})")
     return 0
@@ -129,7 +125,7 @@ def cmd_train(args) -> int:
         reports.append(report)
         if model is not None:
             ckpt = out / f"{plan.name}_seed{seed}.npz"
-            model.save(ckpt)
+            save_checkpoint(model, ckpt)
             print(f"seed {seed}: checkpoint {ckpt}")
         if losses:
             trace_path = out / f"loss_{plan.name}_seed{seed}.csv"
@@ -146,25 +142,13 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _load(args)
     out = _outdir(cfg)
-    try:
-        with np.load(args.checkpoint) as blob:
-            # Without metadata the pretrained loader names the problem.
-            kind = (json.loads(bytes(blob["__meta__"]).decode()).get("kind")
-                    if "__meta__" in blob.files else None)
-    except FileNotFoundError as exc:
-        raise DataError(f"checkpoint not found: {args.checkpoint}") from exc
-    except ValueError as exc:  # not an .npz archive, or unreadable metadata
-        raise DataError(f"{args.checkpoint} is not a checkpoint: {exc}") from exc
-    if kind == "delay":
-        model = DelayModel.load(args.checkpoint)
-        encoder = model.pretrained.encoder
-    else:
-        model = PretrainedModel.load(args.checkpoint)
-        encoder = model.encoder
+    model = load_checkpoint(args.checkpoint)
+    delay = isinstance(model, DelayModel)
+    encoder = model.pretrained.encoder if delay else model.encoder
     reports = []
     for seed in cfg.seeds:
         eval_ = encoder.encode(acquire_data(cfg, seed).prepromo_eval)
-        if kind == "delay":
+        if delay:
             scores = model.predict(eval_)
             p_all, p_delay = scores["p_all_raw"], scores["p_delay"]
         else:

@@ -460,47 +460,38 @@ def run_variant(cfg: ExperimentConfig, seed_data: SeedData, plan: VariantPlan,
     """One variant against one prepared seed -> (report, per-epoch losses,
     trained model); the model is None for the frozen variant."""
     eval_ = seed_data.enc_eval
-    chash = config_hash(cfg)
-    nll_ex = cfg.model.nll_exclude_direct
+    stage = "score" if plan.kind == "frozen" else "finetune"
+    trace.append(f"seed={run_seed}:{stage}:{plan.name}")
     if plan.kind == "frozen":
-        trace.append(f"seed={run_seed}:score:{plan.name}")
-        p_cvr, _ = seed_data.base_eval_scores()
-        report = evaluate_scores(plan.name, run_seed, p_cvr, p_cvr,
-                                 eval_.y_all, eval_.y_delay, chash, nll_ex)
-        report.extras["finetune_steps"] = 0.0
-        return report, [], None
-
-    if plan.kind == "reuse":
-        trace.append(f"seed={run_seed}:finetune:{plan.name}")
-        clone, losses, steps = run_reuse_baseline(
+        p_all = p_delay = seed_data.base_eval_scores()[0]
+        losses, steps, model = [], 0, None
+    elif plan.kind == "reuse":
+        model, losses, steps = run_reuse_baseline(
             seed_data.pretrained, seed_data.enc_train, cfg.training,
             stage_seed(run_seed, "finetune"))
-        p_cvr, _ = clone.predict(eval_)
-        report = evaluate_scores(plan.name, run_seed, p_cvr, p_cvr,
-                                 eval_.y_all, eval_.y_delay, chash, nll_ex)
-        report.extras["finetune_steps"] = float(steps)
+        p_all = p_delay = model.predict(eval_)[0]
+    else:
+        dcfg = DelayConfig(embedding_dim=cfg.model.embedding_dim,
+                           lambda_all=plan.lambda_all, lambda_cm=plan.lambda_cm,
+                           use_gates=plan.use_gates,
+                           cm_on_atc_only=cfg.model.cm_on_atc_only,
+                           learning_rate=cfg.training.learning_rate,
+                           batch_size=cfg.training.batch_size,
+                           epochs=cfg.training.epochs)
+        model = DelayModel(seed_data.pretrained, dcfg,
+                           np.random.default_rng(stage_seed(run_seed, "delay-init")))
+        losses = finetune(model, seed_data.enc_train,
+                          imputation=imputation if plan.lambda_cm > 0 else None,
+                          seed=stage_seed(run_seed, "finetune"))
+        steps = model.n_steps
+        scores = model.predict(eval_)
+        p_all, p_delay = scores["p_all_raw"], scores["p_delay"]
+    report = evaluate_scores(plan.name, run_seed, p_all, p_delay, eval_.y_all,
+                             eval_.y_delay, config_hash(cfg),
+                             cfg.model.nll_exclude_direct)
+    report.extras["finetune_steps"] = float(steps)
+    if model is not None:
         report.extras["final_train_loss"] = losses[-1] if losses else float("nan")
-        return report, losses, clone
-
-    trace.append(f"seed={run_seed}:finetune:{plan.name}")
-    dcfg = DelayConfig(embedding_dim=cfg.model.embedding_dim,
-                       lambda_all=plan.lambda_all, lambda_cm=plan.lambda_cm,
-                       use_gates=plan.use_gates,
-                       cm_on_atc_only=cfg.model.cm_on_atc_only,
-                       learning_rate=cfg.training.learning_rate,
-                       batch_size=cfg.training.batch_size,
-                       epochs=cfg.training.epochs)
-    model = DelayModel(seed_data.pretrained, dcfg,
-                       np.random.default_rng(stage_seed(run_seed, "delay-init")))
-    losses = finetune(model, seed_data.enc_train,
-                      imputation=imputation if plan.lambda_cm > 0 else None,
-                      seed=stage_seed(run_seed, "finetune"))
-    scores = model.predict(eval_)
-    report = evaluate_scores(plan.name, run_seed, scores["p_all_raw"],
-                             scores["p_delay"], eval_.y_all, eval_.y_delay,
-                             chash, nll_ex)
-    report.extras["finetune_steps"] = float(model.n_steps)
-    report.extras["final_train_loss"] = losses[-1] if losses else float("nan")
     return report, losses, model
 
 

@@ -126,10 +126,6 @@ class MetricReport:
             "extras": dict(sorted(self.extras.items())),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricReport":
-        return cls(**d)
-
 
 def evaluate_scores(variant: str, seed: int, p_all: Array, p_delay: Array,
                     y_all: Array, y_delay: Array, config_hash: str = "",

@@ -7,8 +7,9 @@ conversion probability is additive:
 
     p_all = [[p_base_cvr]] + p_delay
 
-where [[.]] is the stop-gradient boundary, so p_all can exceed 1 and is
-clamped only inside the loss. The training objective is
+where [[.]] marks a value no gradient crosses: the frozen base runs in a
+no_grad pass, which records no graph. p_all can exceed 1 and is clamped only
+inside the loss. The training objective is
 
     L = bce(p_delay, y_delay) + lambda_all * bce(p_all, y_all)
         + lambda_cm * mean((p_delay - mu1)^2)
@@ -20,15 +21,15 @@ fine-tuning (the imputation model must not be pulled toward p_delay).
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import EncodedDataset
-from .errors import ConfigError
-from .pretrain import (CHECKPOINT_VERSION, PretrainConfig, PretrainedModel,
-                       load_parameters, read_checkpoint_meta)
+from .data import EncodedDataset, FeatureEncoder
+from .errors import ConfigError, DataError
+from .pretrain import PretrainConfig, PretrainedModel
 
 Array = np.ndarray
 
@@ -54,7 +55,7 @@ class DelayConfig:
 class DelayPrediction:
     p_delay: ad.Node          # (n, 1), sigmoid output
     p_all_raw: ad.Node        # (n, 1), p_base + p_delay, may exceed 1
-    p_ori_cvr: ad.Node        # stop-gradient copy of the frozen head
+    p_ori_cvr: ad.Node        # the frozen head, a leaf of the no_grad pass
     gate_values: list[tuple[ad.Node, ad.Node]] = field(default_factory=list)
 
 
@@ -180,12 +181,10 @@ class DelayModel:
         return params
 
     def forward(self, batch: EncodedDataset) -> DelayPrediction:
-        # The frozen base never gets a gradient, so its pass records no graph.
+        # The frozen base never gets a gradient, so its pass records no
+        # graph: its outputs are leaves, and backward stops at them.
         with ad.no_grad():
             base = self.pretrained.forward(batch)
-        p_ori = ad.stop_gradient(base.p_cvr)
-        h_cvr = [ad.stop_gradient(h) for h in base.h_cvr]
-        h_atc = [ad.stop_gradient(h) for h in base.h_atc]
 
         v_atc = ad.embedding_bag(self.pool_atc.node(), batch.atc_seq, batch.atc_mask)
         v_pay = ad.embedding_bag(self.pool_pay.node(), batch.pay_seq, batch.pay_mask)
@@ -204,12 +203,12 @@ class DelayModel:
                 gate_values.append((g_cvr, g_atc))
             else:
                 g_cvr = g_atc = None
-            extras = [h_cvr[-1], e_price, v_atc, v_pay] if h is None else [h]
-            h = layer.forward(build_gated_input(h_cvr[i], h_atc[i], g_cvr, g_atc,
-                                                extras))[-1]
+            extras = [base.h_cvr[-1], e_price, v_atc, v_pay] if h is None else [h]
+            h = layer.forward(build_gated_input(base.h_cvr[i], base.h_atc[i], g_cvr,
+                                                g_atc, extras))[-1]
         p_delay = ad.sigmoid(self.head.forward(h)[-1])
-        return DelayPrediction(p_delay=p_delay, p_all_raw=ad.add(p_ori, p_delay),
-                               p_ori_cvr=p_ori, gate_values=gate_values)
+        return DelayPrediction(p_delay=p_delay, p_all_raw=ad.add(base.p_cvr, p_delay),
+                               p_ori_cvr=base.p_cvr, gate_values=gate_values)
 
     def loss(self, pred: DelayPrediction, batch: EncodedDataset,
              mu1: Array | None) -> tuple[ad.Node, dict[str, float]]:
@@ -226,37 +225,6 @@ class DelayModel:
         params = self.parameters() + self.pretrained.parameters()
         return dict(zip(("p_delay", "p_all_raw", "p_ori_cvr"),
                         ad.score(data.n, scores, params)))
-
-    # -- checkpointing -----------------------------------------------------
-
-    def save(self, path) -> None:
-        meta = {"version": CHECKPOINT_VERSION, "kind": "delay",
-                "config": asdict(self.config),
-                "pretrained_config": {**asdict(self.pretrained.config),
-                                      "tower_widths": list(self.pretrained.config.tower_widths)},
-                "encoder": self.pretrained.encoder.to_dict(),
-                "n_steps": self.n_steps}
-        arrays = {p.name: p.data for p in self.parameters()}
-        arrays.update({p.name: p.data for p in self.pretrained.parameters()})
-        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                 **arrays)
-
-    @classmethod
-    def load(cls, path) -> "DelayModel":
-        from .data import FeatureEncoder
-        with np.load(path) as blob:
-            meta = read_checkpoint_meta(blob, path, "delay")
-            encoder = FeatureEncoder.from_dict(meta["encoder"])
-            pcfg = PretrainConfig(**{**meta["pretrained_config"],
-                                     "tower_widths": tuple(meta["pretrained_config"]["tower_widths"])})
-            pretrained = PretrainedModel(encoder, pcfg, np.random.default_rng(0))
-            load_parameters(blob, pretrained.parameters(), path)
-            pretrained.freeze()
-            model = cls(pretrained, DelayConfig(**meta["config"]),
-                        np.random.default_rng(0))
-            load_parameters(blob, model.parameters(), path)
-            model.n_steps = meta["n_steps"]
-        return model
 
 
 def finetune(model: DelayModel, train: EncodedDataset, imputation=None,
@@ -284,3 +252,101 @@ def finetune(model: DelayModel, train: EncodedDataset, imputation=None,
     if model.pretrained.param_hash() != base_hash:
         raise RuntimeError("frozen base parameters changed during fine-tuning")
     return losses
+
+
+# ---------------------------------------------------------------------------
+# Checkpoints
+# ---------------------------------------------------------------------------
+
+CHECKPOINT_VERSION = 1
+
+
+def save_checkpoint(model: PretrainedModel | DelayModel, path) -> None:
+    """Write a base model, or a delay model with its base, as one .npz archive.
+
+    Its `__meta__` entry is the JSON that rebuilds the model: the version,
+    the kind ("pretrained" or "delay"), the configs and the encoder, plus the
+    base's frozen flag or the delay model's step count. Every parameter is
+    stored under its name, the delay model's before its base's.
+    """
+    if isinstance(model, DelayModel):
+        base = model.pretrained
+        meta = {"version": CHECKPOINT_VERSION, "kind": "delay",
+                "config": asdict(model.config),
+                "pretrained_config": asdict(base.config),
+                "encoder": base.encoder.to_dict(), "n_steps": model.n_steps}
+        params = model.parameters() + base.parameters()
+    else:
+        meta = {"version": CHECKPOINT_VERSION, "kind": "pretrained",
+                "frozen": model.frozen, "config": asdict(model.config),
+                "encoder": model.encoder.to_dict()}
+        params = model.parameters()
+    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             **{p.name: p.data for p in params})
+
+
+def load_checkpoint(path) -> PretrainedModel | DelayModel:
+    """The model that save_checkpoint wrote, of the kind its metadata names.
+
+    DataError, naming the file, when the file is missing or not an .npz
+    archive; when the metadata is missing, of another version or kind, lacks
+    a field, or holds a config its config class refuses; and when a
+    parameter's array is missing or of the wrong shape.
+    """
+    try:
+        blob = np.load(path)
+        if not isinstance(blob, np.lib.npyio.NpzFile):
+            raise DataError(f"{path} is not an .npz archive")
+        with blob:
+            if "__meta__" not in blob.files:
+                raise DataError(f"{path} has no checkpoint metadata")
+            meta = json.loads(bytes(blob["__meta__"]).decode())
+            if meta.get("version") != CHECKPOINT_VERSION:
+                raise DataError(f"unsupported checkpoint version {meta.get('version')} "
+                                f"in {path}")
+            kind = meta.get("kind")
+            if kind not in ("pretrained", "delay"):
+                raise DataError(f"{path} holds an unknown checkpoint kind {kind!r}")
+
+            def entry(key, decode=lambda value: value):
+                if key not in meta:
+                    raise DataError(f"{path}: checkpoint metadata has no {key!r} field")
+                try:
+                    return decode(meta[key])
+                except (KeyError, TypeError, ValueError, ConfigError) as exc:
+                    raise DataError(f"{path}: checkpoint metadata field {key!r} "
+                                    f"is malformed: {exc}") from exc
+
+            def pretrain_config(d):
+                return PretrainConfig(**{**d, "tower_widths": tuple(d["tower_widths"])})
+
+            rng = np.random.default_rng(0)
+            base = PretrainedModel(
+                entry("encoder", FeatureEncoder.from_dict),
+                entry("config" if kind == "pretrained" else "pretrained_config",
+                      pretrain_config), rng)
+            _load_parameters(blob, base.parameters(), path)
+            if kind == "pretrained":
+                return base.freeze() if entry("frozen") else base
+            model = DelayModel(base.freeze(),
+                               entry("config", lambda d: DelayConfig(**d)), rng)
+            _load_parameters(blob, model.parameters(), path)
+            model.n_steps = entry("n_steps")
+            return model
+    except FileNotFoundError as exc:
+        raise DataError(f"checkpoint not found: {path}") from exc
+    except (ValueError, zipfile.BadZipFile) as exc:  # not an archive, or damaged
+        raise DataError(f"{path} is not a checkpoint: {exc}") from exc
+
+
+def _load_parameters(blob, params: list[ad.Parameter], path) -> None:
+    """Copy each parameter's array out of a checkpoint, checking it is there
+    and has the parameter's shape (DataError naming the parameter if not)."""
+    for p in params:
+        if p.name not in blob.files:
+            raise DataError(f"{path} has no array for parameter {p.name!r}")
+        data = blob[p.name]
+        if data.shape != p.data.shape:
+            raise DataError(f"{path}: parameter {p.name!r} has shape {data.shape}, "
+                            f"the model expects {p.data.shape}")
+        p.data = data.copy()

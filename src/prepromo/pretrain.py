@@ -2,23 +2,19 @@
 
 Both towers sit on a shared input assembly (id embeddings plus dense
 context). After fitting it is frozen: every parameter becomes non-trainable
-and later stages transfer its per-layer activations through stop-gradient
-boundaries, so the daily task can never degrade during fine-tuning.
+and later stages read its per-layer activations from a pass that records no
+graph, so the daily task can never degrade during fine-tuning.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import ClickTable, EncodedDataset, FeatureEncoder
 from .errors import DataError
-
-CHECKPOINT_VERSION = 1
 
 
 @dataclass(slots=True)
@@ -103,60 +99,6 @@ class PretrainedModel:
 
     def param_hash(self) -> str:
         return ad.param_hash(self.parameters())
-
-    # -- checkpointing -----------------------------------------------------
-
-    def save(self, path) -> None:
-        meta = {"version": CHECKPOINT_VERSION, "kind": "pretrained",
-                "frozen": self.frozen, "config": _config_dict(self.config),
-                "encoder": self.encoder.to_dict()}
-        arrays = {p.name: p.data for p in self.parameters()}
-        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                 **arrays)
-
-    @classmethod
-    def load(cls, path) -> "PretrainedModel":
-        with np.load(path) as blob:
-            meta = read_checkpoint_meta(blob, path, "pretrained")
-            encoder = FeatureEncoder.from_dict(meta["encoder"])
-            config = PretrainConfig(**{**meta["config"],
-                                       "tower_widths": tuple(meta["config"]["tower_widths"])})
-            model = cls(encoder, config, np.random.default_rng(0))
-            load_parameters(blob, model.parameters(), path)
-        if meta["frozen"]:
-            model.freeze()
-        return model
-
-
-def read_checkpoint_meta(blob, path, kind: str) -> dict:
-    """A checkpoint's metadata; DataError unless it is a current `kind` one."""
-    if "__meta__" not in blob.files:
-        raise DataError(f"{path} has no checkpoint metadata")
-    meta = json.loads(bytes(blob["__meta__"]).decode())
-    if meta.get("kind") != kind:
-        raise DataError(f"{path} is not a {kind} checkpoint")
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {meta.get('version')} in {path}")
-    return meta
-
-
-def load_parameters(blob, params: Sequence[ad.Parameter], path) -> None:
-    """Copy each parameter's array out of a checkpoint, checking it is there
-    and has the parameter's shape (DataError naming the parameter if not)."""
-    for p in params:
-        if p.name not in blob.files:
-            raise DataError(f"{path} has no array for parameter {p.name!r}")
-        data = blob[p.name]
-        if data.shape != p.data.shape:
-            raise DataError(f"{path}: parameter {p.name!r} has shape {data.shape}, "
-                            f"the model expects {p.data.shape}")
-        p.data = data.copy()
-
-
-def _config_dict(config: PretrainConfig) -> dict:
-    d = asdict(config)
-    d["tower_widths"] = list(config.tower_widths)
-    return d
 
 
 def pretrain_fit(daily: ClickTable, config: PretrainConfig, seed: int) -> PretrainedModel:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from prepromo.cli import main
@@ -135,6 +136,29 @@ class TestTrainEvaluate:
         code = main(["evaluate", "--config", str(tiny_ini), "--out", str(tmp_path),
                      "--checkpoint", str(bad)])
         assert code == 3
+
+    def test_npy_file_is_data_error(self, tiny_ini, tmp_path, capsys):
+        bad = tmp_path / "weights.npy"
+        np.save(bad, np.zeros(3))
+        code = main(["evaluate", "--config", str(tiny_ini), "--out", str(tmp_path),
+                     "--checkpoint", str(bad)])
+        assert code == 3
+        assert "is not an .npz archive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change,field", [
+        ({"kind": "delay"}, "pretrained_config"),  # a base relabelled as a delay model
+        ({"drop_meta": "encoder"}, "encoder"),
+    ])
+    def test_metadata_missing_a_field_is_data_error(self, tiny_ini, tmp_path, capsys,
+                                                    rewrite_checkpoint, change, field):
+        out = tmp_path / "run"
+        assert main(["pretrain", "--config", str(tiny_ini), "--out", str(out)]) == 0
+        ckpt = out / "pretrained_seed1.npz"
+        rewrite_checkpoint(ckpt, **change)
+        code = main(["evaluate", "--config", str(tiny_ini), "--out", str(out),
+                     "--checkpoint", str(ckpt)])
+        assert code == 3
+        assert f"checkpoint metadata has no '{field}' field" in capsys.readouterr().err
 
 
 class TestErrorCodes:

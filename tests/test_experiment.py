@@ -1,12 +1,13 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from prepromo.data import build_click_dataset, ingest_csv, CsvSchema
 from prepromo.errors import ConfigError
-from prepromo.experiment import (ABLATION_VARIANTS, ExperimentConfig,
+from prepromo.experiment import (_SECTION_PARSERS, ABLATION_VARIANTS, DatasetConfig,
+                                 ExperimentConfig, ModelConfig, TrainingConfig,
                                  acquire_data, apply_variant,
                                  config_hash, format_ablation_table,
                                  load_config, make_config, run_ablation,
@@ -131,6 +132,13 @@ class TestConfigFile:
     def test_unknown_profile(self):
         with pytest.raises(ConfigError):
             make_config("laptop")
+
+    def test_every_config_field_is_settable_from_a_file(self):
+        sections = {"dataset": DatasetConfig, "model": ModelConfig,
+                    "training": TrainingConfig}
+        expected = {name: {f.name for f in fields(cls)} for name, cls in sections.items()}
+        expected["experiment"] = {f.name for f in fields(ExperimentConfig)} - set(sections)
+        assert {name: set(keys) for name, keys in _SECTION_PARSERS.items()} == expected
 
     def test_config_hash_ignores_out_dir(self):
         a, b = make_config("desk"), make_config("desk")

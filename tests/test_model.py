@@ -11,7 +11,8 @@ from prepromo.causal import ImputationConfig, ImputationModel
 from prepromo.data import ClickRow, FeatureEncoder
 from prepromo.errors import ConfigError, DataError, TrainingError
 from prepromo.model import (DelayConfig, DelayModel, DelayPrediction,
-                            build_gated_input, delay_loss, finetune, gate_pair)
+                            build_gated_input, delay_loss, finetune, gate_pair,
+                            load_checkpoint, save_checkpoint)
 from prepromo.pretrain import PretrainConfig, PretrainedModel, pretrain_fit
 from prepromo.synth import GenConfig, generate_dataset, sample_world
 
@@ -440,8 +441,8 @@ class TestCheckpoint:
         model = make_model(pretrained, lambda_cm=0.0, epochs=1)
         finetune(model, data, seed=6)
         path = tmp_path / "delay.npz"
-        model.save(path)
-        back = DelayModel.load(path)
+        save_checkpoint(model, path)
+        back = load_checkpoint(path)
         assert ad.param_hash(back.parameters()) == ad.param_hash(model.parameters())
         assert back.pretrained.param_hash() == pretrained.param_hash()
         assert back.n_steps == model.n_steps
@@ -455,35 +456,57 @@ class TestCheckpoint:
         _, pretrained, _ = setup
         model = make_model(pretrained, lambda_cm=0.0, epochs=1)
         path = tmp_path / "delay.npz"
-        model.save(path)
+        save_checkpoint(model, path)
         return model, path
 
     def test_version_checked(self, saved, rewrite_checkpoint):
         _, path = saved
         rewrite_checkpoint(path, version=999)
         with pytest.raises(DataError, match="unsupported checkpoint version 999"):
-            DelayModel.load(path)
+            load_checkpoint(path)
 
     def test_missing_array_names_the_parameter(self, saved, rewrite_checkpoint):
         model, path = saved
         name = model.parameters()[0].name
         rewrite_checkpoint(path, drop=name)
         with pytest.raises(DataError, match=f"no array for parameter '{name}'"):
-            DelayModel.load(path)
+            load_checkpoint(path)
 
     def test_missing_base_array_names_the_parameter(self, saved, rewrite_checkpoint):
         model, path = saved
         name = model.pretrained.parameters()[0].name
         rewrite_checkpoint(path, drop=name)
         with pytest.raises(DataError, match=f"no array for parameter '{name}'"):
-            DelayModel.load(path)
+            load_checkpoint(path)
 
     def test_shape_mismatch_names_the_parameter(self, saved, rewrite_checkpoint):
         model, path = saved
         name = model.parameters()[-1].name
         rewrite_checkpoint(path, reshape=name)
         with pytest.raises(DataError, match=f"parameter '{name}' has shape"):
-            DelayModel.load(path)
+            load_checkpoint(path)
+
+    def test_truncated_archive_is_data_error(self, saved):
+        _, path = saved
+        path.write_bytes(path.read_bytes()[:3000])
+        with pytest.raises(DataError, match="is not a checkpoint"):
+            load_checkpoint(path)
+
+    def test_unknown_kind_is_named(self, saved, rewrite_checkpoint):
+        _, path = saved
+        rewrite_checkpoint(path, kind="imputation")
+        with pytest.raises(DataError, match="unknown checkpoint kind 'imputation'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("config", [
+        {"lambda_cm": -1.0},                      # DelayConfig refuses the value
+        {"lambda_cm": 0.1, "learning_rat": 0.1},  # and a key it does not know
+    ])
+    def test_refused_config_names_the_field(self, saved, rewrite_checkpoint, config):
+        _, path = saved
+        rewrite_checkpoint(path, config=config)
+        with pytest.raises(DataError, match="field 'config' is malformed"):
+            load_checkpoint(path)
 
 
 class TestGraphFreeScoring:
@@ -543,9 +566,11 @@ class TestGraphFreeScoring:
 
 def saved_and_loaded(model):
     buf = io.BytesIO()
-    model.save(buf)
+    save_checkpoint(model, buf)
     buf.seek(0)
-    return type(model).load(buf)
+    back = load_checkpoint(buf)
+    assert type(back) is type(model)
+    return back
 
 
 def same_parameter_bytes(a, b):

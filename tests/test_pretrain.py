@@ -5,6 +5,7 @@ from prepromo import autodiff as ad
 from prepromo.data import ClickRow, FeatureEncoder
 from prepromo.errors import DataError
 from prepromo.metrics import auc_all
+from prepromo.model import load_checkpoint, save_checkpoint
 from prepromo.pretrain import PretrainConfig, PretrainedModel, pretrain_fit
 from prepromo.synth import generate_dataset, sample_world
 
@@ -144,47 +145,40 @@ class TestMultiTaskSharing:
 class TestCheckpoint:
     def test_round_trip_bitwise(self, trained, tmp_path):
         path = tmp_path / "pretrained.npz"
-        trained.save(path)
-        back = PretrainedModel.load(path)
+        save_checkpoint(trained, path)
+        back = load_checkpoint(path)
         assert back.frozen
         assert back.param_hash() == trained.param_hash()
         assert back.encoder.user_vocab == trained.encoder.user_vocab
 
-    def test_wrong_kind_rejected(self, trained, tmp_path):
+    def test_wrong_kind_rejected(self, trained, tmp_path, rewrite_checkpoint):
         path = tmp_path / "pretrained.npz"
-        trained.save(path)
-        import json
-        import numpy as np
-        with np.load(path) as blob:
-            meta = json.loads(bytes(blob["__meta__"]).decode())
-            arrays = {k: blob[k] for k in blob.files if k != "__meta__"}
-        meta["kind"] = "delay"
-        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                 **arrays)
+        save_checkpoint(trained, path)
+        rewrite_checkpoint(path, kind="delay")
         with pytest.raises(DataError):
-            PretrainedModel.load(path)
+            load_checkpoint(path)
 
     def test_missing_array_names_the_parameter(self, trained, tmp_path,
                                                rewrite_checkpoint):
         path = tmp_path / "pretrained.npz"
-        trained.save(path)
+        save_checkpoint(trained, path)
         name = trained.parameters()[0].name
         rewrite_checkpoint(path, drop=name)
         with pytest.raises(DataError, match=f"no array for parameter '{name}'"):
-            PretrainedModel.load(path)
+            load_checkpoint(path)
 
     def test_shape_mismatch_names_the_parameter(self, trained, tmp_path,
                                                 rewrite_checkpoint):
         path = tmp_path / "pretrained.npz"
-        trained.save(path)
+        save_checkpoint(trained, path)
         name = trained.parameters()[-1].name
         rewrite_checkpoint(path, reshape=name)
         with pytest.raises(DataError, match=f"parameter '{name}' has shape"):
-            PretrainedModel.load(path)
+            load_checkpoint(path)
 
     def test_missing_metadata_is_data_error(self, tmp_path):
         path = tmp_path / "bare.npz"
         np.savez(path, w=np.zeros(3))
         with pytest.raises(DataError, match="no checkpoint metadata"):
-            PretrainedModel.load(path)
+            load_checkpoint(path)
 
