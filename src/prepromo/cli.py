@@ -24,10 +24,10 @@ from pathlib import Path
 from .data import CsvSchema, write_events_csv
 from .errors import ConfigError, DataError, PrepromoError, TrainingError
 from .experiment import (ExperimentConfig, acquire_data, apply_variant,
-                         config_to_dict, fit_seed_imputation,
-                         format_ablation_table, load_config, make_config,
-                         prepare_seed, run_ablation, run_experiment,
-                         run_variant, stage_seed, synthetic_world)
+                         fit_seed_imputation, format_ablation_table,
+                         load_config, make_config, prepare_seed, run_ablation,
+                         run_experiment, run_variant, stage_seed,
+                         synthetic_world)
 from .metrics import emit_report, evaluate_scores
 from .model import DelayModel, load_checkpoint, save_checkpoint
 from .synth import generate_dataset, samples_to_events, write_ground_truth_csv

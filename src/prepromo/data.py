@@ -39,6 +39,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .decode import decode
 from .errors import ConfigError, DataError
 
 log = logging.getLogger("prepromo.data")
@@ -691,6 +692,11 @@ class FeatureEncoder:
     reserved for out-of-vocabulary ids seen later.
     """
 
+    # The sizes a checkpoint stores, typed for from_dict.
+    n_buckets: int
+    max_seq_len: int
+    dense_dim: int
+
     def __init__(self, n_buckets: int = 16, max_seq_len: int = DEFAULT_MAX_SEQ_LEN):
         self.n_buckets = n_buckets
         self.max_seq_len = max_seq_len
@@ -787,13 +793,14 @@ class FeatureEncoder:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureEncoder":
-        enc = cls(n_buckets=d["n_buckets"], max_seq_len=d["max_seq_len"])
+        sizes = decode(cls, {k: d[k] for k in ("n_buckets", "max_seq_len", "dense_dim")})
+        enc = cls(n_buckets=sizes["n_buckets"], max_seq_len=sizes["max_seq_len"])
         enc.user_vocab = dict(d["user_vocab"])
         enc.item_vocab = dict(d["item_vocab"])
         enc.cat_vocab = dict(d["cat_vocab"])
         enc.price_edges = np.asarray(d["price_edges"], dtype=np.float64)
         enc.disc_edges = np.asarray(d["disc_edges"], dtype=np.float64)
-        enc.dense_dim = d["dense_dim"]
+        enc.dense_dim = sizes["dense_dim"]
         return enc
 
 

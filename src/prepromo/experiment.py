@@ -24,12 +24,13 @@ Variants:
 from __future__ import annotations
 
 import configparser
-import datetime
+import csv
 import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .causal import (ImputationConfig, ImputationModel, dr_ate_from_model,
                      fit_imputation, naive_diff_in_means, propensity)
 from .data import (CsvSchema, DatasetSplit, EncodedDataset, PromotionCalendar,
                    build_click_dataset, ingest_csv, partition_dataset)
+from .decode import decode
 from .errors import ConfigError, DataError, PrepromoError, TrainingError
 from .metrics import (MetricReport, auc_delay, emit_report, evaluate_scores,
                       nll_delay, paired_comparisons, summarize)
@@ -82,11 +84,11 @@ class DatasetConfig:
     delimiter: str = ","
     price_col: int = -1          # -1: column absent
     discount_col: int = -1
-    daily_start: int = 0
-    daily_end: int = 3
-    pre_start: int = 4
-    pre_end: int = 6
-    promo_days: tuple[int, ...] = (7,)
+    daily_start: int = field(default=0, metadata={"day": True})
+    daily_end: int = field(default=3, metadata={"day": True})
+    pre_start: int = field(default=4, metadata={"day": True})
+    pre_end: int = field(default=6, metadata={"day": True})
+    promo_days: tuple[int, ...] = field(default=(7,), metadata={"day": True})
     tz_offset: int = 0
     # shared
     split_ratio: float = 0.8
@@ -136,6 +138,11 @@ class ExperimentConfig:
     out_dir: str = "runs/default"
 
     def __post_init__(self):
+        # Empty, any of these makes a run do nothing or fail on an index.
+        for name, value in (("variants", self.variants), ("seeds", self.seeds),
+                            ("model.widths", self.model.widths)):
+            if not value:
+                raise ConfigError(f"{name} must not be empty")
         for v in self.variants:
             if v not in VARIANT_NAMES:
                 raise ConfigError(f"unknown variant {v!r}; known: {VARIANT_NAMES}")
@@ -171,69 +178,8 @@ def make_config(profile: str = "desk") -> ExperimentConfig:
     raise ConfigError(f"unknown profile {profile!r}; use 'desk' or 'paper'")
 
 
-def _parse_int_tuple(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in raw.replace(" ", "").split(",") if tok)
-
-
-def _parse_str_tuple(raw: str) -> tuple[str, ...]:
-    return tuple(tok for tok in raw.replace(" ", "").split(",") if tok)
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"not a boolean: {raw!r}")
-
-
-def _parse_day(raw: str) -> int:
-    """Whole-day index: an integer, or an ISO date counted from 1970-01-01."""
-    raw = raw.strip()
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        date = datetime.date.fromisoformat(raw)
-    except ValueError as exc:
-        raise ConfigError(f"not a day index or ISO date: {raw!r}") from exc
-    return (date - datetime.date(1970, 1, 1)).days
-
-
-def _parse_day_tuple(raw: str) -> tuple[int, ...]:
-    return tuple(_parse_day(tok) for tok in raw.split(",") if tok.strip())
-
-
-_SECTION_PARSERS = {
-    "dataset": {
-        "mode": str, "n_daily": int, "n_prepromo": int, "feature_dim": int,
-        "tau": float, "scale": float, "gamma": float, "confound_atc": float,
-        "confound_dir": float, "trait_scale": float, "direct_rate_daily": float,
-        "direct_rate_pre": float, "delayed_rate_pre": float, "world_seed": int,
-        "n_users": int, "n_items": int, "n_categories": int,
-        "events_path": str, "delimiter": str, "price_col": int,
-        "discount_col": int, "daily_start": _parse_day, "daily_end": _parse_day,
-        "pre_start": _parse_day, "pre_end": _parse_day,
-        "promo_days": _parse_day_tuple, "tz_offset": int, "split_ratio": float,
-        "max_seq_len": int, "count_intermediate_as_all": _parse_bool,
-    },
-    "model": {
-        "widths": _parse_int_tuple, "embedding_dim": int, "n_buckets": int,
-        "lambda_all": float, "lambda_cm": float, "cm_on_atc_only": _parse_bool,
-        "use_gates": _parse_bool, "imputation_widths": _parse_int_tuple,
-        "nll_exclude_direct": _parse_bool,
-    },
-    "training": {
-        "learning_rate": float, "batch_size": int, "epochs": int,
-        "pretrain_epochs": int, "imputation_epochs": int,
-        "propensity_clip": float,
-    },
-    "experiment": {
-        "variants": _parse_str_tuple, "seeds": _parse_int_tuple, "out_dir": str,
-    },
-}
+_SECTIONS = {"dataset": DatasetConfig, "model": ModelConfig,
+             "training": TrainingConfig, "experiment": ExperimentConfig}
 
 
 def load_config(path, profile: str = "desk") -> ExperimentConfig:
@@ -244,44 +190,26 @@ def load_config(path, profile: str = "desk") -> ExperimentConfig:
     """
     cfg = make_config(profile)
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    for section in parser.sections():
-        if section not in _SECTION_PARSERS:
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path}")
+        sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+    changes = {}
+    for section, raw in sections.items():
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
-        known = _SECTION_PARSERS[section]
-        target = cfg if section == "experiment" else getattr(cfg, section)
-        for key, raw in parser.items(section):
-            if key not in known:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            try:
-                value = known[key](raw)
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-            setattr(target, key, value)
-    ExperimentConfig.__post_init__(cfg)
-    return cfg
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    def plain(obj):
-        out = {}
-        for name in obj.__dataclass_fields__:
-            value = getattr(obj, name)
-            out[name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-    return {"dataset": plain(cfg.dataset), "model": plain(cfg.model),
-            "training": plain(cfg.training),
-            "variants": list(cfg.variants), "seeds": list(cfg.seeds),
-            "out_dir": cfg.out_dir}
+        values = decode(_SECTIONS[section], raw, text=True)
+        if section == "experiment":
+            changes.update(values)
+        else:
+            changes[section] = replace(getattr(cfg, section), **values)
+    return replace(cfg, **changes)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    doc = config_to_dict(cfg)
+    doc = asdict(cfg)
     doc.pop("out_dir")  # where reports land must not change what they say
     blob = json.dumps(doc, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -545,8 +473,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     A failing stage aborts the run with the stage name in the error; reports
     collected so far are flushed to report_partial.json first.
     """
-    from pathlib import Path
-
     plans = [apply_variant(cfg, name) for name in cfg.variants]
     trace: list[str] = []
     reports: list[MetricReport] = []
@@ -590,7 +516,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
         config_hash=config_hash(cfg))
 
     out.mkdir(parents=True, exist_ok=True)
-    config_echo = config_to_dict(cfg)
+    config_echo = asdict(cfg)
     config_echo.pop("out_dir")  # identical runs must produce identical bytes
     emit_report(reports, "json", out / "report.json", reference=reference,
                 extra={"config": config_echo,
@@ -604,8 +530,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
 
 
 def _write_loss_traces(traces: dict[tuple[str, int], list[float]], path) -> None:
-    import csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "seed", "epoch", "mean_loss"])
@@ -630,8 +554,6 @@ def run_ablation(cfg: ExperimentConfig, out_dir=None) -> AblationResult:
     term) ranks at or below it. Violations are reported loudly; there is no
     silent tolerance.
     """
-    from pathlib import Path
-
     cfg = replace(cfg, variants=ABLATION_VARIANTS)
     result = run_experiment(cfg, out_dir=out_dir)
     summary = result.summary
@@ -659,8 +581,6 @@ def run_ablation(cfg: ExperimentConfig, out_dir=None) -> AblationResult:
 
 
 def _write_ablation_table(table: list[dict], path) -> None:
-    import csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "auc_all", "auc_delay", "nll_delay"])

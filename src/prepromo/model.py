@@ -28,6 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import EncodedDataset, FeatureEncoder
+from .decode import decode
 from .errors import ConfigError, DataError
 from .pretrain import PretrainConfig, PretrainedModel
 
@@ -127,6 +128,8 @@ def delay_loss(pred: DelayPrediction, y_delay: Array, y_all: Array,
 
 class DelayModel:
     """Trainable side of the architecture; the base model inside stays frozen."""
+
+    n_steps: int
 
     def __init__(self, pretrained: PretrainedModel, config: DelayConfig,
                  rng: np.random.Generator):
@@ -289,9 +292,9 @@ def load_checkpoint(path) -> PretrainedModel | DelayModel:
     """The model that save_checkpoint wrote, of the kind its metadata names.
 
     DataError, naming the file, when the file is missing or not an .npz
-    archive; when the metadata is missing, of another version or kind, lacks
-    a field, or holds a config its config class refuses; and when a
-    parameter's array is missing or of the wrong shape.
+    archive; when the metadata is missing or no JSON object, of another version
+    or kind, lacks a field, or holds a value of the wrong type or a config its
+    config class refuses; and when a parameter's array is missing or misshapen.
     """
     try:
         blob = np.load(path)
@@ -301,6 +304,8 @@ def load_checkpoint(path) -> PretrainedModel | DelayModel:
             if "__meta__" not in blob.files:
                 raise DataError(f"{path} has no checkpoint metadata")
             meta = json.loads(bytes(blob["__meta__"]).decode())
+            if not isinstance(meta, dict):
+                raise DataError(f"{path}: checkpoint metadata is not a JSON object")
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise DataError(f"unsupported checkpoint version {meta.get('version')} "
                                 f"in {path}")
@@ -308,30 +313,32 @@ def load_checkpoint(path) -> PretrainedModel | DelayModel:
             if kind not in ("pretrained", "delay"):
                 raise DataError(f"{path} holds an unknown checkpoint kind {kind!r}")
 
-            def entry(key, decode=lambda value: value):
+            def entry(key, build):
                 if key not in meta:
                     raise DataError(f"{path}: checkpoint metadata has no {key!r} field")
                 try:
-                    return decode(meta[key])
+                    return build(meta[key])
                 except (KeyError, TypeError, ValueError, ConfigError) as exc:
                     raise DataError(f"{path}: checkpoint metadata field {key!r} "
                                     f"is malformed: {exc}") from exc
 
-            def pretrain_config(d):
-                return PretrainConfig(**{**d, "tower_widths": tuple(d["tower_widths"])})
+            def config(cls):
+                return lambda d: cls(**decode(cls, d))
+
+            def attribute(cls, key):
+                return entry(key, lambda v: decode(cls, {key: v})[key])
 
             rng = np.random.default_rng(0)
             base = PretrainedModel(
                 entry("encoder", FeatureEncoder.from_dict),
                 entry("config" if kind == "pretrained" else "pretrained_config",
-                      pretrain_config), rng)
+                      config(PretrainConfig)), rng)
             _load_parameters(blob, base.parameters(), path)
             if kind == "pretrained":
-                return base.freeze() if entry("frozen") else base
-            model = DelayModel(base.freeze(),
-                               entry("config", lambda d: DelayConfig(**d)), rng)
+                return base.freeze() if attribute(PretrainedModel, "frozen") else base
+            model = DelayModel(base.freeze(), entry("config", config(DelayConfig)), rng)
             _load_parameters(blob, model.parameters(), path)
-            model.n_steps = entry("n_steps")
+            model.n_steps = attribute(DelayModel, "n_steps")
             return model
     except FileNotFoundError as exc:
         raise DataError(f"checkpoint not found: {path}") from exc

@@ -40,6 +40,8 @@ class PretrainedForwardResult:
 
 class PretrainedModel:
 
+    frozen: bool
+
     def __init__(self, encoder: FeatureEncoder, config: PretrainConfig,
                  rng: np.random.Generator):
         self.encoder = encoder

@@ -18,8 +18,9 @@ settings.load_profile("suite")
 @pytest.fixture()
 def rewrite_checkpoint():
     """Re-save a checkpoint with one array dropped or given an extra row,
-    or with metadata fields changed or one dropped."""
-    def rewrite(path, drop=None, reshape=None, drop_meta=None, **meta_changes):
+    or with metadata fields changed or one dropped, or with its metadata
+    replaced by what `edit` makes of it."""
+    def rewrite(path, drop=None, reshape=None, drop_meta=None, edit=None, **meta_changes):
         with np.load(path) as blob:
             meta = json.loads(bytes(blob["__meta__"]).decode())
             arrays = {k: blob[k] for k in blob.files if k not in ("__meta__", drop)}
@@ -27,6 +28,8 @@ def rewrite_checkpoint():
             arrays[reshape] = np.concatenate([arrays[reshape], arrays[reshape][:1]])
         meta.update(meta_changes)
         meta.pop(drop_meta, None)
+        if edit is not None:
+            meta = edit(meta)
         np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
                  **arrays)
     return rewrite

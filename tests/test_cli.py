@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,32 @@ class TestTrainEvaluate:
         assert code == 3
         assert f"checkpoint metadata has no '{field}' field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: [m], "checkpoint metadata is not a JSON object"),
+        (lambda m: {**m, "frozen": "no"}, "PretrainedModel.frozen: 'no'"),
+        (lambda m: {**m, "config": {**m["config"], "tower_widths": ["6", "4"]}},
+         "PretrainConfig.tower_widths: ['6', '4']"),
+        (lambda m: {**m, "config": {**m["config"], "embedding_dim": 2.0}},
+         "PretrainConfig.embedding_dim: 2.0"),
+        (lambda m: {**m, "config": {**m["config"], "embedding_dim": True}},
+         "PretrainConfig.embedding_dim: True"),
+        (lambda m: {**m, "config": {**m["config"], "learning_rate": "0.1"}},
+         "PretrainConfig.learning_rate: '0.1'"),
+        (lambda m: {**m, "encoder": {**m["encoder"], "dense_dim": "6"}},
+         "FeatureEncoder.dense_dim: '6'"),
+    ], ids=["meta_list", "frozen_str", "widths_str", "dim_float", "dim_bool",
+            "lr_str", "dense_dim_str"])
+    def test_mistyped_metadata_is_data_error(self, tiny_ini, tmp_path, capsys,
+                                             rewrite_checkpoint, edit, message):
+        out = tmp_path / "run"
+        assert main(["pretrain", "--config", str(tiny_ini), "--out", str(out)]) == 0
+        ckpt = out / "pretrained_seed1.npz"
+        rewrite_checkpoint(ckpt, edit=edit)
+        code = main(["evaluate", "--config", str(tiny_ini), "--out", str(out),
+                     "--checkpoint", str(ckpt)])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
 
 class TestErrorCodes:
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
@@ -168,6 +195,35 @@ class TestErrorCodes:
         code = main(["experiment", "--config", str(bad), "--out", str(tmp_path)])
         assert code == 2
         assert "widhts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        b"[model]\nwidths = 8\nwidths = 4\n",
+        b"[model]\nwidths = 8\n[model]\nembedding_dim = 2\n",
+        b"widths = 8\n",
+        b"[model]\nwidths\n",
+        b"[model]\nwidths = 8\xff\n",
+    ], ids=["duplicate_key", "duplicate_section", "no_section_header", "no_equals",
+            "not_utf8"])
+    def test_ini_syntax_error_exit_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(text)
+        code = main(["experiment", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"cannot parse config file {bad}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", [
+        "variants",  # would index an empty tuple
+        "seeds",     # would run nothing and exit 0
+        "widths",    # would fail in training, exit 4
+    ])
+    def test_empty_tuple_exit_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} =", TINY, flags=re.M))
+        code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{key} must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_more_clicks_than_pairs_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "crowded.ini"

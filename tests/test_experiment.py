@@ -1,17 +1,23 @@
 import json
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from prepromo.data import build_click_dataset, ingest_csv, CsvSchema
+from prepromo.decode import decode
 from prepromo.errors import ConfigError
-from prepromo.experiment import (_SECTION_PARSERS, ABLATION_VARIANTS, DatasetConfig,
+from prepromo.experiment import (ABLATION_VARIANTS, VARIANT_NAMES, DatasetConfig,
                                  ExperimentConfig, ModelConfig, TrainingConfig,
                                  acquire_data, apply_variant,
                                  config_hash, format_ablation_table,
                                  load_config, make_config, run_ablation,
                                  run_experiment, stage_seed)
+from prepromo.model import DelayConfig
+from prepromo.pretrain import PretrainConfig
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def tiny_config(**kw):
@@ -28,6 +34,33 @@ def tiny_config(**kw):
     for key, value in kw.items():
         setattr(cfg, key, value)
     return cfg
+
+
+SECTIONS = ("dataset", "model", "training")
+
+
+def moved_config() -> ExperimentConfig:
+    """The desk profile with every field of all four sections off its default."""
+    def moved(obj):
+        out = {}
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if f.name in SECTIONS:
+                out[f.name] = moved(value)
+            elif isinstance(value, bool):
+                out[f.name] = not value
+            elif isinstance(value, int):
+                out[f.name] = value + 1
+            elif isinstance(value, float):  # propensity_clip stays below 0.5
+                out[f.name] = value + 0.125
+            elif isinstance(value, str):    # the delimiter stays one character
+                out[f.name] = "x" if len(value) <= 1 else value + "x"
+            elif f.name == "variants":
+                out[f.name] = VARIANT_NAMES[::-1]
+            else:
+                out[f.name] = value + (value[-1] + 1,)
+        return replace(obj, **out)
+    return moved(make_config("desk"))
 
 
 class TestApplyVariant:
@@ -133,12 +166,29 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             make_config("laptop")
 
-    def test_every_config_field_is_settable_from_a_file(self):
-        sections = {"dataset": DatasetConfig, "model": ModelConfig,
-                    "training": TrainingConfig}
-        expected = {name: {f.name for f in fields(cls)} for name, cls in sections.items()}
-        expected["experiment"] = {f.name for f in fields(ExperimentConfig)} - set(sections)
-        assert {name: set(keys) for name, keys in _SECTION_PARSERS.items()} == expected
+    def test_every_config_field_is_settable_from_a_file(self, tmp_path):
+        cfg, desk = moved_config(), make_config("desk")
+        text = ""
+        for section, obj, default in (("dataset", cfg.dataset, desk.dataset),
+                                      ("model", cfg.model, desk.model),
+                                      ("training", cfg.training, desk.training),
+                                      ("experiment", cfg, desk)):
+            text += f"[{section}]\n"
+            for f in fields(obj):
+                if f.name in SECTIONS:
+                    continue
+                value = getattr(obj, f.name)
+                assert value != getattr(default, f.name), f"{section}.{f.name} not moved"
+                if isinstance(value, tuple):
+                    value = ",".join(map(str, value))
+                text += f"{f.name} = {value}\n"
+        path = tmp_path / "every.ini"
+        path.write_text(text)
+        assert asdict(load_config(path)) == asdict(cfg)
+
+    def test_demo_config_is_the_desk_profile(self):
+        cfg = load_config(ROOT / "demos" / "experiment.ini")
+        assert cfg == replace(make_config("desk"), out_dir=cfg.out_dir)
 
     def test_config_hash_ignores_out_dir(self):
         a, b = make_config("desk"), make_config("desk")
@@ -146,6 +196,61 @@ class TestConfigFile:
         assert config_hash(a) == config_hash(b)
         b.model = replace(b.model, lambda_cm=0.9)
         assert config_hash(a) != config_hash(b)
+
+
+class TestDecode:
+    """decode reads field types from the config classes' annotations."""
+
+    @pytest.mark.parametrize("config", [
+        DatasetConfig(), ModelConfig(), TrainingConfig(), PretrainConfig(), DelayConfig(),
+        moved_config().dataset, moved_config().model, moved_config().training,
+        PretrainConfig(tower_widths=(7, 5), learning_rate=1.0, epochs=2),
+        DelayConfig(use_gates=False, lambda_cm=0.0, batch_size=3),
+    ], ids=lambda c: type(c).__name__)
+    def test_json_round_trip(self, config):
+        cls = type(config)
+        assert cls(**decode(cls, json.loads(json.dumps(asdict(config))))) == config
+
+    @pytest.mark.parametrize("value", [True, False, 3.0, "3", [3]])
+    def test_int_field_refuses_other_types(self, value):
+        with pytest.raises(ConfigError, match="bad value for TrainingConfig.epochs"):
+            decode(TrainingConfig, {"epochs": value})
+
+    @pytest.mark.parametrize("value", [True, "0.1", None])
+    def test_float_field_refuses_other_types(self, value):
+        with pytest.raises(ConfigError, match="bad value for TrainingConfig.learning_rate"):
+            decode(TrainingConfig, {"learning_rate": value})
+
+    def test_int_is_accepted_for_a_float(self):
+        value = decode(TrainingConfig, {"learning_rate": 1})["learning_rate"]
+        assert value == 1.0 and type(value) is float
+
+    @pytest.mark.parametrize("field,raw", [
+        ("epochs", "true"), ("epochs", "2.0"), ("use_gates", "2"), ("widths", "8,x"),
+    ])
+    def test_text_that_does_not_parse_is_refused(self, field, raw):
+        cls = TrainingConfig if field == "epochs" else ModelConfig
+        with pytest.raises(ConfigError, match=f"bad value for {cls.__name__}.{field}"):
+            decode(cls, {field: raw}, text=True)
+
+    def test_unknown_or_nested_key_is_refused(self):
+        with pytest.raises(ConfigError, match="unknown key 'model' for ExperimentConfig"):
+            decode(ExperimentConfig, {"model": "x"}, text=True)
+        with pytest.raises(ConfigError, match="unknown key 'learning_rat' for DelayConfig"):
+            decode(DelayConfig, {"learning_rat": 0.1})
+
+    def test_values_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="DelayConfig needs an object, got list"):
+            decode(DelayConfig, [["lambda_cm", 0.1]])
+
+    def test_day_fields_read_iso_dates_in_text_only(self):
+        days = decode(DatasetConfig, {"pre_start": "1970-01-05", "pre_end": "+6",
+                                      "promo_days": "1970-01-08, 9,"}, text=True)
+        assert days == {"pre_start": 4, "pre_end": 6, "promo_days": (7, 9)}
+        with pytest.raises(ConfigError, match="bad value for ModelConfig.n_buckets"):
+            decode(ModelConfig, {"n_buckets": "1970-01-05"}, text=True)
+        with pytest.raises(ConfigError, match="bad value for DatasetConfig.pre_start"):
+            decode(DatasetConfig, {"pre_start": "1970-01-05"})
 
 
 class TestStageSeeds:

@@ -508,6 +508,25 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="field 'config' is malformed"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key,inner,field,value", [
+        ("n_steps", None, "DelayModel.n_steps", "3"),
+        ("n_steps", None, "DelayModel.n_steps", 3.0),
+        ("config", "use_gates", "DelayConfig.use_gates", 1),
+        ("config", "lambda_cm", "DelayConfig.lambda_cm", "0.1"),
+        ("pretrained_config", "tower_widths", "PretrainConfig.tower_widths", [6.0, 4.0]),
+        ("encoder", "n_buckets", "FeatureEncoder.n_buckets", True),
+        ("encoder", "max_seq_len", "FeatureEncoder.max_seq_len", 3.0),
+        ("encoder", "dense_dim", "FeatureEncoder.dense_dim", "6"),
+    ])
+    def test_mistyped_metadata_names_the_field(self, saved, rewrite_checkpoint,
+                                               key, inner, field, value):
+        _, path = saved
+        rewrite_checkpoint(path, edit=lambda m: {
+            **m, key: value if inner is None else {**m[key], inner: value}})
+        with pytest.raises(DataError, match=f"field '{key}' is malformed: "
+                                            f"bad value for {field}"):
+            load_checkpoint(path)
+
 
 class TestGraphFreeScoring:
     """predict and mu build no graph and return the recorded forward's values."""
