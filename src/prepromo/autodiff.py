@@ -227,8 +227,14 @@ def dense(x: Node, w: Node, b: Node, act: str = "linear") -> Node:
 
     def back(g):
         gz = _activation_grad(g, out, act)
-        return gz @ w.data.T, x.data.T @ gz, gz.sum(axis=0)
+        spare = _SPARE_GRADS.pop((w.param.name, w.data.shape), None) if w.param else None
+        return gz @ w.data.T, np.matmul(x.data.T, gz, out=spare), gz.sum(axis=0)
     return Node(out, op="dense", parents=(x, w, b), backward=back)
+
+
+# minimize's last gradients, by parameter name and shape. The next step's
+# weight gradients reuse them: fresh ones faulted in new pages at every step.
+_SPARE_GRADS: dict[tuple[str, tuple], Array] = {}
 
 
 def columns(a: Node, start: int, stop: int) -> Node:
@@ -553,16 +559,19 @@ def minimize(params: Iterable[Parameter], data, loss_of: Callable, config,
             value = float(loss.data)
             if not math.isfinite(value):
                 raise TrainingError(f"{stage}: non-finite loss {value} at step {step}")
-            opt.step(backward(loss))
+            opt.step(grads := backward(loss))
+            _SPARE_GRADS.update(((k, g.shape), g) for k, g in grads.items()
+                                if g.base is None)
             losses.append(value)
             step += 1
         epoch_means.append(float(np.mean(losses)))
+    _SPARE_GRADS.clear()
     return epoch_means, step
 
 
 # A scoring chunk holds at most SCORE_CHUNK rows and SCORE_FLOATS activation
-# floats (32 MB of float64).
-SCORE_CHUNK = 8192
+# floats (32 MB of float64). 8192-row chunks faulted in ~10 MB of pages each.
+SCORE_CHUNK = 4096
 SCORE_FLOATS = 1 << 22
 
 

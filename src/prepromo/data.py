@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import compress, islice
 from operator import length_hint
 from typing import Iterable, NamedTuple, Sequence
@@ -70,23 +70,25 @@ class ActionEvent:
 
 @dataclass(slots=True, eq=False)
 class EventLog:
-    """Events as columns: string ids, int8 action codes (indices into
+    """Events as columns: int32 id codes, int8 action codes (indices into
     ACTIONS), int64 timestamps and float64 prices and discounts.
 
-    `user` and `item` number the distinct user and item ids from 0, in any
-    order: assembly only tests codes for equality. `ingest_csv` returns an
-    EventLog; `EventLog.of` adapts a sequence of ActionEvents.
+    `users`, `items` and `categories` hold each distinct id string once, in
+    any order; an event's `user` code indexes `users`, and so on. Assembly
+    only tests codes for equality. `ingest_csv` returns an EventLog;
+    `EventLog.of` adapts a sequence of ActionEvents.
     """
 
-    user_id: np.ndarray
-    item_id: np.ndarray
-    category_id: np.ndarray
     action: np.ndarray
     timestamp: np.ndarray
     price: np.ndarray
     discount: np.ndarray
     user: np.ndarray
     item: np.ndarray
+    category: np.ndarray
+    users: np.ndarray
+    items: np.ndarray
+    categories: np.ndarray
 
     def __len__(self) -> int:
         return len(self.timestamp)
@@ -95,17 +97,18 @@ class EventLog:
     def of(cls, events: Sequence[ActionEvent]) -> "EventLog":
         """The columns of the events, in their order."""
         n = len(events)
-        user_id, item_id, category_id = (
-            np.array([getattr(e, name) for e in events], dtype=str)
+        (users, user), (items, item), (categories, category) = (
+            np.unique(np.array([getattr(e, name) for e in events], dtype=str),
+                      return_inverse=True)
             for name in ("user_id", "item_id", "category_id"))
         return cls(
-            user_id=user_id, item_id=item_id, category_id=category_id,
             action=np.fromiter((_ACTION_CODE[e.action] for e in events), np.int8, n),
             timestamp=np.fromiter((e.timestamp for e in events), np.int64, n),
             price=np.fromiter((e.price for e in events), np.float64, n),
             discount=np.fromiter((e.discount for e in events), np.float64, n),
-            user=np.unique(user_id, return_inverse=True)[1],
-            item=np.unique(item_id, return_inverse=True)[1])
+            user=user.astype(np.int32), item=item.astype(np.int32),
+            category=category.astype(np.int32), users=users, items=items,
+            categories=categories)
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,21 +163,26 @@ class ClickRow(NamedTuple):
 # The columns of a ClickTable that hold one value per click, in ClickRow order.
 _SCALAR_COLUMNS = ClickRow._fields[:10]
 _COLUMNS = _SCALAR_COLUMNS + ("atc_items", "atc_len", "pay_items", "pay_len")
+# Each vocabulary of a ClickTable, and the columns holding its codes.
+_VOCABULARIES = {"users": ("user_id",), "items": ("item_id", "atc_items", "pay_items"),
+                 "categories": ("category_id",)}
 TRUTH_KEYS = ("p_a_true", "mu1_true", "mu0_true", "q_dir_true", "ice_true")
 
 
 @dataclass(slots=True, eq=False)
 class ClickTable:
-    """Clicks as columns: string ids, int64 times, float64 prices, int labels.
+    """Clicks as columns: int32 id codes, int64 times, float64 prices, int labels.
 
-    A history kind is an (n, w) item-id array, newest first, padded with ""
-    to its longest history, plus the count of real entries in each row.
-    `features` is the (n, d) context of synthetic clicks, and `truth` holds
-    the generator's probabilities (TRUTH_KEYS) when known.
+    `users`, `items` and `categories` hold each id string once: a click's user
+    is `users[user_id]`. A history kind is an (n, w) item-code array, newest
+    first, padded with -1 to its longest history, plus the count of real
+    entries in each row. `features` is the (n, d) context of synthetic clicks,
+    and `truth` holds the generator's probabilities (TRUTH_KEYS) when known.
 
     `len`, `+`, indexing with an int, a slice or an index array, and
     iteration as ClickRows serve the CSV writers, the benchmark and the tests;
-    the pipeline itself reads whole columns.
+    the pipeline itself reads whole columns. Indexing shares the vocabularies;
+    `+` merges two that differ.
     """
 
     user_id: np.ndarray
@@ -191,17 +199,21 @@ class ClickTable:
     atc_len: np.ndarray
     pay_items: np.ndarray
     pay_len: np.ndarray
+    users: np.ndarray
+    items: np.ndarray
+    categories: np.ndarray
     features: np.ndarray | None = None
     truth: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.click_ts)
 
-    def _apply(self, fn, *others: "ClickTable") -> "ClickTable":
-        """The table of fn over each column of self and others."""
+    def _apply(self, fn, *others: "ClickTable", **vocabularies) -> "ClickTable":
+        """fn over each column of self and others; self's vocabularies unless given."""
         tables = (self, *others)
         return ClickTable(
             *(fn(*(getattr(t, name) for t in tables)) for name in _COLUMNS),
+            **{kind: vocabularies.get(kind, getattr(self, kind)) for kind in _VOCABULARIES},
             features=None if self.features is None else fn(*(t.features for t in tables)),
             truth={k: fn(*(t.truth[k] for t in tables)) for k in self.truth})
 
@@ -211,21 +223,34 @@ class ClickTable:
         return self._apply(lambda col: col[key])
 
     def __add__(self, other: "ClickTable") -> "ClickTable":
-        return self._apply(_concat, other)
+        merged, recoded = {}, {}
+        for kind, columns in _VOCABULARIES.items():
+            mine, theirs = getattr(self, kind), getattr(other, kind)
+            if mine is theirs or np.array_equal(mine, theirs):
+                continue
+            index = dict(zip(mine.tolist(), range(len(mine))))
+            remap = np.array([index.setdefault(s, len(index)) for s in theirs.tolist()]
+                             + [-1], dtype=np.int32)  # padding -1 stays -1
+            merged[kind] = np.array(list(index), dtype=str)
+            recoded.update({name: remap[getattr(other, name)] for name in columns})
+        return self._apply(_concat, replace(other, **recoded), **merged)
 
     def __iter__(self):
-        seqs = [[tuple(row[:k]) for row, k in zip(items.tolist(), lengths.tolist())]
-                for items, lengths in ((self.atc_items, self.atc_len),
+        item = self.items.tolist().__getitem__
+        seqs = [[tuple(map(item, r[:k])) for r, k in zip(codes.tolist(), lengths.tolist())]
+                for codes, lengths in ((self.atc_items, self.atc_len),
                                        (self.pay_items, self.pay_len))]
-        columns = [getattr(self, name).tolist() for name in _SCALAR_COLUMNS]
-        return map(ClickRow._make, zip(*columns, *seqs))
+        ids = [getattr(self, kind)[getattr(self, names[0])].tolist()
+               for kind, names in _VOCABULARIES.items()]
+        columns = [getattr(self, name).tolist() for name in _SCALAR_COLUMNS[3:]]
+        return map(ClickRow._make, zip(*ids, *columns, *seqs))
 
 
 def _concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows of a, then of b; history arrays are padded to the wider one."""
-    if a.ndim == 2 and a.dtype.kind == "U":
+    """Rows of a, then of b; history codes are padded with -1 to the wider one."""
+    if a.ndim == 2 and a.dtype.kind == "i" and a.shape[1] != b.shape[1]:
         width = max(a.shape[1], b.shape[1])
-        a, b = (np.pad(x, [(0, 0), (0, width - x.shape[1])], constant_values="")
+        a, b = (np.pad(x, [(0, 0), (0, width - x.shape[1])], constant_values=-1)
                 for x in (a, b))
     return np.concatenate([a, b])
 
@@ -261,18 +286,19 @@ def build_click_dataset(events: EventLog | Sequence[ActionEvent],
     sample = np.flatnonzero((action == _CLICK) & (daily | pre))
     # One integer per (user, item) pair. Codes are below the id counts, so
     # the key stays under n_events ** 2 and fits int64.
-    pair = events.user * (events.item.max(initial=0) + 1) + events.item
+    pair = events.user * np.int64(events.item.max(initial=0) + 1) + events.item
     y_all, y_delay, A = _pair_outcomes(action, pair, ts, day, daily, pre, sample,
                                        calendar, count_intermediate_as_all)
     atc_items, atc_len, pay_items, pay_len = user_histories(
-        events.user, ts, events.item_id, sample, max_seq_len, action == _ATC,
+        events.user, ts, events.item, sample, max_seq_len, action == _ATC,
         action == _BUY)
     return ClickTable(
-        user_id=events.user_id[sample], item_id=events.item_id[sample],
-        category_id=events.category_id[sample], click_ts=ts[sample],
+        user_id=events.user[sample], item_id=events.item[sample],
+        category_id=events.category[sample], click_ts=ts[sample],
         click_day=day[sample], price=events.price[sample],
         discount=events.discount[sample], A=A, y_all=y_all, y_delay=y_delay,
-        atc_items=atc_items, atc_len=atc_len, pay_items=pay_items, pay_len=pay_len)
+        atc_items=atc_items, atc_len=atc_len, pay_items=pay_items, pay_len=pay_len,
+        users=events.users, items=events.items, categories=events.categories)
 
 
 def _grouped_order(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -349,13 +375,12 @@ def user_histories(user: np.ndarray, ts: np.ndarray, item: np.ndarray,
                    rows: np.ndarray, max_seq_len: int, *kinds: np.ndarray) -> list:
     """Padded item histories of the events `rows`, one per kind of event.
 
-    `user` holds non-negative integer user codes, `item` the item ids and
-    each kind a boolean mask over the events. A row's history of a kind holds
-    the items of that kind's events by the same user strictly before the
-    row's ts, newest first (equal timestamps in input order), cut to
-    max_seq_len.
-    Returns, per kind, an item array padded with "" to the longest history
-    and the (n,) count of real entries.
+    `user` and `item` hold non-negative integer codes and each kind a
+    boolean mask over the events. A row's history of a kind holds the items
+    of that kind's events by the same user strictly before the row's ts,
+    newest first (equal timestamps in input order), cut to max_seq_len.
+    Returns, per kind, an int32 item-code array padded with -1 to the
+    longest history and the (n,) count of real entries.
     """
     # Each user's events run newest first; a row's history starts after its
     # own (user, ts) group and ends with the user's last event.
@@ -367,8 +392,8 @@ def user_histories(user: np.ndarray, ts: np.ndarray, item: np.ndarray,
         length = np.minimum(_searchsorted(user[found], user[rows], side="right") - lo,
                             max_seq_len)
         at = lo[:, None] + np.arange(length.max(initial=0))
-        # Index len(found) picks the "" appended as padding.
-        padded = np.append(item[found], "")
+        # Index len(found) picks the -1 appended as padding.
+        padded = np.append(item[found], -1).astype(np.int32)
         out += [padded[np.where(at < (lo + length)[:, None], at, len(found))], length]
     return out
 
@@ -576,7 +601,7 @@ class _LogParser:
                             f"{float(price[k])!r} or discount {float(discount[k])!r}")
         self.malformed.append(line[~ok])
         raw, n = _select(raw, ok), int(np.count_nonzero(ok))
-        codes = [np.fromiter(map(memo.__getitem__, raw[column]), np.int64, n)
+        codes = [np.fromiter(map(memo.__getitem__, raw[column]), np.int32, n)
                  for column, memo, _ in self.ids]
         self.blocks.append((*codes, action[ok], ts[ok], price[ok], discount[ok]))
 
@@ -594,20 +619,17 @@ class _LogParser:
             log.warning("skipped %d rows with unmapped actions in %s",
                         self.unknown_actions, path)
         empty = [np.zeros(0, dtype) for dtype in
-                 (np.int64, np.int64, np.int64, np.int8, np.int64, np.float64, np.float64)]
+                 (np.int32, np.int32, np.int32, np.int8, np.int64, np.float64, np.float64)]
         user, item, category, action, ts, price, discount = (
             np.concatenate(parts) for parts in zip(empty, *self.blocks))
         if not len(ts):
             log.warning("no events parsed from %s", path)
         order = np.argsort(ts, kind="stable")
-        user, item, category = user[order], item[order], category[order]
-        user_ids, item_ids, category_ids = (
-            np.array(list(ids), dtype=str) for _, _, ids in self.ids)
+        users, items, categories = (np.array(list(ids), dtype=str) for _, _, ids in self.ids)
         return EventLog(
-            user_id=user_ids[user], item_id=item_ids[item],
-            category_id=category_ids[category], action=action[order],
-            timestamp=ts[order], price=price[order], discount=discount[order],
-            user=user, item=item)
+            action=action[order], timestamp=ts[order], price=price[order],
+            discount=discount[order], user=user[order], item=item[order],
+            category=category[order], users=users, items=items, categories=categories)
 
 
 def _select(raw: dict[int, Sequence[str]], keep: np.ndarray) -> dict[int, Sequence[str]]:
@@ -710,9 +732,9 @@ class FeatureEncoder:
     def fit(self, clicks: ClickTable) -> "FeatureEncoder":
         if not len(clicks):
             raise DataError("cannot fit encoder on an empty click table")
-        self.user_vocab = _first_seen(clicks.user_id)
-        self.item_vocab = _first_seen(clicks.item_id)
-        self.cat_vocab = _first_seen(clicks.category_id)
+        self.user_vocab = _first_seen(clicks.users, clicks.user_id)
+        self.item_vocab = _first_seen(clicks.items, clicks.item_id)
+        self.cat_vocab = _first_seen(clicks.categories, clicks.category_id)
         qs = np.linspace(0, 1, self.n_buckets + 1)[1:-1]
         self.price_edges = np.unique(np.quantile(clicks.price, qs))
         self.disc_edges = np.unique(np.quantile(clicks.discount, qs))
@@ -732,16 +754,14 @@ class FeatureEncoder:
     def n_categories(self) -> int:
         return len(self.cat_vocab) + 1
 
-    def _encode_seq(self, items: np.ndarray, lengths: np.ndarray
+    def _encode_seq(self, index: np.ndarray, items: np.ndarray, lengths: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
         n, L = len(items), self.max_seq_len
         width = min(L, items.shape[1])
-        filled = np.arange(width) < lengths[:, None]
         ids = np.zeros((n, L), dtype=np.int64)
-        ids[:, :width] = np.where(filled, _lookup(self.item_vocab, items[:, :width]),
-                                  OOV_INDEX)
+        ids[:, :width] = index[items[:, :width]]
         mask = np.zeros((n, L))
-        mask[:, :width] = filled
+        mask[:, :width] = np.arange(width) < lengths[:, None]
         return ids, mask
 
     def encode(self, clicks: ClickTable) -> EncodedDataset:
@@ -764,13 +784,14 @@ class FeatureEncoder:
                 f"sample {bad[0]} (user {s.user_id!r}, item {s.item_id!r}, "
                 f"ts {s.click_ts}) has a non-finite context feature, price or discount")
 
-        atc_ids, atc_mask = self._encode_seq(clicks.atc_items, clicks.atc_len)
-        pay_ids, pay_mask = self._encode_seq(clicks.pay_items, clicks.pay_len)
+        items = _indices(self.item_vocab, clicks.items)
+        atc_ids, atc_mask = self._encode_seq(items, clicks.atc_items, clicks.atc_len)
+        pay_ids, pay_mask = self._encode_seq(items, clicks.pay_items, clicks.pay_len)
         return EncodedDataset(
             dense=dense,
-            user_idx=_lookup(self.user_vocab, clicks.user_id),
-            item_idx=_lookup(self.item_vocab, clicks.item_id),
-            cat_idx=_lookup(self.cat_vocab, clicks.category_id),
+            user_idx=_indices(self.user_vocab, clicks.users)[clicks.user_id],
+            item_idx=items[clicks.item_id],
+            cat_idx=_indices(self.cat_vocab, clicks.categories)[clicks.category_id],
             price_bucket=np.searchsorted(self.price_edges, clicks.price, side="right"),
             disc_bucket=np.searchsorted(self.disc_edges, clicks.discount, side="right"),
             atc_seq=atc_ids, atc_mask=atc_mask, pay_seq=pay_ids, pay_mask=pay_mask,
@@ -795,28 +816,28 @@ class FeatureEncoder:
     def from_dict(cls, d: dict) -> "FeatureEncoder":
         sizes = decode(cls, {k: d[k] for k in ("n_buckets", "max_seq_len", "dense_dim")})
         enc = cls(n_buckets=sizes["n_buckets"], max_seq_len=sizes["max_seq_len"])
-        enc.user_vocab = dict(d["user_vocab"])
-        enc.item_vocab = dict(d["item_vocab"])
-        enc.cat_vocab = dict(d["cat_vocab"])
-        enc.price_edges = np.asarray(d["price_edges"], dtype=np.float64)
-        enc.disc_edges = np.asarray(d["disc_edges"], dtype=np.float64)
+        for key in ("user_vocab", "item_vocab", "cat_vocab"):
+            if not (isinstance(vocab := d[key], dict) and all(type(k) is str for k in vocab)
+                    and sorted(v if type(v) is int else 0 for v in vocab.values())
+                    == list(range(1, len(vocab) + 1))):
+                raise ConfigError(f"{key} must number str ids 1..n, once each")
+            setattr(enc, key, dict(vocab))
+        for key in ("price_edges", "disc_edges"):
+            if not (isinstance(edges := d[key], list) and all(type(e) is float for e in edges)
+                    and np.isfinite(edges).all() and edges == sorted(edges)):
+                raise ConfigError(f"{key} must be finite non-decreasing floats")
+            setattr(enc, key, np.array(edges, dtype=np.float64))
         enc.dense_dim = sizes["dense_dim"]
         return enc
 
 
-def _first_seen(ids: np.ndarray) -> dict[str, int]:
-    """Vocabulary of the distinct ids, numbered from 1 in order of first appearance."""
-    distinct, first = np.unique(ids, return_index=True)
-    return dict(zip(distinct[np.argsort(first)].tolist(), range(1, len(distinct) + 1)))
+def _first_seen(ids: np.ndarray, codes: np.ndarray) -> dict[str, int]:
+    """The ids that `codes` index, numbered from 1 in order of first appearance."""
+    distinct, first = np.unique(codes, return_index=True)
+    return dict(zip(ids[distinct[np.argsort(first)]].tolist(), range(1, len(distinct) + 1)))
 
 
-def _lookup(vocab: dict[str, int], ids: np.ndarray) -> np.ndarray:
-    """Vocabulary index of every id in an array; OOV_INDEX for unknown ids."""
-    if not vocab:
-        return np.full(ids.shape, OOV_INDEX, dtype=np.int64)
-    keys = np.array(list(vocab), dtype=str)
-    order = np.argsort(keys)
-    keys = keys[order]
-    codes = np.fromiter(vocab.values(), dtype=np.int64, count=len(vocab))[order]
-    at = np.minimum(np.searchsorted(keys, ids), len(keys) - 1)
-    return np.where(keys[at] == ids, codes[at], OOV_INDEX)
+def _indices(vocab: dict[str, int], ids: np.ndarray) -> np.ndarray:
+    """Each id's vocabulary index (OOV_INDEX if unknown), then OOV_INDEX for code -1."""
+    return np.array([vocab.get(s, OOV_INDEX) for s in ids.tolist()] + [OOV_INDEX],
+                    dtype=np.int64)

@@ -306,9 +306,9 @@ def load_checkpoint(path) -> PretrainedModel | DelayModel:
             meta = json.loads(bytes(blob["__meta__"]).decode())
             if not isinstance(meta, dict):
                 raise DataError(f"{path}: checkpoint metadata is not a JSON object")
-            if meta.get("version") != CHECKPOINT_VERSION:
-                raise DataError(f"unsupported checkpoint version {meta.get('version')} "
-                                f"in {path}")
+            version = meta.get("version")
+            if type(version) is not int or version != CHECKPOINT_VERSION:
+                raise DataError(f"unsupported checkpoint version {version} in {path}")
             kind = meta.get("kind")
             if kind not in ("pretrained", "delay"):
                 raise DataError(f"{path} holds an unknown checkpoint kind {kind!r}")

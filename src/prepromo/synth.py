@@ -155,10 +155,11 @@ def generate_dataset(world: WorldParams, n: int, mode: str, seed: int,
                      gen: GenConfig | None = None) -> ClickTable:
     """Generate n clicks in time order, with labels, truth, and user histories.
 
-    Each (user, item) pair is clicked at most once, so the event-log
-    serialization of a dataset has unambiguous purchase attribution. A
-    click's histories hold the same user's earlier carted and directly
-    bought items, as `user_histories` reads them from an event log.
+    Codes k stand for the ids `u{k}`, `i{k}` and `c{k}`; item k is in
+    category k % n_categories. Each (user, item) pair is clicked at most
+    once, so the event-log serialization of a dataset has unambiguous
+    purchase attribution. A click's histories hold the same user's earlier
+    carted and directly bought items, as `user_histories` reads them.
     """
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
@@ -212,7 +213,7 @@ def generate_dataset(world: WorldParams, n: int, mode: str, seed: int,
         clicked.add((uid, item))
         users[i] = uid
         items[i] = item
-    users, items = np.array(users), np.array(items)
+    users, items = np.array(users, dtype=np.int32), np.array(items, dtype=np.int32)
 
     traits = user_traits(world, gen.n_users)
     z_del = x @ world.w_del + world.gamma * disc + traits[users] + world.b_del
@@ -229,17 +230,16 @@ def generate_dataset(world: WorldParams, n: int, mode: str, seed: int,
     delayed = ~direct & (u < q_dir + q_del)
 
     ts = days * SECONDS_PER_DAY + slots
-    item_ids = np.array([f"i{k}" for k in range(gen.n_items)])[items]
     atc_items, atc_len, pay_items, pay_len = user_histories(
-        users, ts, item_ids, np.arange(n), gen.max_seq_len, A == 1, direct)
+        users, ts, items, np.arange(n), gen.max_seq_len, A == 1, direct)
     return ClickTable(
-        user_id=np.array([f"u{k}" for k in range(gen.n_users)])[users],
-        item_id=item_ids,
-        category_id=np.array([f"c{k % gen.n_categories}" for k in range(gen.n_items)])[items],
+        user_id=users, item_id=items, category_id=items % np.int32(gen.n_categories),
         click_ts=ts, click_day=days, price=np.zeros(n), discount=disc,
         A=A, y_all=(direct | delayed).astype(np.int8), y_delay=delayed.astype(np.int8),
         atc_items=atc_items, atc_len=atc_len, pay_items=pay_items, pay_len=pay_len,
-        features=x,
+        users=np.array([f"u{k}" for k in range(gen.n_users)]),
+        items=np.array([f"i{k}" for k in range(gen.n_items)]),
+        categories=np.array([f"c{j}" for j in range(gen.n_categories)]), features=x,
         truth=dict(zip(TRUTH_KEYS, (p_a, mu1, mu0, q_dir, mu1 - mu0))))
 
 

@@ -643,6 +643,19 @@ class TestMinimize:
             assert p.name == q.name
             assert_bitwise(p.data, q.data)
 
+    def test_steps_write_weight_gradients_into_the_last_steps_arrays(self, monkeypatch):
+        # Fresh arrays cost fresh pages whenever glibc has trimmed the heap.
+        mlp, data = self.problem()
+        seen, step = [], ad.Adagrad.step
+        monkeypatch.setattr(ad.Adagrad, "step",
+                            lambda opt, grads: (seen.append(dict(grads)), step(opt, grads)))
+        ad.minimize(mlp.parameters(), data, self.loss_of(mlp, data), self.CONFIG,
+                    np.random.default_rng(9), "test")
+        weights = [p.name for p in mlp.parameters() if p.data.ndim == 2]
+        assert len(seen) == 8 and len(weights) == 2
+        for before, after in zip(seen, seen[1:]):
+            assert all(after[k] is before[k] for k in weights)
+
     def test_non_finite_loss_names_stage_and_step_before_stepping(self):
         mlp, data = self.problem()
         base = self.loss_of(mlp, data)

@@ -174,8 +174,25 @@ class TestTrainEvaluate:
          "PretrainConfig.learning_rate: '0.1'"),
         (lambda m: {**m, "encoder": {**m["encoder"], "dense_dim": "6"}},
          "FeatureEncoder.dense_dim: '6'"),
+        (lambda m: _encoder(m, "user_vocab", lambda v: {k: "x" for k in v}),
+         "user_vocab must number str ids 1..n, once each"),
+        (lambda m: _encoder(m, "item_vocab", lambda v: {k: str(i) for k, i in v.items()}),
+         "item_vocab must number str ids 1..n, once each"),
+        (lambda m: _encoder(m, "cat_vocab", lambda v: {k: True for k in v}),
+         "cat_vocab must number str ids 1..n, once each"),
+        (lambda m: _encoder(m, "user_vocab", lambda v: {k: 1 for k in v}),
+         "user_vocab must number str ids 1..n, once each"),
+        (lambda m: _encoder(m, "price_edges", lambda e: ["0.5"]),
+         "price_edges must be finite non-decreasing floats"),
+        (lambda m: _encoder(m, "disc_edges", lambda e: [0.5, float("nan")]),
+         "disc_edges must be finite non-decreasing floats"),
+        (lambda m: _encoder(m, "disc_edges", lambda e: e[::-1]),
+         "disc_edges must be finite non-decreasing floats"),
+        (lambda m: {**m, "version": True}, "unsupported checkpoint version True"),
     ], ids=["meta_list", "frozen_str", "widths_str", "dim_float", "dim_bool",
-            "lr_str", "dense_dim_str"])
+            "lr_str", "dense_dim_str", "vocab_str_values", "vocab_str_indices",
+            "vocab_bool_indices", "vocab_repeated_index", "edges_str", "edges_nan",
+            "edges_decreasing", "version_bool"])
     def test_mistyped_metadata_is_data_error(self, tiny_ini, tmp_path, capsys,
                                              rewrite_checkpoint, edit, message):
         out = tmp_path / "run"
@@ -186,6 +203,11 @@ class TestTrainEvaluate:
                      "--checkpoint", str(ckpt)])
         assert code == 3
         assert message in capsys.readouterr().err
+
+
+def _encoder(meta, key, change):
+    """Checkpoint metadata with one field of its encoder changed."""
+    return {**meta, "encoder": {**meta["encoder"], key: change(meta["encoder"][key])}}
 
 
 class TestErrorCodes:

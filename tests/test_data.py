@@ -501,9 +501,9 @@ class TestIngestOracle:
             assert got == want
             return
         assert event_rows(got) == want
-        for codes, ids in ((got.user, got.user_id), (got.item, got.item_id)):
-            pairs = set(zip(codes.tolist(), ids.tolist()))
-            assert len(pairs) == len(set(codes.tolist())) == len(set(ids.tolist()))
+        for codes, ids in ((got.user, got.users), (got.item, got.items),
+                           (got.category, got.categories)):
+            assert codes.dtype == np.int32 and len(set(ids.tolist())) == len(ids)
 
 
 class TestBuildClickDataset:
@@ -698,6 +698,93 @@ class TestFeatureEncoderReference:
         a = enc.encode(clicks)
         for name, x in reference_encode(enc, rows, clicks.features).items():
             assert np.array_equal(x, getattr(a, name)), name
+
+
+def reversed_vocabularies(clicks):
+    """The same clicks, with every vocabulary stored in reverse order."""
+    out = {}
+    for kind, columns in data._VOCABULARIES.items():
+        vocab = getattr(clicks, kind)
+        out[kind] = vocab[::-1]
+        for name in columns:
+            codes = getattr(clicks, name)
+            out[name] = np.where(codes >= 0, len(vocab) - 1 - codes, -1).astype(np.int32)
+    return dataclasses.replace(clicks, **out)
+
+
+def per_row_arrays(table) -> dict[str, np.ndarray]:
+    """Every array of a ClickTable or EventLog that holds a value per row."""
+    out = {f.name: getattr(table, f.name) for f in dataclasses.fields(table)
+           if f.name not in ("users", "items", "categories", "truth")}
+    out.update(getattr(table, "truth", {}))
+    return {k: v for k, v in out.items() if v is not None}
+
+
+class TestIdCodes:
+    """Tables carry int32 id codes, and one string vocabulary per id kind."""
+
+    @given(drawn=st.data(), ctx=st.integers(0, 3), max_seq_len=st.integers(1, 4))
+    def test_encodes_a_table_with_its_own_vocabulary_order(self, drawn, ctx, max_seq_len):
+        # As `evaluate` encodes a new log: the table numbers its ids its own
+        # way and holds ids the fit never saw.
+        fit_on = drawn.draw(click_samples(ctx))
+        original = drawn.draw(click_samples(ctx))
+        probe = reversed_vocabularies(original)
+        rows = list(probe)
+        assert rows == list(original)
+        enc = FeatureEncoder(n_buckets=3, max_seq_len=max_seq_len).fit(fit_on)
+        a = enc.encode(probe)
+        for name, x in reference_encode(enc, rows, probe.features).items():
+            y = getattr(a, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+    @given(drawn=st.data())
+    def test_concatenation_merges_vocabularies(self, drawn):
+        a = drawn.draw(click_samples(1))
+        b = reversed_vocabularies(drawn.draw(click_samples(1)))
+        both = a + b
+        assert list(both) == list(a) + list(b)
+        for kind in data._VOCABULARIES:
+            ids = getattr(both, kind).tolist()
+            assert len(set(ids)) == len(ids)
+
+    def test_indexing_and_concatenation_share_one_vocabulary(self):
+        clicks = click_table([ClickRow("u", f"i{k}", "c", 5 * DAY + k, 5, 0.0, 0.0)
+                              for k in range(4)])
+        part = clicks[1:3] + clicks[np.array([0])]
+        for kind in data._VOCABULARIES:
+            assert getattr(part, kind) is getattr(clicks, kind)
+        assert [r.item_id for r in part] == ["i1", "i2", "i0"]
+
+    def test_no_per_row_column_holds_strings(self):
+        from prepromo.synth import (GenConfig, generate_dataset, sample_world,
+                                    samples_to_events)
+
+        gen = GenConfig(n_users=40, n_items=60)
+        clicks = generate_dataset(sample_world(2, d=3), 500, "prepromo", seed=4, gen=gen)
+        events = samples_to_events(clicks, gen.calendar)
+        built = build_click_dataset(events, gen.calendar, max_seq_len=gen.max_seq_len)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "events.csv"
+            write_events_csv(events, path)
+            read = ingest_csv(path)
+        assert list(built) == list(clicks)
+        for table in (clicks, built, data.EventLog.of(events), read):
+            arrays = per_row_arrays(table)
+            strings = {k for k, v in arrays.items() if v.dtype.kind in "US"}
+            assert strings == set(), type(table).__name__
+            assert all(len(v) == len(table) for v in arrays.values())
+
+    def test_desk_table_bytes_per_click(self):
+        # 547 bytes a click when ids were strings.
+        from prepromo.experiment import make_config, synthetic_world
+        from prepromo.synth import generate_dataset
+
+        world, gen = synthetic_world(make_config("desk").dataset)
+        clicks = generate_dataset(world, 50_000, "prepromo", seed=1, gen=gen)
+        total = sum(a.nbytes for a in per_row_arrays(clicks).values()) + sum(
+            getattr(clicks, kind).nbytes for kind in data._VOCABULARIES)
+        assert total / len(clicks) <= 360
 
 
 def row_contract_problems(clicks) -> list[str]:

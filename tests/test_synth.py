@@ -113,7 +113,7 @@ class TestGenerateDataset:
     def test_ice_formula(self, world, prepromo_200k):
         traits = user_traits(world, 1000)
         head = prepromo_200k[:500]
-        users = np.array([int(u[1:]) for u in head.user_id])
+        users = np.array([int(u[1:]) for u in head.users[head.user_id]])
         z = (head.features @ world.w_del + world.gamma * head.discount
              + traits[users] + world.b_del)
         ice = world.scale * (_sigmoid(z + world.tau) - _sigmoid(z))
