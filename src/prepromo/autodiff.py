@@ -87,7 +87,8 @@ class Parameter:
 
     def __init__(self, name: str, data, trainable: bool = True):
         self.name = name
-        self.data = _as_array(data)
+        # C order, so that Adagrad's flat views step the array itself.
+        self.data = np.asarray(data, dtype=np.float64, order="C")
         self.trainable = trainable
 
     def node(self) -> Node:
@@ -281,9 +282,16 @@ def _scatter_rows(ids: Array, rows: Array, shape: tuple) -> Array:
     return np.bincount(flat, weights=rows.reshape(-1), minlength=n * dim).reshape(shape)
 
 
+def _index(ids) -> Array:
+    """Integer ids as np.intp, numpy's own index type: int32 ids would make
+    every gather cast them, and id * dim in _scatter_rows could overflow
+    int32. Float ids raise TypeError rather than truncate."""
+    return np.asarray(ids).astype(np.intp, casting="safe", copy=False)
+
+
 def embedding(table: Node, ids: Array) -> Node:
     """Row lookup: ids (n,) int -> (n, dim)."""
-    ids = np.asarray(ids)
+    ids = _index(ids)
 
     def back(g):
         return (_scatter_rows(ids, g, table.data.shape),)
@@ -293,14 +301,16 @@ def embedding(table: Node, ids: Array) -> Node:
 def embedding_bag(table: Node, ids: Array, mask: Array) -> Node:
     """Masked mean-pool of rows: ids (n, L) int, mask (n, L) in {0,1} -> (n, dim).
 
-    Rows with an all-zero mask pool to the zero vector.
+    Rows with an all-zero mask pool to the zero vector. A bool mask is
+    taken as its 0.0/1.0 form.
     """
-    ids = np.asarray(ids)
+    ids = _index(ids)
     mask = _as_array(mask)
     counts = mask.sum(axis=1)
     denom = np.maximum(counts, 1.0)
-    rows = table.data[ids]                       # (n, L, dim)
-    pooled = (rows * mask[:, :, None]).sum(axis=1) / denom[:, None]
+    rows = table.data[ids]                       # (n, L, dim), a fresh gather
+    rows *= mask[:, :, None]
+    pooled = rows.sum(axis=1) / denom[:, None]
 
     def back(g):
         contrib = (g / denom[:, None])[:, None, :] * mask[:, :, None]   # (n, L, dim)
@@ -491,6 +501,11 @@ class MLP:
 # Optimizer
 # ---------------------------------------------------------------------------
 
+# Adagrad's block, in floats: 256 KB of float64, so the five arrays that a
+# block's seven passes touch stay in a core's cache.
+ADAGRAD_BLOCK = 1 << 15
+
+
 class Adagrad:
     """Per-coordinate Adagrad: accum += g^2; p -= lr * g / (sqrt(accum) + eps).
 
@@ -507,9 +522,9 @@ class Adagrad:
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate parameter names: {sorted(names)}")
         self.accum = {p.name: np.zeros_like(p.data) for p in self._params}
-        # Two scratch buffers as large as the largest parameter; each step
-        # views their head in the parameter's shape instead of allocating.
-        size = max((p.data.size for p in self._params), default=0)
+        # Two scratch buffers of one block each; a step runs through every
+        # parameter in blocks of ADAGRAD_BLOCK floats instead of allocating.
+        size = min(ADAGRAD_BLOCK, max((p.data.size for p in self._params), default=0))
         self._num = np.empty(size)
         self._den = np.empty(size)
 
@@ -518,16 +533,24 @@ class Adagrad:
             g = grads.get(p.name)
             if g is None:
                 continue
-            acc = self.accum[p.name]
-            num = self._num[:p.data.size].reshape(p.data.shape)
-            den = self._den[:p.data.size].reshape(p.data.shape)
-            np.multiply(g, g, out=num)
-            acc += num
-            np.multiply(self.lr, g, out=num)
-            np.sqrt(acc, out=den)
-            den += self.eps
-            num /= den
-            p.data -= num
+            if g.shape != p.data.shape:
+                raise UsageError(f"gradient of {p.name!r} has shape {g.shape}, "
+                                 f"the parameter {p.data.shape}")
+            # Views of the C-order parameter and accumulator; a non-contiguous
+            # gradient (a split of concat's) is copied once.
+            data, acc, g = p.data.reshape(-1), self.accum[p.name].reshape(-1), g.reshape(-1)
+            for start in range(0, g.size, ADAGRAD_BLOCK):
+                gb = g[start:start + ADAGRAD_BLOCK]
+                ab = acc[start:start + ADAGRAD_BLOCK]
+                db = data[start:start + ADAGRAD_BLOCK]
+                num, den = self._num[:gb.size], self._den[:gb.size]
+                np.multiply(gb, gb, out=num)
+                ab += num
+                np.multiply(self.lr, gb, out=num)
+                np.sqrt(ab, out=den)
+                den += self.eps
+                num /= den
+                db -= num
 
 
 # ---------------------------------------------------------------------------

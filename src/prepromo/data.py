@@ -677,14 +677,14 @@ OOV_INDEX = 0
 class EncodedDataset:
     """Model-ready arrays of a ClickTable, for batched training."""
 
-    dense: np.ndarray          # (n, dense_dim): context features ++ [price, discount]
-    user_idx: np.ndarray       # (n,) int
+    dense: np.ndarray          # (n, dense_dim) float: context features ++ [price, discount]
+    user_idx: np.ndarray       # (n,) int32, as every index column
     item_idx: np.ndarray
     cat_idx: np.ndarray
     price_bucket: np.ndarray
     disc_bucket: np.ndarray
-    atc_seq: np.ndarray        # (n, L) int
-    atc_mask: np.ndarray       # (n, L) float in {0, 1}
+    atc_seq: np.ndarray        # (n, L) int32 item indices, OOV_INDEX past the history
+    atc_mask: np.ndarray       # (n, L) bool: True where atc_seq holds a history entry
     pay_seq: np.ndarray
     pay_mask: np.ndarray
     y_all: np.ndarray          # (n,) float
@@ -758,9 +758,9 @@ class FeatureEncoder:
                     ) -> tuple[np.ndarray, np.ndarray]:
         n, L = len(items), self.max_seq_len
         width = min(L, items.shape[1])
-        ids = np.zeros((n, L), dtype=np.int64)
+        ids = np.zeros((n, L), dtype=np.int32)
         ids[:, :width] = index[items[:, :width]]
-        mask = np.zeros((n, L))
+        mask = np.zeros((n, L), dtype=bool)
         mask[:, :width] = np.arange(width) < lengths[:, None]
         return ids, mask
 
@@ -792,8 +792,8 @@ class FeatureEncoder:
             user_idx=_indices(self.user_vocab, clicks.users)[clicks.user_id],
             item_idx=items[clicks.item_id],
             cat_idx=_indices(self.cat_vocab, clicks.categories)[clicks.category_id],
-            price_bucket=np.searchsorted(self.price_edges, clicks.price, side="right"),
-            disc_bucket=np.searchsorted(self.disc_edges, clicks.discount, side="right"),
+            price_bucket=_bucket(self.price_edges, clicks.price),
+            disc_bucket=_bucket(self.disc_edges, clicks.discount),
             atc_seq=atc_ids, atc_mask=atc_mask, pay_seq=pay_ids, pay_mask=pay_mask,
             y_all=clicks.y_all.astype(np.float64),
             y_delay=clicks.y_delay.astype(np.float64),
@@ -840,4 +840,9 @@ def _first_seen(ids: np.ndarray, codes: np.ndarray) -> dict[str, int]:
 def _indices(vocab: dict[str, int], ids: np.ndarray) -> np.ndarray:
     """Each id's vocabulary index (OOV_INDEX if unknown), then OOV_INDEX for code -1."""
     return np.array([vocab.get(s, OOV_INDEX) for s in ids.tolist()] + [OOV_INDEX],
-                    dtype=np.int64)
+                    dtype=np.int32)
+
+
+def _bucket(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each value's bucket: the number of edges at or below it."""
+    return np.searchsorted(edges, values, side="right").astype(np.int32)

@@ -508,23 +508,24 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
         raise TrainingError(f"stage {stage} failed: {exc}") from exc
 
     reference = "cmdcm" if "cmdcm" in cfg.variants else cfg.variants[0]
-    comparisons = (paired_comparisons(reports, reference)
-                   if len(cfg.seeds) > 1 else [])
+    paired = len(set(cfg.seeds)) > 1
     result = ExperimentResult(
-        reports=reports, summary=summarize(reports), comparisons=comparisons,
+        reports=reports, summary=summarize(reports),
+        comparisons=paired_comparisons(reports, reference) if paired else [],
         diagnostics=diagnostics, loss_traces=loss_traces, stage_trace=trace,
         config_hash=config_hash(cfg))
 
     out.mkdir(parents=True, exist_ok=True)
     config_echo = asdict(cfg)
     config_echo.pop("out_dir")  # identical runs must produce identical bytes
-    emit_report(reports, "json", out / "report.json", reference=reference,
+    emit_report(reports, "json", out / "report.json", summary=result.summary,
+                comparisons=result.comparisons if paired else None,
                 extra={"config": config_echo,
                        "config_hash": result.config_hash,
                        "diagnostics": {str(k): dict(sorted(v.items()))
                                        for k, v in sorted(diagnostics.items())},
                        "stage_trace": trace})
-    emit_report(reports, "csv", out / "report.csv")
+    emit_report(reports, "csv", out / "report.csv", summary=result.summary)
     _write_loss_traces(loss_traces, out / "loss_traces.csv")
     return result
 

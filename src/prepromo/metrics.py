@@ -196,21 +196,24 @@ def paired_comparisons(reports: list[MetricReport], reference: str) -> list[dict
     return out
 
 
-def emit_report(reports: list[MetricReport], fmt: str, path,
-                reference: str | None = None, extra: dict | None = None) -> None:
+def emit_report(reports: list[MetricReport], fmt: str, path, summary: dict | None = None,
+                comparisons: list[dict] | None = None, extra: dict | None = None) -> None:
     """Write reports as json or csv with a stable field order.
 
-    Multi-seed runs include a mean/std summary block; when a reference
-    variant is named, a paired per-seed comparison block is added. No
+    Both formats hold the mean/std summary block: `summary`, the
+    summarize(reports) a caller already has, or else computed here. JSON
+    adds `comparisons`, paired_comparisons' block, when given. No
     wall-clock or environment data: identical runs produce identical bytes.
     """
     rows = sorted(reports, key=lambda r: (r.variant, r.seed))
+    if summary is None:
+        summary = summarize(rows)
     if fmt == "json":
         doc = {"version": REPORT_SCHEMA_VERSION,
                "reports": [r.to_dict() for r in rows],
-               "summary": summarize(rows)}
-        if reference is not None and len({r.seed for r in rows}) > 1:
-            doc["comparisons"] = paired_comparisons(rows, reference)
+               "summary": summary}
+        if comparisons is not None:
+            doc["comparisons"] = comparisons
         if extra:
             doc["extra"] = extra
         with open(path, "w", encoding="utf-8") as fh:
@@ -226,7 +229,6 @@ def emit_report(reports: list[MetricReport], fmt: str, path,
                                  f"{r.auc_all:.6f}", f"{r.auc_delay:.6f}",
                                  f"{r.nll_delay:.6f}", r.n_eval, r.n_conversions,
                                  r.n_delayed, r.n_nonconv])
-            summary = summarize(rows)
             for v, entry in summary.items():
                 writer.writerow([f"{v}/mean", "",
                                  *(f"{entry[m]['mean']:.6f}" for m in METRIC_FIELDS),

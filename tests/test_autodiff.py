@@ -189,9 +189,10 @@ class TestPrimitiveGradients:
     def test_embedding_ops(self):
         rng = np.random.default_rng(10)
         table = ad.Parameter("table", rng.normal(size=(6, 3)))
-        ids = np.array([0, 2, 2, 5])
-        bag_ids = np.array([[1, 2, 0], [3, 0, 0]])
-        bag_mask = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        # The encoder's dtypes: int32 ids, bool masks.
+        ids = np.array([0, 2, 2, 5], dtype=np.int32)
+        bag_ids = np.array([[1, 2, 0], [3, 0, 0]], dtype=np.int32)
+        bag_mask = np.array([[True, True, False], [True, False, False]])
 
         def build():
             single = ad.embedding(table.node(), ids)
@@ -465,6 +466,33 @@ class TestBitIdentity:
         expected = ref_scatter(ids.reshape(-1), contrib.reshape(-1, 4), table.data.shape)
         assert_bitwise(node._backward(g)[0], expected)
 
+    def test_compact_ids_and_bool_mask(self):
+        # The encoder's int32 ids and bool masks give the bits of int64 ids
+        # and 0.0/1.0 masks, forward and backward, with NaN and negative
+        # rows (x * False is -0.0 for x < 0) under False entries.
+        rng = np.random.default_rng(6)
+        table = ad.constant(np.resize(np.append(EDGE, np.nan), (9, 4)))
+        table.data[[2, 5]] *= -1.0
+        n, length = 64, 10
+        ids = rng.integers(0, 9, size=(n, length))
+        mask = rng.uniform(size=(n, length)) < 0.6
+        mask[::3] = False
+        g = np.resize(EDGE, (n, 4))
+        for narrow, wide in (((ids[:, 0].astype(np.int32),), (ids[:, 0],)),
+                             ((ids.astype(np.int32), mask), (ids, mask.astype(float)))):
+            op = ad.embedding if len(narrow) == 1 else ad.embedding_bag
+            fast, ref = op(table, *narrow), op(table, *wide)
+            assert_bitwise(fast.data, ref.data)
+            assert_bitwise(fast._backward(g)[0], ref._backward(g)[0])
+        assert np.isnan(fast.data).any()
+
+    def test_float_ids_are_refused_not_truncated(self):
+        table = ad.constant(np.arange(6.0).reshape(3, 2))
+        for op, args in ((ad.embedding, ()), (ad.embedding_bag, (np.ones((1, 1)),))):
+            ids = np.array([1.5]).reshape((1,) * (1 + len(args)))
+            with pytest.raises((TypeError, IndexError)):
+                op(table, ids, *args)
+
     def test_adagrad_matches_reference_formula(self):
         rng = np.random.default_rng(5)
         shapes = {"scalar": (), "vec": (7,), "mat": (256, 32), "wide": (64, 512)}
@@ -593,6 +621,70 @@ class TestAdagrad:
             assert np.all(opt.accum["w"] >= prev)
             prev = opt.accum["w"].copy()
 
+
+BLOCK = ad.ADAGRAD_BLOCK
+
+
+def adagrad_scratch(opt) -> int:
+    """Floats an Adagrad holds besides its accumulators."""
+    return sum(v.size for v in vars(opt).values() if isinstance(v, np.ndarray))
+
+
+class TestBlockedAdagrad:
+    """Adagrad steps in blocks of ADAGRAD_BLOCK floats; the result is that of
+    one pass over the whole array."""
+
+    SHAPE = (17, 5783)  # 3 * BLOCK + 7 floats
+
+    def test_blocks_match_the_whole_array_step(self):
+        assert np.prod(self.SHAPE) == 3 * BLOCK + 7
+        rng = np.random.default_rng(8)
+        p = ad.Parameter("w", rng.normal(size=self.SHAPE))
+        data, accum = p.data.copy(), np.zeros(self.SHAPE)
+        opt = ad.Adagrad([p], lr=0.05, eps=1e-10)
+        assert adagrad_scratch(opt) <= 2 * BLOCK
+        for step in range(5):
+            g = rng.normal(size=self.SHAPE) * 10.0 ** (step - 2)
+            if step == 1:
+                g = np.zeros(self.SHAPE)
+            elif step == 2:
+                # A split of a wider gradient, as concat's backward yields.
+                g = np.split(rng.normal(size=(17, 2 * 5783)), [5783], axis=1)[0]
+                assert not g.flags.c_contiguous
+            else:
+                # Signed zeros and subnormals across the first block boundary.
+                g.reshape(-1)[BLOCK - 2:BLOCK + 2] = [0.0, -0.0, TINY, -TINY]
+            before = p.data.copy()
+            opt.step({"w": g})
+            ref_adagrad_step(data, accum, g, 0.05, 1e-10)
+            assert_bitwise(p.data, data)
+            assert_bitwise(opt.accum["w"], accum)
+            if step == 1:
+                assert_bitwise(p.data, before)
+
+    def test_updates_the_parameter_in_place(self):
+        # A parameter made from a transposed array is C-ordered, so the
+        # step's flat views are views of it.
+        p = ad.Parameter("w", np.ones(self.SHAPE[::-1]).T)
+        assert p.data.flags.c_contiguous
+        data = p.data
+        ad.Adagrad([p]).step({"w": np.ones(self.SHAPE)})
+        assert p.data is data and np.all(data < 1.0)
+
+    def test_refuses_a_gradient_of_another_shape(self):
+        p = ad.Parameter("w", np.ones(self.SHAPE))
+        opt = ad.Adagrad([p])
+        for shape in (self.SHAPE[::-1], self.SHAPE[1:]):
+            with pytest.raises(UsageError, match="shape"):
+                opt.step({"w": np.ones(shape)})
+        assert np.all(p.data == 1.0) and not opt.accum["w"].any()
+
+    def test_paper_width_scratch_is_two_blocks(self):
+        # Two buffers as large as the largest parameter held 1.25 M floats.
+        model, _ = paper_width_delay(1)
+        params = model.parameters()
+        assert max(p.data.size for p in params) > BLOCK
+        assert adagrad_scratch(ad.Adagrad(params)) <= 2 * BLOCK
 
 
 class Rows:

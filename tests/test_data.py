@@ -643,11 +643,11 @@ def reference_encode(enc, rows, features):
     n, L = len(rows), enc.max_seq_len
     seqs = {}
     for name in ("atc_seq", "pay_seq"):
-        ids, mask = np.zeros((n, L), dtype=np.int64), np.zeros((n, L))
+        ids, mask = np.zeros((n, L), dtype=np.int32), np.zeros((n, L), dtype=bool)
         for i, r in enumerate(rows):
             for j, item in enumerate(getattr(r, name)[:L]):
                 ids[i, j] = enc.item_vocab.get(item, 0)
-                mask[i, j] = 1.0
+                mask[i, j] = True
         seqs[name], seqs[name[:3] + "_mask"] = ids, mask
     ctx = enc.dense_dim - 2
     dense = np.zeros((n, enc.dense_dim))
@@ -656,12 +656,15 @@ def reference_encode(enc, rows, features):
         dense[i, ctx:] = r.price, r.discount
 
     def idx(vocab, key):
-        return np.array([vocab.get(getattr(r, key), 0) for r in rows])
+        return np.array([vocab.get(getattr(r, key), 0) for r in rows], dtype=np.int32)
+
+    def bucket(edges, key):
+        return np.array([np.sum(edges <= getattr(r, key)) for r in rows], dtype=np.int32)
     return dict(
         seqs, dense=dense, user_idx=idx(enc.user_vocab, "user_id"),
         item_idx=idx(enc.item_vocab, "item_id"), cat_idx=idx(enc.cat_vocab, "category_id"),
-        price_bucket=np.searchsorted(enc.price_edges, [r.price for r in rows], side="right"),
-        disc_bucket=np.searchsorted(enc.disc_edges, [r.discount for r in rows], side="right"),
+        price_bucket=bucket(enc.price_edges, "price"),
+        disc_bucket=bucket(enc.disc_edges, "discount"),
         y_all=np.array([float(r.y_all) for r in rows]),
         y_delay=np.array([float(r.y_delay) for r in rows]),
         A=np.array([float(r.A) for r in rows]))
@@ -785,6 +788,18 @@ class TestIdCodes:
         total = sum(a.nbytes for a in per_row_arrays(clicks).values()) + sum(
             getattr(clicks, kind).nbytes for kind in data._VOCABULARIES)
         assert total / len(clicks) <= 360
+
+    def test_encoded_bytes_per_row(self):
+        # int64 ids and float64 masks held 1 712 bytes a row.
+        from prepromo.synth import GenConfig, generate_dataset, sample_world
+
+        gen = GenConfig(n_users=200, n_items=400, max_seq_len=50)
+        clicks = generate_dataset(sample_world(3, d=4), 2000, "prepromo", seed=1, gen=gen)
+        enc = FeatureEncoder(max_seq_len=50).fit(clicks).encode(clicks)
+        assert enc.atc_seq.shape == (2000, 50) and enc.dense.shape == (2000, 6)
+        total = sum(getattr(enc, f.name).nbytes for f in dataclasses.fields(enc)
+                    if f.name != "truth")
+        assert total / enc.n <= 600
 
 
 def row_contract_problems(clicks) -> list[str]:

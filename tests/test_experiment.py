@@ -384,6 +384,25 @@ def test_frozen_base_scores_the_eval_split_once(tmp_path, monkeypatch):
     assert "dr_ate" in result.diagnostics[1]
 
 
+def test_report_blocks_are_computed_once(tmp_path, monkeypatch):
+    # run_experiment hands its summary and comparisons to emit_report.
+    from prepromo import experiment as exp, metrics
+
+    calls = []
+    for name in ("summarize", "paired_comparisons"):
+        def counted(*args, _f=getattr(metrics, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(exp, name, counted)
+        monkeypatch.setattr(metrics, name, counted)
+    result = run_experiment(tiny_config(variants=("pretrained_only", "naive_finetune"),
+                                        seeds=(1, 2), out_dir=str(tmp_path)))
+    assert sorted(calls) == ["paired_comparisons", "summarize"]
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["summary"] == result.summary
+    assert doc["comparisons"] == result.comparisons != []
+
+
 class TestVariantIsolation:
     def test_wo_cm_alone_builds_imputation(self, tmp_path):
         cfg = tiny_config(variants=("wo_cm",), out_dir=str(tmp_path))

@@ -188,7 +188,7 @@ class TestReports:
     def test_json_document(self, tmp_path):
         reports = make_reports()
         path = tmp_path / "report.json"
-        emit_report(reports, "json", path, reference="cmdcm")
+        emit_report(reports, "json", path, comparisons=paired_comparisons(reports, "cmdcm"))
         doc = json.loads(path.read_text())
         assert doc["version"] == 1
         assert len(doc["reports"]) == 10
@@ -201,9 +201,17 @@ class TestReports:
     def test_json_deterministic_bytes(self, tmp_path):
         reports = make_reports()
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        emit_report(reports, "json", p1, reference="cmdcm")
-        emit_report(reports, "json", p2, reference="cmdcm")
+        for p in (p1, p2):
+            emit_report(reports, "json", p, comparisons=paired_comparisons(reports, "cmdcm"))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_given_summary_writes_the_computed_bytes(self, tmp_path, fmt):
+        reports = make_reports()
+        given, computed = tmp_path / "given", tmp_path / "computed"
+        emit_report(reports, fmt, given, summary=summarize(reports[::-1]))
+        emit_report(reports, fmt, computed)
+        assert given.read_bytes() == computed.read_bytes()
 
     def test_csv_round_trip_six_decimals(self, tmp_path):
         reports = make_reports()
