@@ -6,7 +6,7 @@ attribution, and the add-to-cart indicator window.
 Run: python3 demos/03_label_semantics.py
 """
 
-from prepromo.data import (ActionEvent, PromotionCalendar, SECONDS_PER_DAY,
+from prepromo.data import (ActionEvent, EventLog, PromotionCalendar, SECONDS_PER_DAY,
                            build_click_dataset)
 
 DAY = SECONDS_PER_DAY
@@ -21,7 +21,7 @@ def main():
     def ev(user, item, action, day, offset):
         return ActionEvent(user, item, "c0", action, day * DAY + offset)
 
-    events = [
+    events = EventLog.of([
         # u1/i1: click day 5, buys the same day        -> direct (1, 0)
         ev("u1", "i1", "click", 5, 100),
         ev("u1", "i1", "buy", 5, 900),
@@ -38,7 +38,7 @@ def main():
         ev("u5", "i5", "click", 5, 100),
         ev("u5", "i5", "click", 5, 500),
         ev("u5", "i5", "buy", 5, 800),
-    ]
+    ])
 
     samples = build_click_dataset(events, calendar)
     print(f"{'user':<5} {'item':<5} {'day':>3}  {'y_all':>5} {'y_delay':>7} {'A':>2}")

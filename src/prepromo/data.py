@@ -32,15 +32,15 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field, replace
-from itertools import compress, islice
+from dataclasses import dataclass, field
+from itertools import compress, islice, repeat
 from operator import length_hint
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .decode import decode
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, UsageError
 
 log = logging.getLogger("prepromo.data")
 
@@ -75,8 +75,9 @@ class EventLog:
 
     `users`, `items` and `categories` hold each distinct id string once, in
     any order; an event's `user` code indexes `users`, and so on. Assembly
-    only tests codes for equality. `ingest_csv` returns an EventLog;
-    `EventLog.of` adapts a sequence of ActionEvents.
+    only tests codes for equality. `ingest_csv` and `synth.samples_to_events`
+    return an EventLog, `write_events_csv` writes one, and `EventLog.of`
+    adapts a hand-written sequence of ActionEvents.
     """
 
     action: np.ndarray
@@ -179,10 +180,12 @@ class ClickTable:
     entries in each row. `features` is the (n, d) context of synthetic clicks,
     and `truth` holds the generator's probabilities (TRUTH_KEYS) when known.
 
-    `len`, `+`, indexing with an int, a slice or an index array, and
-    iteration as ClickRows serve the CSV writers, the benchmark and the tests;
-    the pipeline itself reads whole columns. Indexing shares the vocabularies;
-    `+` merges two that differ.
+    `len`, `+`, and indexing with a slice or an index array serve the
+    pipeline, which otherwise reads whole columns. Indexing shares the
+    vocabularies, and `+` joins two tables with equal vocabularies (two draws
+    of one generator config) and refuses any others. ClickRow, iteration as
+    ClickRows and indexing with an int remain because the benchmark's
+    workloads iterate tables and many tests index them.
     """
 
     user_id: np.ndarray
@@ -208,12 +211,12 @@ class ClickTable:
     def __len__(self) -> int:
         return len(self.click_ts)
 
-    def _apply(self, fn, *others: "ClickTable", **vocabularies) -> "ClickTable":
-        """fn over each column of self and others; self's vocabularies unless given."""
+    def _apply(self, fn, *others: "ClickTable") -> "ClickTable":
+        """fn over each column of self and others, with self's vocabularies."""
         tables = (self, *others)
         return ClickTable(
             *(fn(*(getattr(t, name) for t in tables)) for name in _COLUMNS),
-            **{kind: vocabularies.get(kind, getattr(self, kind)) for kind in _VOCABULARIES},
+            **{kind: getattr(self, kind) for kind in _VOCABULARIES},
             features=None if self.features is None else fn(*(t.features for t in tables)),
             truth={k: fn(*(t.truth[k] for t in tables)) for k in self.truth})
 
@@ -223,17 +226,10 @@ class ClickTable:
         return self._apply(lambda col: col[key])
 
     def __add__(self, other: "ClickTable") -> "ClickTable":
-        merged, recoded = {}, {}
-        for kind, columns in _VOCABULARIES.items():
-            mine, theirs = getattr(self, kind), getattr(other, kind)
-            if mine is theirs or np.array_equal(mine, theirs):
-                continue
-            index = dict(zip(mine.tolist(), range(len(mine))))
-            remap = np.array([index.setdefault(s, len(index)) for s in theirs.tolist()]
-                             + [-1], dtype=np.int32)  # padding -1 stays -1
-            merged[kind] = np.array(list(index), dtype=str)
-            recoded.update({name: remap[getattr(other, name)] for name in columns})
-        return self._apply(_concat, replace(other, **recoded), **merged)
+        for kind in _VOCABULARIES:
+            if not np.array_equal(getattr(self, kind), getattr(other, kind)):
+                raise UsageError(f"cannot add click tables whose {kind} vocabularies differ")
+        return self._apply(_concat, other)
 
     def __iter__(self):
         item = self.items.tolist().__getitem__
@@ -266,8 +262,7 @@ class DatasetSplit:
 # Label derivation and dataset assembly
 # ---------------------------------------------------------------------------
 
-def build_click_dataset(events: EventLog | Sequence[ActionEvent],
-                        calendar: PromotionCalendar,
+def build_click_dataset(events: EventLog, calendar: PromotionCalendar,
                         max_seq_len: int = DEFAULT_MAX_SEQ_LEN,
                         count_intermediate_as_all: bool = False) -> ClickTable:
     """Labels, cart indicator and sequences of every in-window click of a
@@ -277,8 +272,6 @@ def build_click_dataset(events: EventLog | Sequence[ActionEvent],
     dropped, but still take part in purchase attribution. Purchases with no
     preceding click of the same (user, item) are ignored.
     """
-    if not isinstance(events, EventLog):
-        events = EventLog.of(events)
     action, ts = events.action, events.timestamp
     day = (ts + calendar.tz_offset) // SECONDS_PER_DAY
     daily = (calendar.daily_train_range[0] <= day) & (day <= calendar.daily_train_range[1])
@@ -427,33 +420,33 @@ def partition_dataset(clicks: ClickTable, calendar: PromotionCalendar,
 # CSV ingestion / serialization
 # ---------------------------------------------------------------------------
 
+# Every event log holds user, item, category, action and timestamp at
+# columns 0-4; a price and a discount column may follow.
+_FIXED_COLUMNS = ("user", "item", "category", "action", "timestamp")
+_USER, _ITEM, _CATEGORY, _ACTION, _TIMESTAMP = range(len(_FIXED_COLUMNS))
+# Raw action strings and the actions they stand for; each action maps itself.
 DEFAULT_ACTION_MAP = {
     "click": "click", "pv": "click",
     "atc": "atc", "cart": "atc", "add-to-cart": "atc",
     "fav": "fav", "favorite": "fav",
     "buy": "buy", "pay": "buy", "purchase": "buy",
 }
+# A log with more malformed rows than this is refused.
+MAX_MALFORMED = 100
 
 
 @dataclass(slots=True)
 class CsvSchema:
-    """Column layout and value mappings for action-event CSV files."""
+    """What varies between event-log CSV files: the delimiter, and the
+    columns of the optional price and discount, distinct and from 5 up."""
 
     delimiter: str = ","
-    user_col: int = 0
-    item_col: int = 1
-    category_col: int = 2
-    action_col: int = 3
-    timestamp_col: int = 4
     price_col: int | None = None
     discount_col: int | None = None
-    action_map: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_ACTION_MAP))
-    max_malformed: int = 100
 
     def __post_init__(self):
-        taken: dict[int, str] = {}
-        for name in ("user", "item", "category", "action", "timestamp", "price",
-                     "discount"):
+        taken = dict(enumerate(_FIXED_COLUMNS))
+        for name in ("price", "discount"):
             col = getattr(self, f"{name}_col")
             if col is None:
                 continue
@@ -469,17 +462,20 @@ class CsvSchema:
 # 1024 records parsed fastest: their rows stay in cache while being split
 # into columns.
 _BLOCK = 1 << 10
-_UNMAPPED, _INVALID = -1, -2
+_UNMAPPED = -1
+_RAW_ACTION_CODE = {raw: _ACTION_CODE[action] for raw, action in DEFAULT_ACTION_MAP.items()}
 
 
 def ingest_csv(path, schema: CsvSchema | None = None) -> EventLog:
-    """Parse an event log, skipping malformed rows up to the schema threshold.
+    """Parse an event log, skipping up to MAX_MALFORMED malformed rows.
 
-    Blank records are skipped. A record shorter than the schema is
-    malformed; then a row with an unmapped action string is skipped
-    (counted, logged, never fatal); then a row whose timestamp is not a
-    positive 64-bit int, or whose price or discount is not a float, is
-    malformed. More than `max_malformed` malformed rows abort the load. A
+    User, item, category, action and timestamp are columns 0-4; price and
+    discount are read from their schema columns, else 0.0. Blank records
+    are skipped. A record shorter than the schema is malformed; then a row
+    whose action DEFAULT_ACTION_MAP does not map is skipped (counted,
+    logged, never fatal); then a row whose timestamp is not a positive
+    64-bit int, or whose price or discount is not a float, is malformed.
+    More than MAX_MALFORMED malformed rows abort the load. A
     nan or inf price or discount on an otherwise sound row raises DataError
     naming the row; bytes that are not UTF-8, or a record the csv module
     refuses, raise DataError naming the last record read. Row numbers count
@@ -549,20 +545,14 @@ class _LogParser:
 
     def __init__(self, path, schema: CsvSchema):
         self.path, self.schema = path, schema
-        self.columns = {schema.user_col, schema.item_col, schema.category_col,
-                        schema.action_col, schema.timestamp_col,
-                        schema.price_col, schema.discount_col} - {None}
+        self.columns = {*range(len(_FIXED_COLUMNS)), schema.price_col,
+                        schema.discount_col} - {None}
         self.width = max(self.columns) + 1
-        self.actions = _Memo(self._action_code)
-        self.ids = [(column, *_id_codes()) for column in
-                    (schema.user_col, schema.item_col, schema.category_col)]
+        self.actions = _Memo(lambda raw: _RAW_ACTION_CODE.get(raw.strip(), _UNMAPPED))
+        self.ids = [(column, *_id_codes()) for column in (_USER, _ITEM, _CATEGORY)]
         self.blocks: list[tuple[np.ndarray, ...]] = []
         self.malformed: list[np.ndarray] = []
         self.unknown_actions = 0
-
-    def _action_code(self, raw: str) -> int:
-        action = self.schema.action_map.get(raw.strip())
-        return _UNMAPPED if action is None else _ACTION_CODE.get(action, _INVALID)
 
     def add(self, rows: list[list[str]], first: int) -> None:
         """Parse rows, the csv records numbered from `first`."""
@@ -577,7 +567,7 @@ class _LogParser:
         raw = {column: values
                for column, values in enumerate(islice(zip(*rows), self.width))
                if column in self.columns}
-        action = np.fromiter(map(self.actions.__getitem__, raw[schema.action_col]),
+        action = np.fromiter(map(self.actions.__getitem__, raw[_ACTION]),
                              np.int8, len(rows))
         mapped = action != _UNMAPPED
         self.unknown_actions += len(rows) - int(np.count_nonzero(mapped))
@@ -585,8 +575,8 @@ class _LogParser:
 
         n = len(line)
         ts, price, discount = np.zeros(n, np.int64), np.zeros(n), np.zeros(n)
-        ok = action != _INVALID
-        for fn, out, column in ((int, ts, schema.timestamp_col),
+        ok = np.ones(n, dtype=bool)
+        for fn, out, column in ((int, ts, _TIMESTAMP),
                                 (float, price, schema.price_col),
                                 (float, discount, schema.discount_col)):
             if column is not None:
@@ -606,13 +596,13 @@ class _LogParser:
         self.blocks.append((*codes, action[ok], ts[ok], price[ok], discount[ok]))
 
     def finish(self) -> EventLog:
-        schema, path = self.schema, self.path
+        path = self.path
         malformed = np.sort(np.concatenate(self.malformed))
-        if len(malformed) > schema.max_malformed:
+        if len(malformed) > MAX_MALFORMED:
             shown = ", ".join(map(str, malformed[:20].tolist()))
             raise DataError(
                 f"{len(malformed)} malformed rows in {path} (threshold "
-                f"{schema.max_malformed}); first rows: {shown}")
+                f"{MAX_MALFORMED}); first rows: {shown}")
         if len(malformed):
             log.warning("skipped %d malformed rows in %s", len(malformed), path)
         if self.unknown_actions:
@@ -640,30 +630,24 @@ def _select(raw: dict[int, Sequence[str]], keep: np.ndarray) -> dict[int, Sequen
     return {column: list(compress(values, keep)) for column, values in raw.items()}
 
 
-def write_events_csv(events: Iterable[ActionEvent], path,
-                     schema: CsvSchema | None = None) -> None:
-    """Inverse of ingest_csv: each field at its schema column, gaps left empty."""
+def write_events_csv(events: EventLog, path, schema: CsvSchema | None = None) -> None:
+    """Inverse of ingest_csv. One row per event, sorted stably by timestamp:
+    user, item, category, action name and timestamp at columns 0-4, price
+    and discount at their schema columns if set, other columns empty."""
     schema = schema or CsvSchema()
-    reverse_action = {}
-    for raw, canon in schema.action_map.items():
-        reverse_action.setdefault(canon, raw)
-    fields = [(schema.user_col, lambda e: e.user_id),
-              (schema.item_col, lambda e: e.item_id),
-              (schema.category_col, lambda e: e.category_id),
-              (schema.action_col, lambda e: reverse_action.get(e.action, e.action)),
-              (schema.timestamp_col, lambda e: str(e.timestamp))]
-    if schema.price_col is not None:
-        fields.append((schema.price_col, lambda e: repr(e.price)))
-    if schema.discount_col is not None:
-        fields.append((schema.discount_col, lambda e: repr(e.discount)))
-    width = 1 + max(column for column, _ in fields)
+    order = np.argsort(events.timestamp, kind="stable")
+    fields = {_USER: events.users[events.user[order]].tolist(),
+              _ITEM: events.items[events.item[order]].tolist(),
+              _CATEGORY: events.categories[events.category[order]].tolist(),
+              _ACTION: np.array(ACTIONS)[events.action[order]].tolist(),
+              _TIMESTAMP: events.timestamp[order].tolist()}
+    for column, values in ((schema.price_col, events.price),
+                           (schema.discount_col, events.discount)):
+        if column is not None:
+            fields[column] = map(repr, values[order].tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=schema.delimiter)
-        for e in sorted(events, key=lambda e: e.timestamp):
-            row = [""] * width
-            for column, value in fields:
-                row[column] = value(e)
-            writer.writerow(row)
+        csv.writer(fh, delimiter=schema.delimiter).writerows(
+            zip(*(fields.get(column, repeat("")) for column in range(max(fields) + 1))))
 
 
 # ---------------------------------------------------------------------------

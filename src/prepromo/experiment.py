@@ -79,10 +79,11 @@ class DatasetConfig:
     n_users: int = 1000
     n_items: int = 2000
     n_categories: int = 50
-    # csv log
+    # csv log: columns 0-4 are user, item, category, action and timestamp;
+    # price and discount sit at distinct columns from 5 up, -1 when absent
     events_path: str = ""
     delimiter: str = ","
-    price_col: int = -1          # -1: column absent
+    price_col: int = -1
     discount_col: int = -1
     daily_start: int = field(default=0, metadata={"day": True})
     daily_end: int = field(default=3, metadata={"day": True})

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import sigmoid_values
-from .data import (TRUTH_KEYS, ActionEvent, ClickTable, PromotionCalendar,
+from .data import (ACTIONS, TRUTH_KEYS, ClickTable, EventLog, PromotionCalendar,
                    SECONDS_PER_DAY, user_histories)
 from .errors import ConfigError, UsageError
 
@@ -159,7 +159,9 @@ def generate_dataset(world: WorldParams, n: int, mode: str, seed: int,
     category k % n_categories. Each (user, item) pair is clicked at most
     once, so the event-log serialization of a dataset has unambiguous
     purchase attribution. A click's histories hold the same user's earlier
-    carted and directly bought items, as `user_histories` reads them.
+    carted and directly bought items, as `user_histories` reads them. Clicks
+    take one-second slots from the start of their calendar day, tz_offset
+    included, so `calendar.day_of(click_ts)` is the click's day.
     """
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
@@ -178,6 +180,9 @@ def generate_dataset(world: WorldParams, n: int, mode: str, seed: int,
         day_lo, day_hi = cal.pre_promo_range
         b_dir = world.b_dir_pre
     n_days = day_hi - day_lo + 1
+    if cal.day_start_ts(day_lo) < 0:
+        raise ConfigError(f"day {day_lo} starts before timestamp 0 under tz_offset "
+                          f"{cal.tz_offset}; event timestamps must be positive")
     if n > n_days * (SECONDS_PER_DAY - 2):
         raise ConfigError(f"{n} samples do not fit {n_days} day(s) at one-second slots")
 
@@ -229,7 +234,7 @@ def generate_dataset(world: WorldParams, n: int, mode: str, seed: int,
     direct = u < q_dir
     delayed = ~direct & (u < q_dir + q_del)
 
-    ts = days * SECONDS_PER_DAY + slots
+    ts = cal.day_start_ts(days) + slots
     atc_items, atc_len, pay_items, pay_len = user_histories(
         users, ts, items, np.arange(n), gen.max_seq_len, A == 1, direct)
     return ClickTable(
@@ -256,30 +261,29 @@ def true_ate(clicks: ClickTable) -> float:
 # Serialization: clicks -> event log + ground-truth sidecar
 # ---------------------------------------------------------------------------
 
-def samples_to_events(clicks: ClickTable, calendar: PromotionCalendar) -> list[ActionEvent]:
-    """Expand clicks into the click/atc/buy events that would have produced them.
+def samples_to_events(clicks: ClickTable, calendar: PromotionCalendar) -> EventLog:
+    """The click, cart and purchase events that would have produced the clicks.
 
-    Carted items get an atc event at the click instant; direct conversions a
-    same-second purchase; delayed conversions a purchase on the first
-    promotion day, at a per-click offset.
+    Each click is followed by a cart event at the click instant if carted,
+    then by a purchase if it converted: a direct conversion in the click's
+    second, the k-th delayed conversion k seconds into the first promotion
+    day. Events run click by click, in that order within a click.
     """
-    events: list[ActionEvent] = []
-    promo_day = min(calendar.promo_days)
-    delayed_slot = 0
-    for s in clicks:
-        events.append(ActionEvent(s.user_id, s.item_id, s.category_id, "click",
-                                  s.click_ts, price=s.price, discount=s.discount))
-        if s.A:
-            events.append(ActionEvent(s.user_id, s.item_id, s.category_id, "atc",
-                                      s.click_ts))
-        if s.y_all and not s.y_delay:
-            events.append(ActionEvent(s.user_id, s.item_id, s.category_id, "buy",
-                                      s.click_ts))
-        elif s.y_delay:
-            delayed_slot += 1
-            ts = promo_day * SECONDS_PER_DAY + delayed_slot
-            events.append(ActionEvent(s.user_id, s.item_id, s.category_id, "buy", ts))
-    return events
+    # Which of its click, cart and purchase events each click has; nonzero
+    # lists them click by click, in that order within a click.
+    has = np.stack([np.ones(len(clicks), bool), clicks.A != 0,
+                    (clicks.y_all != 0) | (clicks.y_delay != 0)], axis=1)
+    row, kind = np.nonzero(has)
+    ts = clicks.click_ts[row]
+    delayed = (kind == 2) & (clicks.y_delay[row] != 0)
+    ts[delayed] = calendar.promo_start_ts() + np.arange(1, np.count_nonzero(delayed) + 1)
+    clicked = kind == 0
+    return EventLog(
+        action=np.array([ACTIONS.index(a) for a in ("click", "atc", "buy")], np.int8)[kind],
+        timestamp=ts, price=np.where(clicked, clicks.price[row], 0.0),
+        discount=np.where(clicked, clicks.discount[row], 0.0), user=clicks.user_id[row],
+        item=clicks.item_id[row], category=clicks.category_id[row], users=clicks.users,
+        items=clicks.items, categories=clicks.categories)
 
 
 GROUND_TRUTH_COLUMNS = ("sample_id", "p_a_true", "mu1_true", "mu0_true", "ice_true")
@@ -287,9 +291,10 @@ GROUND_TRUTH_COLUMNS = ("sample_id", "p_a_true", "mu1_true", "mu0_true", "ice_tr
 
 def write_ground_truth_csv(clicks: ClickTable, path) -> None:
     """One row per click: `user:item:click_ts`, then the truth columns."""
-    truth = [clicks.truth[key].tolist() for key in GROUND_TRUTH_COLUMNS[1:]]
+    ids = map("{}:{}:{}".format, clicks.users[clicks.user_id].tolist(),
+              clicks.items[clicks.item_id].tolist(), clicks.click_ts.tolist())
+    truth = [map(repr, clicks.truth[key].tolist()) for key in GROUND_TRUTH_COLUMNS[1:]]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(GROUND_TRUTH_COLUMNS)
-        for s, *values in zip(clicks, *truth):
-            writer.writerow([f"{s.user_id}:{s.item_id}:{s.click_ts}", *map(repr, values)])
+        writer.writerows(zip(ids, *truth))

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from prepromo import autodiff as ad
+from prepromo import data
 from prepromo.data import ActionEvent, CsvSchema
 from prepromo.errors import DataError, TrainingError
 
@@ -190,6 +191,26 @@ def brute_force_sequences(click, events, max_len):
     return tuple(atc[:max_len]), tuple(pay[:max_len])
 
 
+def row_wise_events(clicks, calendar) -> list[ActionEvent]:
+    """The events of generated clicks, one click at a time: the click, a
+    cart event at the click instant if carted, then a purchase if it
+    converted, at the click instant if direct and k seconds into the first
+    promotion day if it is the k-th delayed one."""
+    events: list[ActionEvent] = []
+    delayed = 0
+    for s in clicks:
+        ids = (s.user_id, s.item_id, s.category_id)
+        events.append(ActionEvent(*ids, "click", s.click_ts, s.price, s.discount))
+        if s.A:
+            events.append(ActionEvent(*ids, "atc", s.click_ts))
+        if s.y_delay:
+            delayed += 1
+            events.append(ActionEvent(*ids, "buy", calendar.promo_start_ts() + delayed))
+        elif s.y_all:
+            events.append(ActionEvent(*ids, "buy", s.click_ts))
+    return events
+
+
 def row_wise_ingest_csv(path, schema: CsvSchema | None = None) -> list[ActionEvent]:
     """An event log parsed one row at a time into ActionEvents.
 
@@ -197,13 +218,13 @@ def row_wise_ingest_csv(path, schema: CsvSchema | None = None) -> list[ActionEve
     `prepromo.data` logger: blank records skipped; short records malformed;
     then unmapped actions skipped and counted; then a failed int/float parse
     or a non-positive timestamp malformed; the first sound row with a
-    non-finite price or discount raises; more than `max_malformed` malformed
-    rows raise. Sorted by timestamp, ties in file order.
+    non-finite price or discount raises; more than `data.MAX_MALFORMED`
+    malformed rows raise. User, item, category, action and timestamp are
+    columns 0-4. Sorted by timestamp, ties in file order.
     """
     log = logging.getLogger("prepromo.data")
     schema = schema or CsvSchema()
-    needed = [schema.user_col, schema.item_col, schema.category_col,
-              schema.action_col, schema.timestamp_col]
+    needed = [4]
     if schema.price_col is not None:
         needed.append(schema.price_col)
     if schema.discount_col is not None:
@@ -221,17 +242,17 @@ def row_wise_ingest_csv(path, schema: CsvSchema | None = None) -> list[ActionEve
             if len(row) < width:
                 malformed.append(lineno)
                 continue
-            action = schema.action_map.get(row[schema.action_col].strip())
+            action = data.DEFAULT_ACTION_MAP.get(row[3].strip())
             if action is None:
                 unknown_actions += 1
                 continue
             try:
                 event = ActionEvent(
-                    user_id=row[schema.user_col].strip(),
-                    item_id=row[schema.item_col].strip(),
-                    category_id=row[schema.category_col].strip(),
+                    user_id=row[0].strip(),
+                    item_id=row[1].strip(),
+                    category_id=row[2].strip(),
                     action=action,
-                    timestamp=int(row[schema.timestamp_col]),
+                    timestamp=int(row[4]),
                     price=float(row[schema.price_col]) if schema.price_col is not None else 0.0,
                     discount=float(row[schema.discount_col]) if schema.discount_col is not None else 0.0,
                 )
@@ -242,11 +263,11 @@ def row_wise_ingest_csv(path, schema: CsvSchema | None = None) -> list[ActionEve
                 raise DataError(f"row {lineno} of {path}: non-finite price {event.price!r} "
                                 f"or discount {event.discount!r}")
             events.append(event)
-    if len(malformed) > schema.max_malformed:
+    if len(malformed) > data.MAX_MALFORMED:
         shown = ", ".join(map(str, malformed[:20]))
         raise DataError(
             f"{len(malformed)} malformed rows in {path} (threshold "
-            f"{schema.max_malformed}); first rows: {shown}")
+            f"{data.MAX_MALFORMED}); first rows: {shown}")
     if malformed:
         log.warning("skipped %d malformed rows in %s", len(malformed), path)
     if unknown_actions:

@@ -233,7 +233,7 @@ class TestAC6AblationOrdering:
 
 class TestAC7LabelOracle:
     def test_ac7_derive_labels_equals_brute_force_on_1000_logs(self):
-        from prepromo.data import ActionEvent, build_click_dataset
+        from prepromo.data import ActionEvent, EventLog, build_click_dataset
 
         calendar = PromotionCalendar(daily_train_range=(0, 3),
                                      pre_promo_range=(4, 6),
@@ -253,7 +253,7 @@ class TestAC7LabelOracle:
                     for _ in range(int(rng.integers(0, 30)))]
             inter = bool(rng.integers(0, 2))
             got = {(s.user_id, s.item_id, s.click_ts): (s.y_all, s.y_delay)
-                   for s in build_click_dataset([*clicks, *buys], calendar,
+                   for s in build_click_dataset(EventLog.of([*clicks, *buys]), calendar,
                                                 count_intermediate_as_all=inter)}
             oracle = brute_force_labels(clicks, buys, calendar,
                                         count_intermediate_as_all=inter)

@@ -14,11 +14,11 @@ from hypothesis import given, strategies as st
 
 from prepromo import data
 from prepromo.data import (
-    DEFAULT_ACTION_MAP, ActionEvent, ClickRow, CsvSchema, FeatureEncoder,
+    MAX_MALFORMED, ActionEvent, ClickRow, CsvSchema, EventLog, FeatureEncoder,
     PromotionCalendar, SECONDS_PER_DAY, build_click_dataset,
     ingest_csv, partition_dataset, write_events_csv,
 )
-from prepromo.errors import ConfigError, DataError
+from prepromo.errors import ConfigError, DataError, UsageError
 
 from oracles import (brute_force_atc, brute_force_labels, brute_force_sequences,
                      row_wise_ingest_csv)
@@ -41,59 +41,59 @@ def buy(user, item, day, offset=500):
 
 class TestDeriveLabels:
     def test_direct_conversion(self):
-        out = build_click_dataset([click("u", "i", 5), buy("u", "i", 5)], CAL)
+        out = build_click_dataset(EventLog.of([click("u", "i", 5), buy("u", "i", 5)]), CAL)
         assert (out[0].y_all, out[0].y_delay) == (1, 0)
 
     def test_delayed_conversion(self):
-        out = build_click_dataset([click("u", "i", 5), buy("u", "i", 7)], CAL)
+        out = build_click_dataset(EventLog.of([click("u", "i", 5), buy("u", "i", 7)]), CAL)
         assert (out[0].y_all, out[0].y_delay) == (1, 1)
 
     def test_non_conversion(self):
-        out = build_click_dataset([click("u", "i", 5)], CAL)
+        out = build_click_dataset(EventLog.of([click("u", "i", 5)]), CAL)
         assert (out[0].y_all, out[0].y_delay) == (0, 0)
 
     def test_intermediate_day_purchase_is_non_conversion(self):
         # Click day 4, buy day 6: neither same-day nor promotion day.
-        out = build_click_dataset([click("u", "i", 4), buy("u", "i", 6)], CAL)
+        out = build_click_dataset(EventLog.of([click("u", "i", 4), buy("u", "i", 6)]), CAL)
         assert (out[0].y_all, out[0].y_delay) == (0, 0)
 
     def test_intermediate_switch_counts_as_direct(self):
-        out = build_click_dataset([click("u", "i", 4), buy("u", "i", 6)], CAL,
-                                  count_intermediate_as_all=True)
+        out = build_click_dataset(EventLog.of([click("u", "i", 4), buy("u", "i", 6)]),
+                                  CAL, count_intermediate_as_all=True)
         assert (out[0].y_all, out[0].y_delay) == (1, 0)
 
     def test_same_day_beats_promo_day(self):
         # Earliest qualifying purchase wins: the same-day one.
-        out = build_click_dataset(
-            [click("u", "i", 5), buy("u", "i", 5), buy("u", "i", 7)], CAL)
+        out = build_click_dataset(EventLog.of(
+            [click("u", "i", 5), buy("u", "i", 5), buy("u", "i", 7)]), CAL)
         assert (out[0].y_all, out[0].y_delay) == (1, 0)
 
     def test_purchase_goes_to_latest_preceding_click(self):
         c1, c2 = click("u", "i", 5, offset=100), click("u", "i", 5, offset=200)
-        out = build_click_dataset([c1, c2, buy("u", "i", 5, offset=300)], CAL)
+        out = build_click_dataset(EventLog.of([c1, c2, buy("u", "i", 5, offset=300)]), CAL)
         by_ts = {s.click_ts: s for s in out}
         assert by_ts[c2.timestamp].y_all == 1
         assert by_ts[c1.timestamp].y_all == 0
 
     def test_purchase_before_any_click_ignored(self):
-        out = build_click_dataset([click("u", "i", 5, offset=500),
-                                   buy("u", "i", 5, offset=100)], CAL)
+        out = build_click_dataset(EventLog.of([click("u", "i", 5, offset=500),
+                                               buy("u", "i", 5, offset=100)]), CAL)
         assert out[0].y_all == 0
 
     def test_promo_day_click_excluded(self):
-        out = build_click_dataset([click("u", "i", 7)], CAL)
+        out = build_click_dataset(EventLog.of([click("u", "i", 7)]), CAL)
         assert len(out) == 0
 
     def test_daily_click_gets_same_day_label_only(self):
-        out = build_click_dataset([click("u", "i", 2), buy("u", "i", 7)], CAL)
+        out = build_click_dataset(EventLog.of([click("u", "i", 2), buy("u", "i", 7)]), CAL)
         assert (out[0].y_all, out[0].y_delay) == (0, 0)
-        out = build_click_dataset([click("u", "i", 2), buy("u", "i", 2)], CAL)
+        out = build_click_dataset(EventLog.of([click("u", "i", 2), buy("u", "i", 2)]), CAL)
         assert (out[0].y_all, out[0].y_delay) == (1, 0)
 
     def test_label_implication_invariant(self):
         rng = np.random.default_rng(0)
         clicks, buys = _random_log(rng, n_users=20, n_items=10)
-        for s in build_click_dataset([*clicks, *buys], CAL):
+        for s in build_click_dataset(EventLog.of([*clicks, *buys]), CAL):
             assert s.y_delay <= s.y_all
 
 
@@ -120,7 +120,7 @@ class TestLabelOracleEquivalence:
             rng, n_users=int(rng.integers(2, 12)), n_items=int(rng.integers(2, 8)),
             n_clicks=int(rng.integers(5, 60)), n_buys=int(rng.integers(0, 40)))
         inter = bool(rng.integers(0, 2))
-        got = build_click_dataset([*clicks, *buys], CAL,
+        got = build_click_dataset(EventLog.of([*clicks, *buys]), CAL,
                                   count_intermediate_as_all=inter)
         want = brute_force_labels(clicks, buys, CAL, count_intermediate_as_all=inter)
         got_by_id = {(s.user_id, s.item_id, s.click_ts): (s.y_all, s.y_delay) for s in got}
@@ -133,7 +133,7 @@ class TestLabelOracleEquivalence:
 
 def assembled(click_event, others, **kw):
     """The one sample build_click_dataset makes from a click and other events."""
-    (sample,) = build_click_dataset([*others, click_event], CAL, **kw)
+    (sample,) = build_click_dataset(EventLog.of([*others, click_event]), CAL, **kw)
     return sample
 
 
@@ -278,7 +278,7 @@ class TestClickDatasetOracle:
                 (c.timestamp + calendar.tz_offset) // DAY, c.price, c.discount,
                 A=brute_force_atc(c, events, calendar), y_all=y_all, y_delay=y_delay,
                 atc_seq=atc, pay_seq=pay))
-        got = build_click_dataset(events, calendar, max_seq_len, inter)
+        got = build_click_dataset(EventLog.of(events), calendar, max_seq_len, inter)
         assert list(got) == want
 
 
@@ -349,17 +349,13 @@ class TestCsv:
 
     def test_malformed_rows_over_threshold_abort(self, tmp_path):
         path = tmp_path / "events.csv"
-        rows = ["u,i,c,pv,notatime"] * 5 + ["u,i,c,pv,100"]
-        path.write_text("\n".join(rows) + "\n")
-        schema = CsvSchema(max_malformed=2)
-        with pytest.raises(DataError, match="malformed"):
-            ingest_csv(path, schema)
-        schema = CsvSchema(max_malformed=10)
-        assert len(ingest_csv(path, schema)) == 1
         # The threshold itself passes; one malformed row more aborts.
-        assert len(ingest_csv(path, CsvSchema(max_malformed=5))) == 1
-        with pytest.raises(DataError, match="5 malformed rows .* first rows: 1, 2, 3, 4, 5"):
-            ingest_csv(path, CsvSchema(max_malformed=4))
+        path.write_text("u,i,c,pv,notatime\n" * MAX_MALFORMED + "u,i,c,pv,100\n")
+        assert len(ingest_csv(path)) == 1
+        path.write_text("u,i,c,pv,notatime\n" * (MAX_MALFORMED + 1) + "u,i,c,pv,100\n")
+        with pytest.raises(DataError, match=f"{MAX_MALFORMED + 1} malformed rows .*"
+                                            "first rows: 1, 2, 3, 4, 5, 6"):
+            ingest_csv(path)
 
     @pytest.mark.parametrize("price,discount", [("nan", "0.1"), ("inf", "0.1"),
                                                 ("1.5", "-inf"), ("1.5", "NaN")])
@@ -372,10 +368,11 @@ class TestCsv:
     def test_timestamp_beyond_int64_is_malformed(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("u1,i1,c1,pv,100\nu2,i2,c1,pv,99999999999999999999\n")
-        events = ingest_csv(path, CsvSchema(max_malformed=1))
-        assert events.timestamp.tolist() == [100]
-        with pytest.raises(DataError, match="first rows: 2$"):
-            ingest_csv(path, CsvSchema(max_malformed=0))
+        assert ingest_csv(path).timestamp.tolist() == [100]
+        path.write_text("u1,i1,c1,pv,100\n"
+                        + "u2,i2,c1,pv,99999999999999999999\n" * (MAX_MALFORMED + 1))
+        with pytest.raises(DataError, match="first rows: 2, 3, 4"):
+            ingest_csv(path)
 
     @pytest.mark.parametrize("content,record", [
         (b"u1,i1,c1,pv,100\nu\xe9,i1,c1,pv,200\n", 0),
@@ -389,13 +386,13 @@ class TestCsv:
     @pytest.mark.parametrize("columns,message", [
         (dict(price_col=4), "price and timestamp columns are both 4"),
         (dict(price_col=5, discount_col=5), "discount and price columns are both 5"),
-        (dict(user_col=1), "item and user columns are both 1"),
+        (dict(discount_col=0), "discount and user columns are both 0"),
     ])
     def test_schema_rejects_two_fields_in_one_column(self, columns, message):
         with pytest.raises(ConfigError, match=message):
             CsvSchema(**columns)
 
-    @pytest.mark.parametrize("columns", [dict(user_col=-1), dict(discount_col=-2)])
+    @pytest.mark.parametrize("columns", [dict(price_col=-1), dict(discount_col=-2)])
     def test_schema_rejects_negative_column(self, columns):
         with pytest.raises(ConfigError, match="must be non-negative"):
             CsvSchema(**columns)
@@ -406,9 +403,7 @@ class TestCsv:
             "default": CsvSchema(),
             "price-discount": CsvSchema(price_col=5, discount_col=6),
             "swapped": CsvSchema(price_col=6, discount_col=5),
-            "gapped": CsvSchema(user_col=2, category_col=0, price_col=7, discount_col=9,
-                                delimiter=";"),
-            "discount-only": CsvSchema(discount_col=5),
+            "discount-only": CsvSchema(discount_col=7, delimiter=";"),
         }
         for name, schema in layouts.items():
             events = []
@@ -422,7 +417,7 @@ class TestCsv:
                     discount=(float(np.round(rng.uniform(), 4))
                               if schema.discount_col is not None else 0.0)))
             path = tmp_path / f"{name}.csv"
-            write_events_csv(events, path, schema)
+            write_events_csv(EventLog.of(events), path, schema)
             back = ingest_csv(path, schema)
             assert event_rows(back) == sorted(events, key=lambda e: e.timestamp), name
 
@@ -443,7 +438,8 @@ def data_warnings():
 
 @st.composite
 def csv_logs(draw):
-    """CSV text with the oddities a log reader meets, and a schema to read it.
+    """CSV text with the oddities a log reader meets, a schema to read it,
+    and a malformed-row limit to read it under.
 
     Ids carry spaces, quotes, the delimiter and line breaks (quoted, so one
     record spans lines); timestamps are drawn from a few equal values, forms
@@ -468,12 +464,8 @@ def csv_logs(draw):
     csv.writer(text, delimiter=delimiter,
                lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(records)
     columns = draw(st.sampled_from([(None, None), (5, None), (5, 6), (6, 5)]))
-    # "look" is unmapped, or mapped to an action the package does not know.
-    action_map = {**DEFAULT_ACTION_MAP, **draw(st.sampled_from([{}, {"look": "view"}]))}
-    schema = CsvSchema(delimiter=delimiter, price_col=columns[0], discount_col=columns[1],
-                       action_map=action_map,
-                       max_malformed=draw(st.sampled_from([0, 1, 2, 5, 100])))
-    return text.getvalue(), schema
+    schema = CsvSchema(delimiter=delimiter, price_col=columns[0], discount_col=columns[1])
+    return text.getvalue(), schema, draw(st.sampled_from([0, 1, 2, 5, 100]))
 
 
 class TestIngestOracle:
@@ -481,7 +473,7 @@ class TestIngestOracle:
 
     @given(log=csv_logs(), block=st.sampled_from([1, 2, 3, data._BLOCK]))
     def test_matches_row_wise_reader(self, log, block):
-        text, schema = log
+        text, schema, limit = log
 
         def run(ingest):
             with data_warnings() as messages:
@@ -493,9 +485,10 @@ class TestIngestOracle:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "events.csv"
             path.write_text(text, encoding="utf-8", newline="")
-            want, want_warnings = run(row_wise_ingest_csv)
-            with mock.patch.object(data, "_BLOCK", block):
-                got, got_warnings = run(ingest_csv)
+            with mock.patch.object(data, "MAX_MALFORMED", limit):
+                want, want_warnings = run(row_wise_ingest_csv)
+                with mock.patch.object(data, "_BLOCK", block):
+                    got, got_warnings = run(ingest_csv)
         assert got_warnings == want_warnings
         if isinstance(want, str):
             assert got == want
@@ -514,7 +507,7 @@ class TestBuildClickDataset:
             ActionEvent("u", "i2", "c0", "atc", 5 * DAY + 150),
             buy("u", "i2", 7),
         ]
-        samples = build_click_dataset(events, CAL)
+        samples = build_click_dataset(EventLog.of(events), CAL)
         assert len(samples) == 1
         s = samples[0]
         assert (s.y_all, s.y_delay, s.A) == (1, 1, 1)
@@ -741,15 +734,15 @@ class TestIdCodes:
             y = getattr(a, name)
             assert x.dtype == y.dtype and np.array_equal(x, y), name
 
-    @given(drawn=st.data())
-    def test_concatenation_merges_vocabularies(self, drawn):
-        a = drawn.draw(click_samples(1))
-        b = reversed_vocabularies(drawn.draw(click_samples(1)))
-        both = a + b
-        assert list(both) == list(a) + list(b)
-        for kind in data._VOCABULARIES:
-            ids = getattr(both, kind).tolist()
-            assert len(set(ids)) == len(ids)
+    def test_concatenation_refuses_differing_vocabularies(self):
+        clicks = click_table([ClickRow("u", f"i{k}", "c", 5 * DAY + k, 5, 0.0, 0.0)
+                              for k in range(2)])
+        assert list(clicks + clicks) == list(clicks) * 2
+        for other, kind in ((reversed_vocabularies(clicks), "items"),
+                            (click_table([ClickRow("v", "i0", "c", 5 * DAY, 5, 0.0, 0.0)]),
+                             "users")):
+            with pytest.raises(UsageError, match=f"{kind} vocabularies differ"):
+                clicks + other
 
     def test_indexing_and_concatenation_share_one_vocabulary(self):
         clicks = click_table([ClickRow("u", f"i{k}", "c", 5 * DAY + k, 5, 0.0, 0.0)
@@ -772,7 +765,7 @@ class TestIdCodes:
             write_events_csv(events, path)
             read = ingest_csv(path)
         assert list(built) == list(clicks)
-        for table in (clicks, built, data.EventLog.of(events), read):
+        for table in (clicks, built, events, read):
             arrays = per_row_arrays(table)
             strings = {k for k, v in arrays.items() if v.dtype.kind in "US"}
             assert strings == set(), type(table).__name__

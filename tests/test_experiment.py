@@ -186,6 +186,11 @@ class TestConfigFile:
         path.write_text(text)
         assert asdict(load_config(path)) == asdict(cfg)
 
+    def test_every_csv_schema_field_is_a_dataset_setting(self):
+        # A schema field that no config file can set is a setting nothing uses.
+        schema = {f.name for f in fields(CsvSchema)}
+        assert schema <= {f.name for f in fields(DatasetConfig)}
+
     def test_demo_config_is_the_desk_profile(self):
         cfg = load_config(ROOT / "demos" / "experiment.ini")
         assert cfg == replace(make_config("desk"), out_dir=cfg.out_dir)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from prepromo.data import (SECONDS_PER_DAY, CsvSchema, build_click_dataset, ingest_csv,
-                           write_events_csv)
+from prepromo.data import (SECONDS_PER_DAY, CsvSchema, PromotionCalendar,
+                           build_click_dataset, ingest_csv, write_events_csv)
 from prepromo.errors import ConfigError, UsageError
 from prepromo.synth import (GenConfig, WorldParams, default_calendar,
                             generate_dataset, sample_world, samples_to_events,
                             true_ate, user_traits, write_ground_truth_csv)
+
+from oracles import row_wise_events
+from tables import event_rows
 
 WORLD_SEED = 7
 
@@ -222,6 +225,27 @@ class TestHandSetWorldRates:
         dg = rng.uniform(size=400_000)
         want_dir = np.mean(0.4 * _sigmoid(xg @ world.w_dir - 3.0))
         assert q_dir.mean() == pytest.approx(want_dir, abs=4 * 0.4 / np.sqrt(400_000))
+
+
+class TestTimezone:
+    """Click stamps, click days and delayed purchases agree under any tz_offset."""
+
+    @pytest.mark.parametrize("tz", [-3600, 0, 3600])
+    @pytest.mark.parametrize("mode", ["daily", "prepromo"])
+    def test_fields_agree_and_survive_the_event_log(self, world, tz, mode):
+        calendar = PromotionCalendar((1, 29), (30, 32), frozenset({33}), tz_offset=tz)
+        gen = GenConfig(calendar=calendar)
+        clicks = generate_dataset(world, 3000, mode, seed=5, gen=gen)
+        assert np.array_equal((clicks.click_ts + tz) // SECONDS_PER_DAY, clicks.click_day)
+        events = samples_to_events(clicks, calendar)
+        assert event_rows(events) == row_wise_events(clicks, calendar)
+        built = build_click_dataset(events, calendar, max_seq_len=gen.max_seq_len)
+        assert list(built) == list(clicks)
+
+    def test_a_day_before_timestamp_0_is_refused(self, world):
+        calendar = PromotionCalendar((0, 29), (30, 32), frozenset({33}), tz_offset=3600)
+        with pytest.raises(ConfigError, match="before timestamp 0"):
+            generate_dataset(world, 10, "daily", seed=5, gen=GenConfig(calendar=calendar))
 
 
 class TestSerialization:
