@@ -32,7 +32,7 @@ def main():
     for step in range(200):
         p = ad.sigmoid(net.forward(ad.constant(data))[-1])
         loss = ad.bce(p, labels)
-        opt.step(ad.backward(loss, net.parameters()))
+        opt.step(loss)                              # backward and update in one sweep
         if step % 50 == 0:
             print(f"step {step:3d}  bce {float(loss.data):.4f}")
 

@@ -226,16 +226,12 @@ def dense(x: Node, w: Node, b: Node, act: str = "linear") -> Node:
     else:
         out = z
 
-    def back(g):
+    def back(g, w_grad=None):
+        # w_grad, when given, is where the weight gradient is written
+        # (Tape.backward hands in the optimizer's scratch); else it is fresh.
         gz = _activation_grad(g, out, act)
-        spare = _SPARE_GRADS.pop((w.param.name, w.data.shape), None) if w.param else None
-        return gz @ w.data.T, np.matmul(x.data.T, gz, out=spare), gz.sum(axis=0)
+        return gz @ w.data.T, np.matmul(x.data.T, gz, out=w_grad), gz.sum(axis=0)
     return Node(out, op="dense", parents=(x, w, b), backward=back)
-
-
-# minimize's last gradients, by parameter name and shape. The next step's
-# weight gradients reuse them: fresh ones faulted in new pages at every step.
-_SPARE_GRADS: dict[tuple[str, tuple], Array] = {}
 
 
 def columns(a: Node, start: int, stop: int) -> Node:
@@ -331,7 +327,12 @@ class Tape:
     """Topologically ordered record of the graph below one node.
 
     nodes[i] only depends on nodes[:i]; a backward sweep therefore visits
-    each node exactly once.
+    each node exactly once, after every node that consumes it. A node's
+    parentless parents (parameters, constants, no_grad outputs) are placed
+    directly before it, so the sweep reaches a weight right after the node
+    that made its gradient. Only leaves take these places: the order of the
+    other nodes, and so of every gradient sum, is that of a plain depth-first
+    post-order.
     """
 
     __slots__ = ("nodes",)
@@ -342,27 +343,48 @@ class Tape:
     @classmethod
     def trace(cls, root: Node) -> "Tape":
         order: list[Node] = []
-        seen: set[int] = set()
+        seen: set[Node] = set()
         stack: list[tuple[Node, bool]] = [(root, False)]
         while stack:
             node, done = stack.pop()
             if done:
                 order.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
+            # Leaves go under the other parents: popped after their
+            # subtrees, they are placed directly before node.
+            leaves = len(stack)
             for parent in node.parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
+                if parent not in seen:
+                    if parent.parents:
+                        stack.append((parent, False))
+                    else:
+                        stack.insert(leaves, (parent, False))
+                        leaves += 1
         return cls(order)
 
-    def backward(self, root: Node, params: Iterable[Parameter] = ()) -> dict[str, Array]:
+    def backward(self, root: Node, params: Iterable[Parameter] = (),
+                 opt: "Adagrad | None" = None) -> dict[str, Array]:
         """Gradients of the scalar root w.r.t. every trainable parameter.
 
-        Trainable parameters unreachable from the root (or cut off by a
-        stop-gradient) get an explicit zero entry when listed in `params`.
+        One reverse sweep; each node's gradient is dropped once the node has
+        passed it on. A trainable parameter's gradient is handed on as soon
+        as it is final: at its node, or, for a parameter read through
+        several nodes, once the sweep has reached them all, summed over them
+        in tape order.
+
+        Without `opt` the gradients are returned by name; trainable
+        parameters unreachable from the root (or cut off by a stop-gradient)
+        get an explicit zero entry when listed in `params`. With `opt`, each
+        gradient of a parameter that opt holds goes to opt.update and is
+        dropped, so no whole gradient set is ever held, and {} is returned.
+        A `dense` whose weight opt holds, read through one node with one
+        consumer, writes that gradient into opt's shared scratch: the weight
+        node comes next in the sweep, so it is applied before the next
+        `dense` writes there.
         """
         if root.data.shape != ():
             raise UsageError("backward requires a scalar loss node, got shape "
@@ -370,27 +392,56 @@ class Tape:
         if root._backward is None and root.op not in _LEAF_OPS:
             raise UsageError(f"backward through a {root.op!r} loss built inside "
                              "no_grad, which records no graph")
-        grads: dict[int, Array] = {id(root): np.ones(())}
-        for node in reversed(self.nodes):
-            g = grads.get(id(node))
-            if g is None or node._backward is None:
-                continue
-            for parent, pg in zip(node.parents, node._backward(g)):
-                if pg is None:
-                    continue
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
+        reads: dict[str, int] = {}     # trainable parameter -> its nodes
+        uses: dict[Node, int] = {}     # node -> its consumers, when updating
+        for node in self.nodes:
+            p = node.param
+            if p is not None and p.trainable:
+                reads[p.name] = reads.get(p.name, 0) + 1
+            if opt is not None:
+                for parent in node.parents:
+                    uses[parent] = uses.get(parent, 0) + 1
 
         out: dict[str, Array] = {}
-        for node in self.nodes:
-            if node.param is not None and node.param.trainable:
-                g = grads.get(id(node))
-                if g is not None:
-                    prev = out.get(node.param.name)
-                    out[node.param.name] = g if prev is None else prev + g
-        for p in params:
-            if p.trainable and p.name not in out:
-                out[p.name] = np.zeros_like(p.data)
+        held: dict[str, list] = {}     # parts of a multi-node parameter
+        grads: dict[Node, Array] = {root: np.ones(())}
+        for node in reversed(self.nodes):
+            g = grads.pop(node, None)
+            p = node.param
+            if p is not None and p.trainable:
+                if reads[p.name] > 1:
+                    parts = held.setdefault(p.name, [])
+                    parts.append(g)
+                    if len(parts) < reads[p.name]:
+                        continue
+                    parts = [part for part in reversed(parts) if part is not None]
+                    g = sum(parts[1:], parts[0]) if parts else None
+                if g is None:
+                    continue
+                if opt is None:
+                    out[p.name] = g
+                elif p.name in opt.accum:
+                    opt.update(p, g)
+                continue
+            if g is None or node._backward is None:
+                continue
+            w = node.parents[1] if opt is not None and node.op == "dense" else None
+            if (w is not None and w.param is not None and w.param.trainable
+                    and w.param.name in opt.accum and reads[w.param.name] == 1
+                    and uses[w] == 1):
+                pgs = node._backward(g, opt.weight_grad(w.param))
+            else:
+                pgs = node._backward(g)
+            for parent, pg in zip(node.parents, pgs):
+                if pg is None:
+                    continue
+                acc = grads.get(parent)
+                grads[parent] = pg if acc is None else acc + pg
+
+        if opt is None:
+            for p in params:
+                if p.trainable and p.name not in out:
+                    out[p.name] = np.zeros_like(p.data)
         return out
 
 
@@ -509,8 +560,12 @@ ADAGRAD_BLOCK = 1 << 15
 class Adagrad:
     """Per-coordinate Adagrad: accum += g^2; p -= lr * g / (sqrt(accum) + eps).
 
-    Only trainable parameters are registered; anything else is untouched by
-    step() no matter what the gradient map contains.
+    Only trainable parameters are registered; anything else is untouched.
+    step(loss) is one whole training step: Tape.backward hands each
+    registered parameter's gradient to update() as soon as it is final, so
+    the step never holds a whole gradient set. The weight gradients that
+    `dense` makes go into one scratch buffer, the size of the largest
+    parameter, allocated at the first step and shared by every step after.
     """
 
     def __init__(self, params: Iterable[Parameter], lr: float = 0.001,
@@ -522,35 +577,44 @@ class Adagrad:
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate parameter names: {sorted(names)}")
         self.accum = {p.name: np.zeros_like(p.data) for p in self._params}
-        # Two scratch buffers of one block each; a step runs through every
+        # Two scratch buffers of one block each; update() runs through a
         # parameter in blocks of ADAGRAD_BLOCK floats instead of allocating.
         size = min(ADAGRAD_BLOCK, max((p.data.size for p in self._params), default=0))
         self._num = np.empty(size)
         self._den = np.empty(size)
+        self._weight_grads: Array | None = None
 
-    def step(self, grads: dict[str, Array]) -> None:
-        for p in self._params:
-            g = grads.get(p.name)
-            if g is None:
-                continue
-            if g.shape != p.data.shape:
-                raise UsageError(f"gradient of {p.name!r} has shape {g.shape}, "
-                                 f"the parameter {p.data.shape}")
-            # Views of the C-order parameter and accumulator; a non-contiguous
-            # gradient (a split of concat's) is copied once.
-            data, acc, g = p.data.reshape(-1), self.accum[p.name].reshape(-1), g.reshape(-1)
-            for start in range(0, g.size, ADAGRAD_BLOCK):
-                gb = g[start:start + ADAGRAD_BLOCK]
-                ab = acc[start:start + ADAGRAD_BLOCK]
-                db = data[start:start + ADAGRAD_BLOCK]
-                num, den = self._num[:gb.size], self._den[:gb.size]
-                np.multiply(gb, gb, out=num)
-                ab += num
-                np.multiply(self.lr, gb, out=num)
-                np.sqrt(ab, out=den)
-                den += self.eps
-                num /= den
-                db -= num
+    def step(self, loss: Node) -> None:
+        """Backpropagate the scalar loss and update every registered
+        parameter it reaches."""
+        Tape.trace(loss).backward(loss, opt=self)
+
+    def weight_grad(self, p: Parameter) -> Array:
+        """A p-shaped view of the shared weight-gradient scratch."""
+        if self._weight_grads is None:
+            self._weight_grads = np.empty(max(q.data.size for q in self._params))
+        return self._weight_grads[:p.data.size].reshape(p.data.shape)
+
+    def update(self, p: Parameter, g: Array) -> None:
+        """Apply one gradient to the registered parameter p."""
+        if g.shape != p.data.shape:
+            raise UsageError(f"gradient of {p.name!r} has shape {g.shape}, "
+                             f"the parameter {p.data.shape}")
+        # Views of the C-order parameter and accumulator; a non-contiguous
+        # gradient (a split of concat's) is copied once.
+        data, acc, g = p.data.reshape(-1), self.accum[p.name].reshape(-1), g.reshape(-1)
+        for start in range(0, g.size, ADAGRAD_BLOCK):
+            gb = g[start:start + ADAGRAD_BLOCK]
+            ab = acc[start:start + ADAGRAD_BLOCK]
+            db = data[start:start + ADAGRAD_BLOCK]
+            num, den = self._num[:gb.size], self._den[:gb.size]
+            np.multiply(gb, gb, out=num)
+            ab += num
+            np.multiply(self.lr, gb, out=num)
+            np.sqrt(ab, out=den)
+            den += self.eps
+            num /= den
+            db -= num
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +628,10 @@ def minimize(params: Iterable[Parameter], data, loss_of: Callable, config,
     config supplies learning_rate, batch_size and epochs. Each epoch visits
     the rows of `data` (anything with .n and .take(rows)) in one fresh
     rng.permutation; loss_of(data.take(rows), rows) builds a batch's scalar
-    loss node. A nan or inf loss would carry into every parameter through
-    Adagrad's accumulators, so training stops with TrainingError naming stage
-    and step before the optimizer applies its gradients.
+    loss node. A step is one Adagrad.step(loss) call, which backpropagates
+    and updates in one sweep. A nan or inf loss would carry into every
+    parameter through Adagrad's accumulators, so training stops with
+    TrainingError naming stage and step before that call.
     """
     if data.n == 0:
         raise DataError(f"{stage}: empty training set")
@@ -582,20 +647,20 @@ def minimize(params: Iterable[Parameter], data, loss_of: Callable, config,
             value = float(loss.data)
             if not math.isfinite(value):
                 raise TrainingError(f"{stage}: non-finite loss {value} at step {step}")
-            opt.step(grads := backward(loss))
-            _SPARE_GRADS.update(((k, g.shape), g) for k, g in grads.items()
-                                if g.base is None)
+            opt.step(loss)
             losses.append(value)
             step += 1
         epoch_means.append(float(np.mean(losses)))
-    _SPARE_GRADS.clear()
     return epoch_means, step
 
 
 # A scoring chunk holds at most SCORE_CHUNK rows and SCORE_FLOATS activation
-# floats (32 MB of float64). 8192-row chunks faulted in ~10 MB of pages each.
+# floats (8 MB of float64). 8192-row chunks faulted in ~10 MB of pages each,
+# and at 1 << 22 floats each paper-width predict call faulted in ~40 000
+# pages: glibc handed a chunk's freed activations back to the system and the
+# next chunk mapped them again.
 SCORE_CHUNK = 4096
-SCORE_FLOATS = 1 << 22
+SCORE_FLOATS = 1 << 20
 
 
 def score(n: int, forward: Callable[[slice], Sequence[Node]],

@@ -147,6 +147,16 @@ class ExperimentConfig:
         for v in self.variants:
             if v not in VARIANT_NAMES:
                 raise ConfigError(f"unknown variant {v!r}; known: {VARIANT_NAMES}")
+        # The generator keeps a calendar of its own; one set for it would be
+        # echoed in the report and hashed without shaping the run.
+        if self.dataset.mode == "synthetic":
+            default = DatasetConfig()
+            for name in ("daily_start", "daily_end", "pre_start", "pre_end",
+                         "promo_days", "tz_offset"):
+                if getattr(self.dataset, name) != getattr(default, name):
+                    raise ConfigError(
+                        f"dataset.{name} sets the calendar of a csv event log; "
+                        "synthetic mode generates on a calendar of its own")
         if len(self.dataset.delimiter) != 1:
             raise ConfigError("dataset.delimiter must be one character, "
                               f"got {self.dataset.delimiter!r}")

@@ -75,6 +75,8 @@ def hand_written_minimize(params, data, loss_of, config, rng, stage):
 
     A generator of batches over one permutation per epoch, a finite-loss
     check before each step, and per-epoch means; returns (epoch means, steps).
+    Unfused: each step collects the whole gradient set with ad.backward, then
+    updates the parameters one by one.
     """
     def batches():
         order = rng.permutation(data.n)
@@ -82,6 +84,7 @@ def hand_written_minimize(params, data, loss_of, config, rng, stage):
             rows = order[start:start + config.batch_size]
             yield data.take(rows), rows
 
+    params = list(params)
     opt = ad.Adagrad(params, lr=config.learning_rate)
     trace, steps = [], 0
     for _ in range(config.epochs):
@@ -92,7 +95,10 @@ def hand_written_minimize(params, data, loss_of, config, rng, stage):
             if not math.isfinite(value):
                 raise TrainingError(f"{stage}: non-finite loss {value} at step {steps}")
             epoch.append(value)
-            opt.step(ad.backward(loss))
+            grads = ad.backward(loss)
+            for p in params:
+                if p.trainable and p.name in grads:
+                    opt.update(p, grads[p.name])
             steps += 1
         trace.append(float(np.mean(epoch)))
     return trace, steps

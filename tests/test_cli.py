@@ -6,6 +6,7 @@ import pytest
 
 from prepromo.cli import main
 from prepromo.data import CsvSchema, ingest_csv
+from prepromo.experiment import load_config, make_config
 
 TINY = """
 [dataset]
@@ -246,6 +247,26 @@ class TestErrorCodes:
         assert code == 2
         assert f"{key} must not be empty" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("setting", [
+        "daily_start = 1", "daily_end = 29", "pre_start = 30", "pre_end = 1970-01-09",
+        "promo_days = 7,8", "tz_offset = 3600"])
+    def test_calendar_key_in_synthetic_mode_exit_2(self, tmp_path, capsys, setting):
+        cfg = tmp_path / "synthetic.ini"
+        cfg.write_text(f"[dataset]\n{setting}\n"
+                       "[experiment]\nseeds = 1\nvariants = pretrained_only\n")
+        code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        key = setting.split(" = ")[0]
+        assert (f"dataset.{key} sets the calendar of a csv event log"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_calendar_keys_at_their_defaults_are_accepted(self, tmp_path):
+        cfg = tmp_path / "synthetic.ini"
+        cfg.write_text("[dataset]\nmode = synthetic\ndaily_start = 0\npre_end = 6\n"
+                       "promo_days = 7\ntz_offset = 0\n")
+        assert load_config(cfg) == make_config("desk")
 
     def test_more_clicks_than_pairs_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "crowded.ini"

@@ -1,6 +1,8 @@
 import io
 import math
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -413,6 +415,38 @@ class TestStepStructure:
         total, _ = model.loss(model.forward(batch), batch, np.full(64, 0.2))
         assert len(ad.Tape.trace(total).nodes) <= 99
 
+    def test_benchmark_counts_one_adagrad_step_per_step(self, setup, monkeypatch):
+        # perfbench divides its per-step figures by the Adagrad.step spans of
+        # the cmdcm fine-tune; tracing and backward nest inside them.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import tracing
+
+        from prepromo import model as model_module
+        _, pretrained, data = setup
+        model = desk_width_model(pretrained, lambda_cm=0.1, batch_size=64, epochs=2)
+        imputation = SimpleNamespace(mu=lambda train, arm: np.full(train.n, 0.2))
+        tracer = tracing.Tracer()
+        try:
+            tracer.wrap(model_module, "finetune", "model.finetune")
+            tracer.wrap(ad.Tape, "trace", "autodiff.tape_trace",
+                        info=lambda a, k, r, pre: {"nodes": len(r.nodes)})
+            tracer.wrap(ad.Tape, "backward", "autodiff.backward")
+            tracer.wrap(ad.Adagrad, "step", "autodiff.adagrad_step")
+            run = SimpleNamespace(variant=lambda: model_module.finetune(model, data, imputation))
+            tracer.wrap(run, "variant", "experiment.run_variant",
+                        info=lambda a, k, r, pre: {"variant": "cmdcm"})
+            run.variant()
+        finally:
+            tracer.close()
+        spans = tracer.spans
+        steps = [i for i, s in enumerate(spans) if s[0] == "autodiff.adagrad_step"]
+        assert len(steps) == model.n_steps == 2 * math.ceil(data.n / 64)
+        for name in ("autodiff.tape_trace", "autodiff.backward"):
+            assert [s[3] for s in spans if s[0] == name] == steps, name
+        metrics = tracing.layer_metrics(spans)
+        assert metrics["model.steps"] == model.n_steps
+        assert metrics["autodiff.nodes_per_step"] == 99
+
     def test_naive_finetune_step_touches_only_reachable_parameters(self, setup):
         _, pretrained, data = setup
         model = desk_width_model(pretrained, lambda_all=0.0, lambda_cm=0.0,
@@ -425,11 +459,11 @@ class TestStepStructure:
             ("delay/gate_", "delay/emb_user"))}
         assert len(reachable) == 12 and set(grads) == reachable
         opt = ad.Adagrad(params, lr=0.05)
-        opt.step({name: np.ones_like(g) for name, g in grads.items()})
         before = {p.name: (p.data.tobytes(), opt.accum[p.name].tobytes())
                   for p in params if p.name not in reachable}
         assert len(before) == 25
-        opt.step(grads)
+        opt.step(total)
+        assert any(opt.accum[name].any() for name in reachable)
         for p in params:
             if p.name in before:
                 assert before[p.name] == (p.data.tobytes(), opt.accum[p.name].tobytes())
