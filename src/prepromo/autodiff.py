@@ -162,13 +162,15 @@ def sigmoid_values(x: Array) -> Array:
     """Stable logistic of an array, clipped strictly inside (0, 1).
 
     One exp over -|x|: the numerator is 1 where x >= 0 (1 / (1 + e^-x)) and
-    e where x < 0 (e^x / (1 + e^x)). Works on 0-d arrays too.
+    e where x < 0 (e^x / (1 + e^x)). e lies in [0, 1] or is NaN, so
+    max(e, x >= 0) picks that numerator without a branch, NaN included.
+    Works on 0-d arrays too: `out=` keeps the result an array.
     """
     e = np.empty_like(x)
     np.abs(x, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
+    out = np.maximum(e, x >= 0, out=np.empty_like(x))
     e += 1.0
     out /= e
     return np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
@@ -271,11 +273,13 @@ def _scatter_rows(ids: Array, rows: Array, shape: tuple) -> Array:
     """Sum rows (m, dim) into a zero (n, dim) table at ids (m,).
 
     One bincount over the flat index id*dim + k; each cell sums its rows in
-    input order, as a per-column bincount would.
+    input order, as a per-column bincount would. With no rows, bincount
+    returns int64 zeros; the result is float64 either way.
     """
     n, dim = shape
     flat = (ids[:, None] * dim + np.arange(dim)).reshape(-1)
-    return np.bincount(flat, weights=rows.reshape(-1), minlength=n * dim).reshape(shape)
+    out = np.bincount(flat, weights=rows.reshape(-1), minlength=n * dim)
+    return out.astype(np.float64, copy=False).reshape(shape)
 
 
 def _index(ids) -> Array:
@@ -295,22 +299,35 @@ def embedding(table: Node, ids: Array) -> Node:
 
 
 def embedding_bag(table: Node, ids: Array, mask: Array) -> Node:
-    """Masked mean-pool of rows: ids (n, L) int, mask (n, L) in {0,1} -> (n, dim).
+    """Masked mean-pool of rows: ids (n, L) int, mask (n, L) bool -> (n, dim).
 
-    Rows with an all-zero mask pool to the zero vector. A bool mask is
-    taken as its 0.0/1.0 form.
+    Only the entries the mask selects are read, in row-major order, so a
+    row pools the sum of its selected rows, left to right, over their count.
+    Masked-out ids are never looked up: their table rows, NaN or not, reach
+    neither the output nor the gradient. A row with no selected entry pools
+    to +0.0. A non-bool mask must hold only 0 and 1; ids and mask must have
+    one (n, L) shape. Either breach raises ConfigError.
     """
     ids = _index(ids)
-    mask = _as_array(mask)
-    counts = mask.sum(axis=1)
-    denom = np.maximum(counts, 1.0)
-    rows = table.data[ids]                       # (n, L, dim), a fresh gather
-    rows *= mask[:, :, None]
-    pooled = rows.sum(axis=1) / denom[:, None]
+    mask = np.asarray(mask)
+    if ids.ndim != 2 or mask.shape != ids.shape:
+        raise ConfigError(f"embedding_bag needs ids and mask of one (n, L) shape, "
+                          f"got {ids.shape} and {mask.shape}")
+    if mask.dtype != bool:
+        if not np.all((mask == 0) | (mask == 1)):
+            raise ConfigError("embedding_bag mask must hold only 0 and 1")
+        mask = mask != 0
+    (n, length), dim = ids.shape, table.data.shape[1]
+    at = np.flatnonzero(mask)            # selected entries, row-major
+    r = at // length
+    sel = np.take(ids, at)
+    denom = np.maximum(np.bincount(r, minlength=n).astype(np.float64), 1.0)
+    pooled = _scatter_rows(r, np.take(table.data, sel, axis=0), (n, dim))
+    pooled /= denom[:, None]
 
     def back(g):
-        contrib = (g / denom[:, None])[:, None, :] * mask[:, :, None]   # (n, L, dim)
-        return (_scatter_rows(ids.reshape(-1), contrib, table.data.shape),)
+        rows = np.take(g / denom[:, None], r, axis=0)
+        return (_scatter_rows(sel, rows, table.data.shape),)
     return Node(pooled, op="embedding_bag", parents=(table,), backward=back)
 
 

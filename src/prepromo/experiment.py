@@ -315,13 +315,16 @@ def synthetic_world(ds: DatasetConfig) -> tuple[WorldParams, GenConfig]:
 def acquire_data(cfg: ExperimentConfig, run_seed: int) -> DatasetSplit:
     ds = cfg.dataset
     calendar = ds.calendar()
+    daily = None
     if ds.mode == "synthetic":
         world, gen = synthetic_world(ds)
-        # One expression, so the two halves are freed once concatenated.
-        samples = (generate_dataset(world, ds.n_daily, "daily",
-                                    stage_seed(run_seed, "daily"), gen)
-                   + generate_dataset(world, ds.n_prepromo, "prepromo",
-                                      stage_seed(run_seed, "prepromo"), gen))
+        # Each table holds only its own stage's days, so the daily one is the
+        # daily training split as it stands and only the other is split: no
+        # joined copy of the two is ever made.
+        daily = generate_dataset(world, ds.n_daily, "daily",
+                                 stage_seed(run_seed, "daily"), gen)
+        samples = generate_dataset(world, ds.n_prepromo, "prepromo",
+                                   stage_seed(run_seed, "prepromo"), gen)
     elif ds.mode == "csv":
         if not ds.events_path:
             raise ConfigError("csv mode needs dataset.events_path")
@@ -334,8 +337,9 @@ def acquire_data(cfg: ExperimentConfig, run_seed: int) -> DatasetSplit:
                                       ds.count_intermediate_as_all)
     else:
         raise ConfigError(f"unknown dataset mode {ds.mode!r}")
-    return partition_dataset(samples, calendar, ds.split_ratio,
-                             seed=stage_seed(run_seed, "partition"))
+    split = partition_dataset(samples, calendar, ds.split_ratio,
+                              seed=stage_seed(run_seed, "partition"))
+    return split if daily is None else replace(split, daily_train=daily)
 
 
 def prepare_seed(cfg: ExperimentConfig, run_seed: int, trace: list[str]) -> SeedData:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own fast paths: finite differences
 instead of backprop, O(n^2) pair counting instead of rank sums, a direct
-per-click scan instead of the grouped label derivation, and one event per
-CSV row instead of columns parsed in blocks.
+per-click scan instead of the grouped label derivation, one event per CSV
+row instead of columns parsed in blocks, and a mean-pool over every history
+entry instead of the selected ones.
 """
 
 from __future__ import annotations
@@ -68,6 +69,27 @@ def gradcheck(loss_builder, params, step: float = 1e-5, tol: float = 1e-4) -> fl
     err = max_grad_mismatch(analytic, numeric)
     assert err < tol, f"gradient mismatch {err:.3e} >= {tol}"
     return err
+
+
+def dense_embedding_bag(table, ids, mask):
+    """The masked mean-pool over every (n, L) entry, masked ones included.
+
+    Gathers all n * L rows, multiplies them by the 0.0/1.0 mask, sums over L
+    left to right and divides by the count (at least 1); the backward pass
+    scatters the (n, L, dim) masked gradient back through every id. A NaN or
+    negative table row under a False entry reaches the sum as NaN * 0 or -0.0.
+    """
+    ids = np.asarray(ids).astype(np.intp, casting="safe")
+    mask = np.asarray(mask, dtype=np.float64)
+    denom = np.maximum(mask.sum(axis=1), 1.0)
+    rows = table.data[ids]
+    rows *= mask[:, :, None]
+    pooled = rows.sum(axis=1) / denom[:, None]
+
+    def back(g):
+        contrib = (g / denom[:, None])[:, None, :] * mask[:, :, None]
+        return (ad._scatter_rows(ids.reshape(-1), contrib, table.data.shape),)
+    return ad.Node(pooled, op="embedding_bag", parents=(table,), backward=back)
 
 
 def hand_written_minimize(params, data, loss_of, config, rng, stage):

@@ -17,7 +17,8 @@ from prepromo.model import DelayConfig, DelayModel
 from prepromo.pretrain import PretrainConfig, PretrainedModel, pretrain_fit
 from prepromo.synth import GenConfig, generate_dataset, sample_world
 
-from oracles import finite_difference_grads, hand_written_minimize, max_grad_mismatch
+from oracles import (dense_embedding_bag, finite_difference_grads, hand_written_minimize,
+                     max_grad_mismatch)
 
 
 def scalar(x):
@@ -469,8 +470,9 @@ class TestBitIdentity:
 
     def test_compact_ids_and_bool_mask(self):
         # The encoder's int32 ids and bool masks give the bits of int64 ids
-        # and 0.0/1.0 masks, forward and backward, with NaN and negative
-        # rows (x * False is -0.0 for x < 0) under False entries.
+        # and 0.0/1.0 masks, forward and backward. The table holds NaN and
+        # negative rows; NaN reaches the output through the True entries
+        # that select its row.
         rng = np.random.default_rng(6)
         table = ad.constant(np.resize(np.append(EDGE, np.nan), (9, 4)))
         table.data[[2, 5]] *= -1.0
@@ -516,6 +518,109 @@ class TestBitIdentity:
             for p in params:
                 assert_bitwise(p.data, ref[p.name][0])
                 assert_bitwise(opt.accum[p.name], ref[p.name][1])
+
+
+def bag_case(case, rng, n=96, length=12, rows=9, dim=5):
+    """Table, int32 ids and bool mask of one embedding_bag case. Ids under
+    False entries are 0, the encoder's padding id."""
+    table = rng.normal(size=(rows, dim))
+    ids = rng.integers(1, rows, size=(n, length)).astype(np.int32)
+    if case == "prefix":
+        mask = np.arange(length) < rng.integers(0, length + 1, size=(n, 1))
+    else:
+        mask = rng.uniform(size=(n, length)) < 0.4
+    if case == "empty_rows":
+        mask[::3] = False
+    if case == "negative_padding":
+        table[0] = -np.abs(table[0])
+        mask[:, 0] = True
+    else:
+        table[0] = np.abs(table[0])
+    ids[~mask] = 0
+    return table, ids, mask
+
+
+class TestEmbeddingBag:
+    """The sparse kernel against the dense mean-pool over every entry."""
+
+    @pytest.mark.parametrize("case", ["prefix", "scattered", "empty_rows",
+                                      "negative_padding"])
+    def test_equals_dense_pooling(self, case):
+        rng = np.random.default_rng(21)
+        table, ids, mask = bag_case(case, rng)
+        g = rng.normal(size=(len(ids), table.shape[1])) * 3.0
+        for narrow in (True, False):
+            args = (ids, mask) if narrow else (ids.astype(np.int64), mask.astype(float))
+            fast = ad.embedding_bag(ad.constant(table), *args)
+            ref = dense_embedding_bag(ad.constant(table), *args)
+            assert_bitwise(fast.data, ref.data)
+            assert_bitwise(fast._backward(g)[0], ref._backward(g)[0])
+
+    def test_masked_out_rows_are_never_read(self):
+        # NaN * 0 made the dense pool NaN wherever a NaN row sat under a
+        # False entry, and with it every gradient computed downstream.
+        rng = np.random.default_rng(22)
+        table, ids, mask = bag_case("scattered", rng)
+        table[0] = np.nan
+        g = rng.normal(size=(len(ids), table.shape[1]))
+        fast = ad.embedding_bag(ad.constant(table), ids, mask)
+        ref = dense_embedding_bag(ad.constant(table), ids, mask)
+        assert np.isfinite(fast.data).all() and np.isfinite(fast._backward(g)[0]).all()
+        assert np.isnan(ref.data).all(axis=1).sum() == (~mask).any(axis=1).sum()
+
+    def test_empty_row_pools_to_positive_zero(self):
+        # Under a negative padding row the dense pool sums -0.0 terms; numpy's
+        # sum starts from +0.0, so it too gives +0.0.
+        table = ad.constant(np.array([[-1.0, -2.0], [3.0, 4.0]]))
+        ids, mask = np.array([[0, 0], [1, 0]]), np.array([[False, False], [True, False]])
+        fast = ad.embedding_bag(table, ids, mask).data
+        assert_bitwise(fast, np.array([[0.0, 0.0], [3.0, 4.0]]))
+        assert_bitwise(fast, dense_embedding_bag(table, ids, mask).data)
+
+    def test_empty_batch_gradient_is_float(self):
+        table = ad.constant(np.ones((3, 2)))
+        node = ad.embedding_bag(table, np.zeros((4, 5), np.int32), np.zeros((4, 5), bool))
+        grad = node._backward(np.ones((4, 2)))[0]
+        assert grad.dtype == np.float64 and not grad.any()
+        assert_bitwise(node.data, np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("mask", [np.array([[1.0], [0.0]]), np.ones((2, 3, 1)),
+                                      np.array([[1.0, 2.0, 0.0], [1.0, 0.0, 0.0]]),
+                                      np.array([[1.0, np.nan, 0.0], [1.0, 0.0, 0.0]])],
+                             ids=["narrow", "3-d", "weight", "nan"])
+    def test_refuses_masks_off_contract(self, mask):
+        # A (n, 1) mask used to broadcast: row 0 pooled three rows over 1.
+        table = ad.constant(np.arange(12.0).reshape(6, 2))
+        with pytest.raises(ConfigError, match="embedding_bag"):
+            ad.embedding_bag(table, np.array([[1, 2, 3], [4, 5, 0]]), mask)
+
+    def test_integer_mask_of_zeros_and_ones(self):
+        table = ad.constant(np.arange(12.0).reshape(6, 2))
+        ids = np.array([[1, 2, 3], [4, 5, 0]])
+        mask = np.array([[1, 1, 0], [0, 1, 0]])
+        assert_bitwise(ad.embedding_bag(table, ids, mask).data,
+                       ad.embedding_bag(table, ids, mask.astype(bool)).data)
+
+
+def test_embedding_bag_memory_follows_the_selected_entries():
+    """Forward and backward on 4096 x 50 histories of width 16 at 1% fill.
+    One dense (n, L, dim) float64 array is 26 MB, and the dense mean-pool
+    made three of them (gather, masked gradient, flat scatter index)."""
+    rng = np.random.default_rng(23)
+    n, length, dim = 4096, 50, 16
+    table = ad.constant(rng.normal(size=(2000, dim)))
+    ids = rng.integers(0, 2000, size=(n, length)).astype(np.int32)
+    mask = rng.uniform(size=(n, length)) < 0.01
+    g = rng.normal(size=(n, dim))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        node = ad.embedding_bag(table, ids, mask)
+        node._backward(g)
+        rise = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert rise < 8 * 2**20, f"rise {rise / 2**20:.1f} MB"
 
 
 class TestRandomNetworkGradients:
@@ -1263,6 +1368,33 @@ class TestSigmoidValues:
         assert_bitwise(fast, np.clip(ref, ad._SIGMOID_LO, ad._SIGMOID_HI))
         differ = bits(fast) != bits(ref)
         assert differ.any() and np.all(np.abs(EDGE[differ]) > 36.7)
+
+
+def where_sigmoid(x):
+    """sigmoid_values with its numerator picked by np.where."""
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    return np.clip(out / (1.0 + e), ad._SIGMOID_LO, ad._SIGMOID_HI)
+
+
+class TestSigmoidNumerator:
+    """max(e, x >= 0) picks the numerator np.where picked, bit for bit."""
+
+    VALUES = np.concatenate([EDGE, [np.nan, -np.nan, np.inf, -np.inf]])
+
+    def test_edges(self):
+        assert_bitwise(ad.sigmoid_values(self.VALUES), where_sigmoid(self.VALUES))
+
+    @pytest.mark.parametrize("scale", [2.0, 50.0, 800.0])
+    def test_normals(self, scale):
+        x = np.random.default_rng(8).normal(size=(64, 512)) * scale
+        assert_bitwise(ad.sigmoid_values(x), where_sigmoid(x))
+
+    def test_zero_dimensional(self):
+        for v in self.VALUES:
+            out = ad.sigmoid_values(np.asarray(v))
+            assert isinstance(out, np.ndarray) and out.shape == ()
+            assert_bitwise(out, where_sigmoid(np.asarray(v)))
 
 
 class TestBceValues:

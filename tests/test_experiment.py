@@ -277,6 +277,29 @@ class TestAcquireData:
         n = len(split.prepromo_train) + len(split.prepromo_eval)
         assert abs(len(split.prepromo_train) - 0.8 * n) <= 1
 
+    def test_synthetic_split_equals_split_of_the_joined_tables(self):
+        # The daily table passes through and the pre-promotion table alone is
+        # split; the rows, and their order, are those of splitting the two
+        # tables joined.
+        from prepromo.data import partition_dataset
+        from prepromo.experiment import synthetic_world
+        from prepromo.synth import generate_dataset
+
+        cfg = tiny_config()
+        ds = cfg.dataset
+        world, gen = synthetic_world(ds)
+        joined = (generate_dataset(world, ds.n_daily, "daily", stage_seed(1, "daily"), gen)
+                  + generate_dataset(world, ds.n_prepromo, "prepromo",
+                                     stage_seed(1, "prepromo"), gen))
+        want = partition_dataset(joined, ds.calendar(), ds.split_ratio,
+                                 seed=stage_seed(1, "partition"))
+        got = acquire_data(cfg, run_seed=1)
+        for name in ("daily_train", "prepromo_train", "prepromo_eval"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert list(a) == list(b), name
+            assert np.array_equal(a.features, b.features), name
+            assert all(np.array_equal(a.truth[k], b.truth[k]) for k in b.truth), name
+
     def test_csv_mode_round_trip(self, tmp_path):
         from prepromo.synth import (GenConfig, generate_dataset, sample_world,
                                     samples_to_events)
