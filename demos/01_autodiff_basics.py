@@ -1,4 +1,4 @@
-"""Tour of the autodiff engine: forward graphs, backprop, stop-gradient.
+"""Tour of the autodiff engine: forward graphs, backprop, no_grad constants.
 
 Run: python3 demos/01_autodiff_basics.py
 """
@@ -12,14 +12,15 @@ def main():
     print("= gradients of a tiny expression =")
     w = ad.Parameter("w", 2.0)
     x = ad.constant(3.0)
-    loss = ad.mul(w.node(), x)                      # loss = w * x
+    loss = ad.mul(w, x)                             # loss = w * x
     grads = ad.backward(loss, [w])
     print(f"d(w*x)/dw at w=2, x=3 -> {grads['w']}")
 
-    print("\n= stop-gradient freezes the wrapped branch =")
+    print("\n= a no_grad value is a constant to the graph =")
     w = ad.Parameter("w", 2.0)
-    wn = w.node()
-    f = ad.mul(wn, ad.stop_gradient(wn))            # f = w * [[w]]
+    with ad.no_grad():
+        boxed = ad.mul(w, ad.constant(1.0))         # [[w]]: recorded without a graph
+    f = ad.mul(w, boxed)                            # f = w * [[w]]
     grads = ad.backward(f, [w])
     print(f"d(w*[[w]])/dw at w=2 -> {grads['w']}  (not 4: the boxed copy is a constant)")
 

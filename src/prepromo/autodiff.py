@@ -1,8 +1,8 @@
 """Reverse-mode automatic differentiation on dense float64 arrays.
 
-Small operator set, batch-first shapes (leading axis = samples), and a
-first-class stop-gradient boundary. Everything is 64-bit: gradient checks
-against central finite differences at tight tolerances are part of the
+Small operator set, batch-first shapes (leading axis = samples); the leaves
+are constants, parameters and no_grad outputs. Everything is 64-bit: gradient
+checks against central finite differences at tight tolerances are part of the
 contract and are unreliable in 32-bit.
 """
 
@@ -52,11 +52,10 @@ class Node:
     Outside recording (see no_grad) parents and backward rule are dropped.
     """
 
-    __slots__ = ("data", "op", "parents", "_backward", "param")
+    __slots__ = ("data", "op", "parents", "_backward")
 
     def __init__(self, data, op: str = "const", parents: tuple = (),
-                 backward: Callable[[Array], tuple] | None = None,
-                 param: "Parameter | None" = None):
+                 backward: Callable[[Array], tuple] | None = None):
         self.data = _as_array(data)
         self.op = op
         if _recording:
@@ -65,7 +64,6 @@ class Node:
         else:
             self.parents = ()
             self._backward = None
-        self.param = param
 
     @property
     def shape(self):
@@ -80,19 +78,20 @@ def constant(value) -> Node:
     return Node(value, op="const")
 
 
-class Parameter:
-    """Named trainable (or frozen) array. Frozen parameters are never stepped."""
+class Parameter(Node):
+    """Named trainable (or frozen) array, and the graph leaf that reads it:
+    ops read its .data when called. Frozen parameters are never stepped."""
 
-    __slots__ = ("name", "data", "trainable")
+    __slots__ = ("name", "trainable")
 
     def __init__(self, name: str, data, trainable: bool = True):
         self.name = name
         # C order, so that Adagrad's flat views step the array itself.
         self.data = np.asarray(data, dtype=np.float64, order="C")
+        self.op = "param"
+        self.parents = ()
+        self._backward = None
         self.trainable = trainable
-
-    def node(self) -> Node:
-        return Node(self.data, op="param", param=self)
 
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.data.shape}, trainable={self.trainable})"
@@ -260,15 +259,6 @@ def mean(a: Node) -> Node:
     return Node(a.data.mean(), op="mean", parents=(a,), backward=back)
 
 
-def stop_gradient(a: Node) -> Node:
-    """Identity forward; the backward pass never crosses this node.
-
-    Implemented as a parentless copy, so ancestors of the wrapped value are
-    not even visited during backprop.
-    """
-    return Node(a.data, op="stop_gradient")
-
-
 def _scatter_rows(ids: Array, rows: Array, shape: tuple) -> Array:
     """Sum rows (m, dim) into a zero (n, dim) table at ids (m,).
 
@@ -337,7 +327,7 @@ def embedding_bag(table: Node, ids: Array, mask: Array) -> Node:
 
 # Ops whose nodes are leaves by design; any other op without a backward
 # rule was built inside no_grad.
-_LEAF_OPS = frozenset(("const", "param", "stop_gradient"))
+_LEAF_OPS = frozenset(("const", "param"))
 
 
 class Tape:
@@ -388,20 +378,18 @@ class Tape:
         """Gradients of the scalar root w.r.t. every trainable parameter.
 
         One reverse sweep; each node's gradient is dropped once the node has
-        passed it on. A trainable parameter's gradient is handed on as soon
-        as it is final: at its node, or, for a parameter read through
-        several nodes, once the sweep has reached them all, summed over them
-        in tape order.
+        passed it on. A parameter is visited after every node that reads it,
+        so its gradient, summed over those readers like any shared node's,
+        is final there and is handed on at once.
 
         Without `opt` the gradients are returned by name; trainable
-        parameters unreachable from the root (or cut off by a stop-gradient)
-        get an explicit zero entry when listed in `params`. With `opt`, each
-        gradient of a parameter that opt holds goes to opt.update and is
-        dropped, so no whole gradient set is ever held, and {} is returned.
-        A `dense` whose weight opt holds, read through one node with one
-        consumer, writes that gradient into opt's shared scratch: the weight
-        node comes next in the sweep, so it is applied before the next
-        `dense` writes there.
+        parameters unreachable from the root get an explicit zero entry when
+        listed in `params`. With `opt`, each gradient of a parameter that
+        opt holds goes to opt.update and is dropped, so no whole gradient set
+        is ever held, and {} is returned. A `dense` whose weight opt holds,
+        and which is that weight's only consumer, writes the weight gradient
+        into opt's shared scratch: the weight comes next in the sweep, so it
+        is applied before the next `dense` writes there.
         """
         if root.data.shape != ():
             raise UsageError("backward requires a scalar loss node, got shape "
@@ -409,44 +397,32 @@ class Tape:
         if root._backward is None and root.op not in _LEAF_OPS:
             raise UsageError(f"backward through a {root.op!r} loss built inside "
                              "no_grad, which records no graph")
-        reads: dict[str, int] = {}     # trainable parameter -> its nodes
         uses: dict[Node, int] = {}     # node -> its consumers, when updating
-        for node in self.nodes:
-            p = node.param
-            if p is not None and p.trainable:
-                reads[p.name] = reads.get(p.name, 0) + 1
-            if opt is not None:
+        if opt is not None:
+            for node in self.nodes:
                 for parent in node.parents:
                     uses[parent] = uses.get(parent, 0) + 1
 
         out: dict[str, Array] = {}
-        held: dict[str, list] = {}     # parts of a multi-node parameter
         grads: dict[Node, Array] = {root: np.ones(())}
         for node in reversed(self.nodes):
             g = grads.pop(node, None)
-            p = node.param
-            if p is not None and p.trainable:
-                if reads[p.name] > 1:
-                    parts = held.setdefault(p.name, [])
-                    parts.append(g)
-                    if len(parts) < reads[p.name]:
-                        continue
-                    parts = [part for part in reversed(parts) if part is not None]
-                    g = sum(parts[1:], parts[0]) if parts else None
-                if g is None:
+            if g is None:
+                continue
+            if isinstance(node, Parameter):
+                if not node.trainable:
                     continue
                 if opt is None:
-                    out[p.name] = g
-                elif p.name in opt.accum:
-                    opt.update(p, g)
+                    out[node.name] = g
+                elif node.name in opt.accum:
+                    opt.update(node, g)
                 continue
-            if g is None or node._backward is None:
+            if node._backward is None:
                 continue
             w = node.parents[1] if opt is not None and node.op == "dense" else None
-            if (w is not None and w.param is not None and w.param.trainable
-                    and w.param.name in opt.accum and reads[w.param.name] == 1
+            if (isinstance(w, Parameter) and w.trainable and w.name in opt.accum
                     and uses[w] == 1):
-                pgs = node._backward(g, opt.weight_grad(w.param))
+                pgs = node._backward(g, opt.weight_grad(w))
             else:
                 pgs = node._backward(g)
             for parent, pg in zip(node.parents, pgs):
@@ -560,7 +536,7 @@ class MLP:
                 raise ConfigError(
                     f"{self.name}: layer {i} expects width {w.data.shape[0]}, "
                     f"got {h.data.shape[-1]}")
-            h = dense(h, w.node(), b.node(), act)
+            h = dense(h, w, b, act)
             outs.append(h)
         return outs
 
@@ -580,8 +556,8 @@ class Adagrad:
     Only trainable parameters are registered; anything else is untouched.
     step(loss) is one whole training step: Tape.backward hands each
     registered parameter's gradient to update() as soon as it is final, so
-    the step never holds a whole gradient set. The weight gradients that
-    `dense` makes go into one scratch buffer, the size of the largest
+    the step never holds a whole gradient set. A weight that one `dense` alone
+    reads gets its gradient in one scratch buffer, the size of the largest
     parameter, allocated at the first step and shared by every step after.
     """
 

@@ -65,7 +65,7 @@ class ImputationModel:
     def _forward(self, dense: Array, user_idx: Array, a: Array) -> ad.Node:
         rows = self.user_table.data.shape[0]
         idx = np.where(user_idx < rows, user_idx, 0)  # unseen ids -> reserved row
-        eu = ad.embedding(self.user_table.node(), idx)
+        eu = ad.embedding(self.user_table, idx)
         rest = ad.constant(np.concatenate([dense, a.reshape(-1, 1)], axis=1))
         return ad.sigmoid(self.net.forward(ad.concat([eu, rest]))[-1])
 

@@ -134,10 +134,10 @@ class PromotionCalendar:
                 f"daily={self.daily_train_range}, pre={self.pre_promo_range}, "
                 f"promo={sorted(self.promo_days)}")
 
-    def day_of(self, timestamp: int) -> int:
+    def day_of(self, timestamp):
         return (timestamp + self.tz_offset) // SECONDS_PER_DAY
 
-    def day_start_ts(self, day: int) -> int:
+    def day_start_ts(self, day):
         return day * SECONDS_PER_DAY - self.tz_offset
 
     def promo_start_ts(self) -> int:
@@ -273,7 +273,7 @@ def build_click_dataset(events: EventLog, calendar: PromotionCalendar,
     preceding click of the same (user, item) are ignored.
     """
     action, ts = events.action, events.timestamp
-    day = (ts + calendar.tz_offset) // SECONDS_PER_DAY
+    day = calendar.day_of(ts)
     daily = (calendar.daily_train_range[0] <= day) & (day <= calendar.daily_train_range[1])
     pre = (calendar.pre_promo_range[0] <= day) & (day <= calendar.pre_promo_range[1])
     sample = np.flatnonzero((action == _CLICK) & (daily | pre))
@@ -358,7 +358,7 @@ def _pair_outcomes(action, pair, ts, day, daily, pre, sample, calendar,
         k = _searchsorted(pair_code[atcs], pair_code[sample], side="left")
         nxt = atcs[np.minimum(k, len(atcs) - 1)]
         window_end = np.where(pre[sample], calendar.promo_start_ts(),
-                              (day[sample] + 1) * SECONDS_PER_DAY - calendar.tz_offset)
+                              calendar.day_start_ts(day[sample] + 1))
         A[:] = ((k < len(atcs)) & (pair[nxt] == pair[sample])
                 & (ts[nxt] < window_end))
     return y_all[sample], y_delay[sample], A

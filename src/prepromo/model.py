@@ -71,14 +71,12 @@ def gate_pair(gate_cvr: ad.MLP, gate_atc: ad.MLP,
     """
     w_c, w_a = gate_cvr.weights, gate_atc.weights
     b_c, b_a = gate_cvr.biases, gate_atc.biases
-    hidden = ad.dense(gate_in, ad.concat([w_c[0].node(), w_a[0].node()]),
-                      ad.concat([b_c[0].node(), b_a[0].node()]),
+    hidden = ad.dense(gate_in, ad.concat([w_c[0], w_a[0]]), ad.concat([b_c[0], b_a[0]]),
                       gate_cvr.activations[0])
     width = w_c[0].data.shape[1]
-    return (ad.dense(ad.columns(hidden, 0, width), w_c[1].node(), b_c[1].node(),
-                     gate_cvr.activations[1]),
-            ad.dense(ad.columns(hidden, width, 2 * width), w_a[1].node(),
-                     b_a[1].node(), gate_atc.activations[1]))
+    return (ad.dense(ad.columns(hidden, 0, width), w_c[1], b_c[1], gate_cvr.activations[1]),
+            ad.dense(ad.columns(hidden, width, 2 * width), w_a[1], b_a[1],
+                     gate_atc.activations[1]))
 
 
 def build_gated_input(h_cvr: ad.Node, h_atc: ad.Node, gate_cvr: ad.Node | None,
@@ -189,13 +187,13 @@ class DelayModel:
         with ad.no_grad():
             base = self.pretrained.forward(batch)
 
-        v_atc = ad.embedding_bag(self.pool_atc.node(), batch.atc_seq, batch.atc_mask)
-        v_pay = ad.embedding_bag(self.pool_pay.node(), batch.pay_seq, batch.pay_mask)
+        v_atc = ad.embedding_bag(self.pool_atc, batch.atc_seq, batch.atc_mask)
+        v_pay = ad.embedding_bag(self.pool_pay, batch.pay_seq, batch.pay_mask)
         e_price = ad.concat([
-            ad.embedding(self.emb_price.node(), batch.price_bucket),
-            ad.embedding(self.emb_disc.node(), batch.disc_bucket)])
+            ad.embedding(self.emb_price, batch.price_bucket),
+            ad.embedding(self.emb_disc, batch.disc_bucket)])
         if self.config.use_gates:
-            e_user = ad.embedding(self.emb_user.node(), batch.user_idx)
+            e_user = ad.embedding(self.emb_user, batch.user_idx)
             gate_in = ad.concat([e_user, v_atc, v_pay])
 
         gate_values: list[tuple[ad.Node, ad.Node]] = []
@@ -294,7 +292,8 @@ def load_checkpoint(path) -> PretrainedModel | DelayModel:
     DataError, naming the file, when the file is missing or not an .npz
     archive; when the metadata is missing or no JSON object, of another version
     or kind, lacks a field, or holds a value of the wrong type or a config its
-    config class refuses; and when a parameter's array is missing or misshapen.
+    config class refuses; and when a parameter's array is missing, misshapen
+    or not float64.
     """
     try:
         blob = np.load(path)
@@ -348,7 +347,8 @@ def load_checkpoint(path) -> PretrainedModel | DelayModel:
 
 def _load_parameters(blob, params: list[ad.Parameter], path) -> None:
     """Copy each parameter's array out of a checkpoint, checking it is there
-    and has the parameter's shape (DataError naming the parameter if not)."""
+    and has the parameter's shape and float64 dtype (DataError naming the
+    parameter if not): a cast would quietly truncate or round the weights."""
     for p in params:
         if p.name not in blob.files:
             raise DataError(f"{path} has no array for parameter {p.name!r}")
@@ -356,4 +356,7 @@ def _load_parameters(blob, params: list[ad.Parameter], path) -> None:
         if data.shape != p.data.shape:
             raise DataError(f"{path}: parameter {p.name!r} has shape {data.shape}, "
                             f"the model expects {p.data.shape}")
+        if data.dtype != np.float64:
+            raise DataError(f"{path}: parameter {p.name!r} has dtype {data.dtype}, "
+                            "the model expects float64")
         p.data = data.copy()

@@ -70,10 +70,10 @@ class PretrainedModel:
 
     def input_node(self, batch: EncodedDataset) -> ad.Node:
         return ad.concat([
-            ad.embedding(self.emb_user.node(), batch.user_idx),
-            ad.embedding(self.emb_item.node(), batch.item_idx),
-            ad.embedding(self.emb_cat.node(), batch.cat_idx),
-            ad.embedding(self.emb_price.node(), batch.price_bucket),
+            ad.embedding(self.emb_user, batch.user_idx),
+            ad.embedding(self.emb_item, batch.item_idx),
+            ad.embedding(self.emb_cat, batch.cat_idx),
+            ad.embedding(self.emb_price, batch.price_bucket),
             ad.constant(batch.dense),
         ])
 

@@ -17,15 +17,20 @@ settings.load_profile("suite")
 
 @pytest.fixture()
 def rewrite_checkpoint():
-    """Re-save a checkpoint with one array dropped or given an extra row,
-    or with metadata fields changed or one dropped, or with its metadata
-    replaced by what `edit` makes of it."""
-    def rewrite(path, drop=None, reshape=None, drop_meta=None, edit=None, **meta_changes):
+    """Re-save a checkpoint with one array dropped, given an extra row or
+    cast to another dtype (`retype=(name, dtype)`), or with metadata fields
+    changed or one dropped, or with its metadata replaced by what `edit`
+    makes of it."""
+    def rewrite(path, drop=None, reshape=None, retype=None, drop_meta=None, edit=None,
+                **meta_changes):
         with np.load(path) as blob:
             meta = json.loads(bytes(blob["__meta__"]).decode())
             arrays = {k: blob[k] for k in blob.files if k not in ("__meta__", drop)}
         if reshape is not None:
             arrays[reshape] = np.concatenate([arrays[reshape], arrays[reshape][:1]])
+        if retype is not None:
+            name, dtype = retype
+            arrays[name] = arrays[name].astype(dtype)
         meta.update(meta_changes)
         meta.pop(drop_meta, None)
         if edit is not None:

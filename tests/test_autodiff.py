@@ -73,36 +73,16 @@ class TestBce:
             assert float(ad.bce(scalar(p), y).data) >= 0.0
 
 
-class TestStopGradient:
-    def test_forward_identity(self):
-        assert float(ad.stop_gradient(scalar(3.2)).data) == 3.2
-
-    def test_treated_as_constant(self):
-        # f(x) = x * [[x]] at x=2: gradient is 2, not 4.
-        x = ad.Parameter("x", 2.0)
-        xn = x.node()
-        f = ad.mul(xn, ad.stop_gradient(xn))
-        grads = ad.backward(f, [x])
-        assert float(grads["x"]) == 2.0
-
-    def test_pure_stopped_loss_gives_zero_grads(self):
-        w = ad.Parameter("w", np.array([[1.0], [2.0]]))
-        x = ad.constant(np.array([[3.0, 4.0]]))
-        out = ad.mean(ad.stop_gradient(ad.matmul(x, w.node())))
-        grads = ad.backward(out, [w])
-        assert np.all(grads["w"] == 0.0)
-
-
 class TestBackward:
     def test_linear_gradient(self):
         w = ad.Parameter("w", 2.0)
-        loss = ad.mul(w.node(), scalar(3.0))
+        loss = ad.mul(w, scalar(3.0))
         grads = ad.backward(loss, [w])
         assert float(grads["w"]) == 3.0
 
     def test_reused_parameter_accumulates(self):
         w = ad.Parameter("w", 3.0)
-        loss = ad.add(ad.mul(w.node(), w.node()), w.node())  # w^2 + w
+        loss = ad.add(ad.mul(w, w), w)  # w^2 + w
         grads = ad.backward(loss, [w])
         assert float(grads["w"]) == 7.0
 
@@ -114,15 +94,14 @@ class TestBackward:
     def test_unreachable_trainable_gets_zero(self):
         w = ad.Parameter("w", np.ones(2))
         other = ad.Parameter("other", np.ones(3))
-        loss = ad.mean(w.node())
+        loss = ad.mean(w)
         grads = ad.backward(loss, [w, other])
         assert np.all(grads["other"] == 0.0)
 
     def test_each_node_visited_once(self):
         # Diamond graph: shared subexpression must not double-count.
         x = ad.Parameter("x", 2.0)
-        xn = x.node()
-        y = ad.mul(xn, xn)          # x^2
+        y = ad.mul(x, x)            # x^2
         loss = ad.add(y, y)         # 2x^2 -> d/dx = 4x = 8
         grads = ad.backward(loss, [x])
         assert float(grads["x"]) == 8.0
@@ -141,7 +120,7 @@ class TestPrimitiveGradients:
         w = ad.Parameter("w", rng.normal(size=(4, 3)))
         b = ad.Parameter("b", rng.normal(size=3))
         x = rng.normal(size=(5, 4))
-        self.check(lambda: ad.mean(ad.add(ad.matmul(ad.constant(x), w.node()), b.node())), [w, b])
+        self.check(lambda: ad.mean(ad.add(ad.matmul(ad.constant(x), w), b)), [w, b])
 
     def test_bce(self):
         # p spans the clamp on both sides; its entries sit at least 0.01 from
@@ -153,7 +132,7 @@ class TestPrimitiveGradients:
         assert np.all(np.minimum(np.abs(p.data - ad.PROB_EPS),
                                  np.abs(p.data - 1.0 + ad.PROB_EPS)) > 0.01)
         assert (p.data < 0).any() and (p.data > 1).any()
-        self.check(lambda: ad.bce(p.node(), y), [p])
+        self.check(lambda: ad.bce(p, y), [p])
 
     def test_sigmoid_log_square(self):
         # The log is the one inside bce, fed by a squared sigmoid.
@@ -163,7 +142,7 @@ class TestPrimitiveGradients:
         y = rng.integers(0, 2, size=(4, 2)).astype(float)
 
         def build():
-            s = ad.sigmoid(ad.matmul(ad.constant(x), w.node()))
+            s = ad.sigmoid(ad.matmul(ad.constant(x), w))
             return ad.bce(ad.square(s), y)
         self.check(build, [w])
 
@@ -172,10 +151,10 @@ class TestPrimitiveGradients:
         # outside it the gradient is exactly zero.
         w = ad.Parameter("w", np.array([0.3, 0.7]))
         y = np.array([1.0, 0.0])
-        self.check(lambda: ad.bce(w.node(), y), [w])
-        assert np.all(ad.backward(ad.bce(w.node(), y), [w])["w"] != 0.0)
+        self.check(lambda: ad.bce(w, y), [w])
+        assert np.all(ad.backward(ad.bce(w, y), [w])["w"] != 0.0)
         out = ad.Parameter("out", np.array([-0.2, 1.2]))
-        assert np.all(ad.backward(ad.bce(out.node(), y), [out])["out"] == 0.0)
+        assert np.all(ad.backward(ad.bce(out, y), [out])["out"] == 0.0)
 
     def test_concat_mul_sub(self):
         rng = np.random.default_rng(9)
@@ -184,7 +163,7 @@ class TestPrimitiveGradients:
         m = rng.normal(size=(4, 5))
 
         def build():
-            c = ad.concat([a.node(), b.node()], axis=1)
+            c = ad.concat([a, b], axis=1)
             return ad.mean(ad.mul(ad.constant(m), ad.sub(c, ad.constant(1.0))))
         self.check(build, [a, b])
 
@@ -197,8 +176,8 @@ class TestPrimitiveGradients:
         bag_mask = np.array([[True, True, False], [True, False, False]])
 
         def build():
-            single = ad.embedding(table.node(), ids)
-            pooled = ad.embedding_bag(table.node(), bag_ids, bag_mask)
+            single = ad.embedding(table, ids)
+            pooled = ad.embedding_bag(table, bag_ids, bag_mask)
             return ad.add(ad.mean(ad.square(single)), ad.mean(pooled))
         self.check(build, [table])
 
@@ -206,13 +185,13 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(11)
         b = ad.Parameter("b", rng.normal(size=3))
         x = rng.normal(size=(7, 3))
-        self.check(lambda: ad.mean(ad.square(ad.add(ad.constant(x), b.node()))), [b])
+        self.check(lambda: ad.mean(ad.square(ad.add(ad.constant(x), b))), [b])
 
     def test_tanh(self):
         rng = np.random.default_rng(12)
         w = ad.Parameter("w", rng.normal(size=(3, 2)))
         x = rng.normal(size=(4, 3)) * 2.0
-        self.check(lambda: ad.mean(ad.square(ad.tanh(ad.matmul(ad.constant(x), w.node())))), [w])
+        self.check(lambda: ad.mean(ad.square(ad.tanh(ad.matmul(ad.constant(x), w)))), [w])
 
     @pytest.mark.parametrize("act", ad.ACTIVATIONS)
     def test_dense(self, act):
@@ -221,7 +200,7 @@ class TestPrimitiveGradients:
         w = ad.Parameter("w", rng.normal(size=(4, 3)))
         b = ad.Parameter("b", rng.normal(size=3))
         m = rng.normal(size=(5, 3))
-        self.check(lambda: ad.mean(ad.mul(ad.dense(x.node(), w.node(), b.node(), act),
+        self.check(lambda: ad.mean(ad.mul(ad.dense(x, w, b, act),
                                           ad.constant(m))), [x, w, b])
 
     def test_columns(self):
@@ -230,8 +209,8 @@ class TestPrimitiveGradients:
         m = rng.normal(size=(4, 2))
 
         def build():
-            left = ad.columns(a.node(), 0, 2)
-            right = ad.columns(a.node(), 3, 5)
+            left = ad.columns(a, 0, 2)
+            right = ad.columns(a, 3, 5)
             return ad.mean(ad.add(ad.mul(ad.square(left), ad.constant(m)), right))
         self.check(build, [a])
 
@@ -367,7 +346,7 @@ class TestBitIdentity:
             results = []
             for build in (ad.dense, ref_dense):
                 params = [ad.Parameter(n, v.copy()) for n, v in (("x", x), ("w", w), ("b", b))]
-                out = build(*(p.node() for p in params), act)
+                out = build(*params, act)
                 results.append((out.data, ad.backward(ad.mean(ad.mul(out, r)))))
             (fast_out, fast_grads), (ref_out, ref_grads) = results
             assert_bitwise(fast_out, ref_out)
@@ -409,7 +388,7 @@ class TestBitIdentity:
             for build in (ad.bce, ref_bce):
                 param = ad.Parameter("p", p.copy())
                 # An upstream gradient other than 1 reaches the loss node.
-                loss = ad.mul(ad.constant(-2.75), build(param.node(), y))
+                loss = ad.mul(ad.constant(-2.75), build(param, y))
                 results.append((loss.data, ad.backward(loss)["p"]))
             (fast_loss, fast_grad), (ref_loss, ref_grad) = results
             assert_bitwise(fast_loss, ref_loss)
@@ -417,7 +396,7 @@ class TestBitIdentity:
 
     def test_bce_is_one_node(self):
         p = ad.Parameter("p", np.full((3, 1), 0.4))
-        loss = ad.bce(p.node(), np.ones((3, 1)))
+        loss = ad.bce(p, np.ones((3, 1)))
         assert [n.op for n in ad.Tape.trace(loss).nodes] == ["param", "bce"]
 
     def test_bce_rejects_labels_wider_than_predictions(self):
@@ -426,7 +405,7 @@ class TestBitIdentity:
 
     def test_tanh_is_one_node(self):
         x = ad.Parameter("x", np.zeros(3))
-        loss = ad.mean(ad.tanh(x.node()))
+        loss = ad.mean(ad.tanh(x))
         assert [n.op for n in ad.Tape.trace(loss).nodes] == ["param", "tanh", "mean"]
 
     @pytest.mark.parametrize("case", ["random", "repeated", "single_row", "edge_values"])
@@ -715,7 +694,7 @@ class TestAdagrad:
         live = ad.Parameter("live", np.array([1.0]))
         before = frozen.data.copy()
         opt = ad.Adagrad([frozen, live])
-        opt.step(ad.mean(ad.mul(frozen.node(), live.node())))
+        opt.step(ad.mean(ad.mul(frozen, live)))
         assert np.array_equal(frozen.data, before) and "frozen" not in opt.accum
         assert float(live.data[0]) != 1.0
 
@@ -899,9 +878,9 @@ class TestMinimize:
 class KitchenSink:
     """A small net with every structure a fused step must get right: an
     embedding and an embedding_bag table, a concatenated weight pair (as in
-    model.gate_pair), a weight read through two nodes and a bias through
-    three, one weight node with two consumers, a node with three consumers
-    and a registered parameter the loss never reaches."""
+    model.gate_pair), two weights with two consumers each and a bias with
+    three, a node with three consumers and a registered parameter the loss
+    never reaches."""
 
     def __init__(self, seed):
         rng = np.random.default_rng(seed)
@@ -927,19 +906,16 @@ class KitchenSink:
     def loss(self, batch, rows=None):
         p = self.p
         x = ad.dense(ad.concat([ad.constant(batch.x),
-                                ad.embedding(p["table"].node(), batch.ids),
-                                ad.embedding_bag(p["bag"].node(), batch.seq, batch.mask)]),
-                     p["inner"].node(), p["inner_b"].node(), "tanh")
-        hidden = ad.dense(x, ad.concat([p["pair_a"].node(), p["pair_b"].node()]),
-                          ad.concat([p["pair_ba"].node(), p["pair_bb"].node()]), "tanh")
-        left = ad.dense(ad.columns(hidden, 0, 4), p["shared"].node(),
-                        p["shared_b"].node(), "tanh")
-        right = ad.dense(ad.columns(hidden, 4, 8), p["shared"].node(),
-                         p["shared_b"].node(), "sigmoid")
-        tied = p["tied"].node()
-        mixed = ad.mul(ad.dense(left, tied, p["shared_b"].node(), "tanh"),
-                       ad.dense(right, tied, p["tied_b"].node(), "linear"))
-        prob = ad.sigmoid(ad.dense(mixed, p["head"].node(), p["head_b"].node()))
+                                ad.embedding(p["table"], batch.ids),
+                                ad.embedding_bag(p["bag"], batch.seq, batch.mask)]),
+                     p["inner"], p["inner_b"], "tanh")
+        hidden = ad.dense(x, ad.concat([p["pair_a"], p["pair_b"]]),
+                          ad.concat([p["pair_ba"], p["pair_bb"]]), "tanh")
+        left = ad.dense(ad.columns(hidden, 0, 4), p["shared"], p["shared_b"], "tanh")
+        right = ad.dense(ad.columns(hidden, 4, 8), p["shared"], p["shared_b"], "sigmoid")
+        mixed = ad.mul(ad.dense(left, p["tied"], p["shared_b"], "tanh"),
+                       ad.dense(right, p["tied"], p["tied_b"], "linear"))
+        prob = ad.sigmoid(ad.dense(mixed, p["head"], p["head_b"]))
         y = batch.y.reshape(-1, 1)
         return ad.add(ad.add(ad.bce(prob, y),
                              ad.mean(ad.square(ad.sub(prob, ad.constant(0.3))))),
@@ -1015,7 +991,7 @@ class TestFusedStep:
                     between = nodes[pos[id(parent)] + 1:pos[id(node)]]
                     assert all(not n.parents for n in between), node
                     moved += 1
-        assert moved >= 15
+        assert moved >= 14
 
     def test_only_leaves_move(self):
         loss = KitchenSink(3).loss(KitchenSink.data(n=8))
@@ -1285,9 +1261,8 @@ class TestDeterminism:
 class TestTape:
     def test_topological_order(self):
         x = ad.Parameter("x", 1.0)
-        xn = x.node()
-        y = ad.add(xn, ad.constant(1.0))
-        z = ad.mul(y, xn)
+        y = ad.add(x, ad.constant(1.0))
+        z = ad.mul(y, x)
         tape = ad.Tape.trace(z)
         pos = {id(n): i for i, n in enumerate(tape.nodes)}
         for node in tape.nodes:
@@ -1306,11 +1281,11 @@ class TestNoGrad:
         w = ad.Parameter("w", np.array([[1.0], [2.0]]))
         x = ad.constant(np.array([[3.0, 4.0]]))
         with ad.no_grad():
-            out = ad.sigmoid(ad.matmul(x, w.node()))
+            out = ad.sigmoid(ad.matmul(x, w))
         assert out.op == "sigmoid"
         assert out.parents == ()
         assert out._backward is None
-        assert out.data[0, 0] == ad.sigmoid(ad.matmul(x, w.node())).data[0, 0]
+        assert out.data[0, 0] == ad.sigmoid(ad.matmul(x, w)).data[0, 0]
 
     def test_nesting_restores_each_level(self):
         assert self.recording()
@@ -1329,7 +1304,7 @@ class TestNoGrad:
     def test_backward_on_unrecorded_loss_rejected(self):
         w = ad.Parameter("w", np.ones(3))
         with ad.no_grad():
-            loss = ad.mean(ad.mul(w.node(), w.node()))
+            loss = ad.mean(ad.mul(w, w))
         with pytest.raises(UsageError, match="no_grad"):
             ad.backward(loss, [w])
         with pytest.raises(UsageError, match="no_grad"):
@@ -1339,8 +1314,8 @@ class TestNoGrad:
         # A value computed without a graph feeds a recorded loss as a constant.
         w = ad.Parameter("w", 2.0)
         with ad.no_grad():
-            c = ad.mul(w.node(), scalar(5.0))
-        grads = ad.backward(ad.mul(w.node(), c), [w])
+            c = ad.mul(w, scalar(5.0))
+        grads = ad.backward(ad.mul(w, c), [w])
         assert float(grads["w"]) == 10.0
 
 

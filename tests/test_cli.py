@@ -131,6 +131,22 @@ class TestTrainEvaluate:
         assert code == 3
         assert "parameter 'pretrained/emb_user' has shape" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.bool_])
+    def test_checkpoint_array_of_another_dtype_is_data_error(self, tiny_ini, tmp_path, capsys,
+                                                             rewrite_checkpoint, dtype):
+        """A weight array saved as int64 (its values truncated to 0) was loaded
+        as is and scored AUC 0.5 with exit 0; float32 and bool arrays were
+        taken without a word."""
+        out = tmp_path / "run"
+        assert main(["pretrain", "--config", str(tiny_ini), "--out", str(out)]) == 0
+        ckpt = out / "pretrained_seed1.npz"
+        rewrite_checkpoint(ckpt, retype=("pretrained/cvr/w0", dtype))
+        code = main(["evaluate", "--config", str(tiny_ini), "--out", str(out),
+                     "--checkpoint", str(ckpt)])
+        assert code == 3
+        assert (f"parameter 'pretrained/cvr/w0' has dtype {np.dtype(dtype)}"
+                in capsys.readouterr().err)
+
 
     def test_file_that_is_not_a_checkpoint_is_data_error(self, tiny_ini, tmp_path):
         bad = tmp_path / "bad.npz"

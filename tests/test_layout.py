@@ -1,4 +1,5 @@
-"""Every public function, class and method of the package has a caller.
+"""Every public function, class and method of the package has a caller, and
+every third-party module outside the package is a declared dependency.
 
 A definition counts as used when its name appears in `src/`, `demos/` or
 `perfbench/` outside its own definition: as a name, an attribute, or a
@@ -11,15 +12,17 @@ stay.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "prepromo"
 SEARCHED = ("src", "demos", "perfbench")
 
-ALLOWED = {
-    "data.PromotionCalendar.day_of": "the test oracles place timestamps on the calendar with it",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def definitions():
@@ -102,3 +105,26 @@ def test_benchmark_probes_wrap_and_restore(monkeypatch):
         tracer.close()
     for owner, attr, raw in probes:
         assert current(owner, attr) is raw, f"{owner.__name__}.{attr} not restored"
+
+
+def test_imports_outside_the_package_are_declared_dependencies():
+    """`pip install -e .[dev]` gives the tests, the benchmark and the demos
+    every third-party module they import: each is named in `dependencies`
+    or in the `dev` extra of pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in project["dependencies"] + project["optional-dependencies"]["dev"]}
+    trees = [ROOT / top for top in ("tests", "perfbench", "demos")]
+    local = {PACKAGE.name} | {path.stem for tree in trees for path in tree.rglob("*.py")}
+    imported = set()
+    for tree in trees:
+        for path in tree.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert {"numpy", "pytest"} <= third_party
+    assert not third_party - declared, f"undeclared: {sorted(third_party - declared)}"

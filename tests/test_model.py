@@ -73,7 +73,7 @@ class TestPoolSequence:
             "item_vocab": {"a": 1, "b": 2}, "cat_vocab": {"c": 1},
             "price_edges": [], "disc_edges": [], "dense_dim": 2})
         data = encoder.encode(click_table([ClickRow("u", "a", "c", 0, 0, 1.0, 0.0, atc_seq=seq)]))
-        return ad.embedding_bag(table.node(), data.atc_seq, data.atc_mask).data[0]
+        return ad.embedding_bag(table, data.atc_seq, data.atc_mask).data[0]
 
     def test_empty_sequence_is_zero(self):
         assert np.array_equal(self.pool(()), np.zeros(2))
@@ -315,6 +315,29 @@ class TestStopGradientTotality:
         analytic = ad.backward(build(), params)
         numeric = finite_difference_grads(lambda: float(build().data), params)
         assert max_grad_mismatch(analytic, numeric) < 1e-4
+
+
+class TestParametersAreLeaves:
+    def test_cmdcm_step_reads_each_trainable_parameter_as_itself_once(self, setup):
+        """One cmdcm training step at desk widths (32/16/8, the default
+        configs): every trainable parameter is on the tape once, as the
+        Parameter object itself; the frozen base, read inside no_grad, is
+        not; and the step is the benchmark's 99 nodes."""
+        world, _, _ = setup
+        daily = tiny_samples(world, 400, mode="daily", seed=7)
+        pretrained = pretrain_fit(daily, PretrainConfig(max_seq_len=3, epochs=1,
+                                                        batch_size=128), seed=2)
+        batch = pretrained.encoder.encode(tiny_samples(world, 64, seed=11))
+        model = DelayModel(pretrained, DelayConfig(), np.random.default_rng(5))
+        total, _ = model.loss(model.forward(batch), batch, np.full(batch.n, 0.2))
+        nodes = ad.Tape.trace(total).nodes
+        assert len(nodes) == 99
+        trainable = [p for p in model.parameters() if p.trainable]
+        for p in trainable:
+            assert sum(node is p for node in nodes) == 1, p.name
+        leaves = [node for node in nodes if node.op == "param"]
+        assert len(leaves) == len(trainable)
+        assert not any(node is p for node in nodes for p in pretrained.parameters())
 
 
 class TestFinetune:
