@@ -154,8 +154,7 @@ def cmd_evaluate(args) -> int:
         else:
             p_all = p_delay = model.predict(eval_)[0]
         report = evaluate_scores("checkpoint", seed, p_all, p_delay, eval_.y_all,
-                                 eval_.y_delay,
-                                 nll_exclude_direct=cfg.model.nll_exclude_direct)
+                                 eval_.y_delay)
         reports.append(report)
         print(f"seed {seed}: auc_all={report.auc_all:.4f} "
               f"auc_delay={report.auc_delay:.4f} nll_delay={report.nll_delay:.4f}")

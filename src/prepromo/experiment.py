@@ -50,8 +50,17 @@ from .synth import (GenConfig, WorldParams, default_calendar, generate_dataset,
 
 log = logging.getLogger("prepromo.experiment")
 
-VARIANT_NAMES = ("pretrained_only", "naive_finetune", "reuse_relabel", "cmdcm",
-                 "wo_allcvr", "wo_pg", "wo_cm")
+# name -> (kind, additive p_all term, counterfactual term, personalized gates)
+VARIANTS = {
+    "pretrained_only": ("frozen", False, False, False),
+    "naive_finetune": ("delay", False, False, False),
+    "reuse_relabel": ("reuse", False, False, False),
+    "cmdcm": ("delay", True, True, True),
+    "wo_allcvr": ("delay", False, True, True),
+    "wo_pg": ("delay", True, True, False),
+    "wo_cm": ("delay", True, False, True),
+}
+VARIANT_NAMES = tuple(VARIANTS)
 ABLATION_VARIANTS = ("cmdcm", "wo_allcvr", "wo_pg", "wo_cm")
 
 
@@ -105,6 +114,14 @@ class DatasetConfig:
             promo_days=frozenset(self.promo_days), tz_offset=self.tz_offset)
 
 
+# The dataset keys that only a csv event log reads, with what each one sets.
+_CSV_LOG_KEYS = {"events_path": "the path", "delimiter": "the delimiter",
+                 "price_col": "the price column", "discount_col": "the discount column",
+                 "count_intermediate_as_all": "the label policy",
+                 **dict.fromkeys(("daily_start", "daily_end", "pre_start", "pre_end",
+                                  "promo_days", "tz_offset"), "the calendar")}
+
+
 @dataclass(slots=True)
 class ModelConfig:
     widths: tuple[int, ...] = (32, 16, 8)
@@ -112,10 +129,7 @@ class ModelConfig:
     n_buckets: int = 16
     lambda_all: float = 1.0
     lambda_cm: float = 0.1
-    cm_on_atc_only: bool = False
-    use_gates: bool = True
     imputation_widths: tuple[int, ...] = (32, 16)
-    nll_exclude_direct: bool = False
 
 
 @dataclass(slots=True)
@@ -147,19 +161,30 @@ class ExperimentConfig:
         for v in self.variants:
             if v not in VARIANT_NAMES:
                 raise ConfigError(f"unknown variant {v!r}; known: {VARIANT_NAMES}")
-        # The generator keeps a calendar of its own; one set for it would be
-        # echoed in the report and hashed without shaping the run.
+        # The generator reads no log and keeps a calendar of its own; a log
+        # setting would be echoed in the report and hashed without shaping
+        # the run.
         if self.dataset.mode == "synthetic":
             default = DatasetConfig()
-            for name in ("daily_start", "daily_end", "pre_start", "pre_end",
-                         "promo_days", "tz_offset"):
+            for name, role in _CSV_LOG_KEYS.items():
                 if getattr(self.dataset, name) != getattr(default, name):
                     raise ConfigError(
-                        f"dataset.{name} sets the calendar of a csv event log; "
-                        "synthetic mode generates on a calendar of its own")
+                        f"dataset.{name} sets {role} of a csv event log; "
+                        "synthetic mode generates its data without one")
         if len(self.dataset.delimiter) != 1:
             raise ConfigError("dataset.delimiter must be one character, "
                               f"got {self.dataset.delimiter!r}")
+        m = self.model
+        for name in ("lambda_all", "lambda_cm"):
+            if not 0.0 <= getattr(m, name) < math.inf:
+                raise ConfigError(f"model.{name} must be finite and non-negative, "
+                                  f"got {getattr(m, name)}")
+        for name in ("widths", "imputation_widths"):
+            if any(w < 1 for w in getattr(m, name)):
+                raise ConfigError(f"model.{name} entries must be at least 1, "
+                                  f"got {getattr(m, name)}")
+        if m.embedding_dim < 1:
+            raise ConfigError(f"model.embedding_dim must be at least 1, got {m.embedding_dim}")
         t = self.training
         for name in ("batch_size", "epochs", "pretrain_epochs", "imputation_epochs"):
             if getattr(t, name) < 1:
@@ -242,33 +267,16 @@ class VariantPlan:
 
 def apply_variant(cfg: ExperimentConfig, name: str) -> VariantPlan:
     """Resolve a variant name into one concrete configuration transform."""
-    m = cfg.model
-    if name == "pretrained_only":
-        plan = VariantPlan(name, "frozen")
-    elif name == "naive_finetune":
-        plan = VariantPlan(name, "delay", lambda_all=0.0, lambda_cm=0.0,
-                           use_gates=False)
-    elif name == "reuse_relabel":
-        plan = VariantPlan(name, "reuse")
-    elif name == "cmdcm":
-        plan = VariantPlan(name, "delay", lambda_all=m.lambda_all,
-                           lambda_cm=m.lambda_cm, use_gates=m.use_gates,
-                           needs_imputation=m.lambda_cm > 0)
-    elif name == "wo_allcvr":
-        plan = VariantPlan(name, "delay", lambda_all=0.0, lambda_cm=m.lambda_cm,
-                           use_gates=m.use_gates, needs_imputation=m.lambda_cm > 0)
-    elif name == "wo_pg":
-        plan = VariantPlan(name, "delay", lambda_all=m.lambda_all,
-                           lambda_cm=m.lambda_cm, use_gates=False,
-                           needs_imputation=m.lambda_cm > 0)
-    elif name == "wo_cm":
-        # The imputation model is still fitted; only the loss term is gone.
-        plan = VariantPlan(name, "delay", lambda_all=m.lambda_all,
-                           lambda_cm=0.0, use_gates=m.use_gates,
-                           needs_imputation=True)
-    else:
+    if name not in VARIANTS:
         raise ConfigError(f"unknown variant {name!r}")
-    return plan
+    kind, additive, counterfactual, gates = VARIANTS[name]
+    lambda_cm = cfg.model.lambda_cm if counterfactual else 0.0
+    # wo_cm drops only the loss term: the imputation model is still fitted,
+    # so its run keeps the DR diagnostics.
+    return VariantPlan(name, kind,
+                       lambda_all=cfg.model.lambda_all if additive else 0.0,
+                       lambda_cm=lambda_cm, use_gates=gates,
+                       needs_imputation=lambda_cm > 0 or name == "wo_cm")
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +425,6 @@ def run_variant(cfg: ExperimentConfig, seed_data: SeedData, plan: VariantPlan,
         dcfg = DelayConfig(embedding_dim=cfg.model.embedding_dim,
                            lambda_all=plan.lambda_all, lambda_cm=plan.lambda_cm,
                            use_gates=plan.use_gates,
-                           cm_on_atc_only=cfg.model.cm_on_atc_only,
                            learning_rate=cfg.training.learning_rate,
                            batch_size=cfg.training.batch_size,
                            epochs=cfg.training.epochs)
@@ -430,8 +437,7 @@ def run_variant(cfg: ExperimentConfig, seed_data: SeedData, plan: VariantPlan,
         scores = model.predict(eval_)
         p_all, p_delay = scores["p_all_raw"], scores["p_delay"]
     report = evaluate_scores(plan.name, run_seed, p_all, p_delay, eval_.y_all,
-                             eval_.y_delay, config_hash(cfg),
-                             cfg.model.nll_exclude_direct)
+                             eval_.y_delay, config_hash(cfg))
     report.extras["finetune_steps"] = float(steps)
     if model is not None:
         report.extras["final_train_loss"] = losses[-1] if losses else float("nan")

@@ -8,8 +8,7 @@ Two rankings are scored on the evaluation window:
                are excluded entirely, scored with the delay head
 
 nll_delay is the mean binary cross-entropy of the delay score against
-y_delay over all evaluation samples; direct conversions stay in with label 0
-unless `exclude_direct` is set.
+y_delay over all evaluation samples; direct conversions stay in with label 0.
 """
 
 from __future__ import annotations
@@ -79,16 +78,11 @@ def auc_delay(p_delay: Array, y_all: Array, y_delay: Array) -> float:
     return auc(pos, neg)
 
 
-def nll_delay(p_delay: Array, y_delay: Array, y_all: Array | None = None,
-              exclude_direct: bool = False, eps: float = PROB_EPS) -> float:
-    """Mean binary cross-entropy of the delay score against y_delay."""
+def nll_delay(p_delay: Array, y_delay: Array, eps: float = PROB_EPS) -> float:
+    """Mean binary cross-entropy of the delay score against y_delay, over
+    every sample (a direct conversion counts with label 0)."""
     p = np.asarray(p_delay, dtype=np.float64)
     y = np.asarray(y_delay, dtype=np.float64)
-    if exclude_direct:
-        if y_all is None:
-            raise UsageError("exclude_direct requires y_all")
-        keep = ~((np.asarray(y_all) == 1) & (y == 0))
-        p, y = p[keep], y[keep]
     if p.size == 0:
         raise DataError("nll_delay: empty evaluation set")
     return float(np.mean(bce_values(p, y, eps)))
@@ -128,13 +122,12 @@ class MetricReport:
 
 
 def evaluate_scores(variant: str, seed: int, p_all: Array, p_delay: Array,
-                    y_all: Array, y_delay: Array, config_hash: str = "",
-                    nll_exclude_direct: bool = False) -> MetricReport:
+                    y_all: Array, y_delay: Array, config_hash: str = "") -> MetricReport:
     return MetricReport(
         variant=variant, seed=seed,
         auc_all=auc_all(p_all, y_all),
         auc_delay=auc_delay(p_delay, y_all, y_delay),
-        nll_delay=nll_delay(p_delay, y_delay, y_all, exclude_direct=nll_exclude_direct),
+        nll_delay=nll_delay(p_delay, y_delay),
         n_eval=int(y_all.size),
         n_conversions=int((y_all == 1).sum()),
         n_delayed=int((y_delay == 1).sum()),

@@ -41,14 +41,13 @@ class DelayConfig:
     lambda_all: float = 1.0
     lambda_cm: float = 0.1
     use_gates: bool = True
-    cm_on_atc_only: bool = False
     learning_rate: float = 0.001
     batch_size: int = 1024
     epochs: int = 3
 
     def __post_init__(self):
-        if self.lambda_all < 0 or self.lambda_cm < 0:
-            raise ConfigError("loss weights must be non-negative, got "
+        if not (0 <= self.lambda_all < np.inf and 0 <= self.lambda_cm < np.inf):
+            raise ConfigError("loss weights must be finite and non-negative, got "
                               f"lambda_all={self.lambda_all}, lambda_cm={self.lambda_cm}")
 
 
@@ -88,16 +87,14 @@ def build_gated_input(h_cvr: ad.Node, h_atc: ad.Node, gate_cvr: ad.Node | None,
 
 
 def delay_loss(pred: DelayPrediction, y_delay: Array, y_all: Array,
-               mu1: Array | None, lambda_all: float, lambda_cm: float,
-               cm_on_atc_only: bool = False, a: Array | None = None
+               mu1: Array | None, lambda_all: float, lambda_cm: float
                ) -> tuple[ad.Node, dict[str, float]]:
     """Combined objective and its components.
 
     total = bce(p_delay, y_delay) + lambda_all * bce(p_all, y_all)
             + lambda_cm * mean((p_delay - mu1)^2)
 
-    The squared regularizer runs over the whole batch by default; with
-    cm_on_atc_only it averages over carted samples only (zero if none).
+    with the mean of the squared regularizer taken over the whole batch.
     """
     if lambda_all < 0 or lambda_cm < 0:
         raise ConfigError("loss weights must be non-negative")
@@ -108,15 +105,8 @@ def delay_loss(pred: DelayPrediction, y_delay: Array, y_all: Array,
     if lambda_cm > 0.0:
         if mu1 is None:
             raise ConfigError("lambda_cm > 0 requires imputed targets")
-        sq = ad.square(ad.sub(pred.p_delay, ad.constant(np.asarray(mu1).reshape(-1, 1))))
-        if cm_on_atc_only:
-            if a is None:
-                raise ConfigError("cm_on_atc_only requires the cart indicator")
-            mask = np.asarray(a).reshape(-1, 1)
-            scale = mask.size / max(float(mask.sum()), 1.0)
-            l_cm = ad.mul(ad.constant(scale), ad.mean(ad.mul(sq, ad.constant(mask))))
-        else:
-            l_cm = ad.mean(sq)
+        l_cm = ad.mean(ad.square(ad.sub(pred.p_delay,
+                                        ad.constant(np.asarray(mu1).reshape(-1, 1)))))
         total = ad.add(total, ad.mul(ad.constant(lambda_cm), l_cm))
         l_cm_value = float(l_cm.data)
     parts = {"delay": float(l_delay.data), "all": float(l_all.data),
@@ -215,8 +205,7 @@ class DelayModel:
              mu1: Array | None) -> tuple[ad.Node, dict[str, float]]:
         cfg = self.config
         return delay_loss(pred, batch.y_delay, batch.y_all, mu1,
-                          lambda_all=cfg.lambda_all, lambda_cm=cfg.lambda_cm,
-                          cm_on_atc_only=cfg.cm_on_atc_only, a=batch.A)
+                          lambda_all=cfg.lambda_all, lambda_cm=cfg.lambda_cm)
 
     def predict(self, data: EncodedDataset) -> dict[str, Array]:
         """Scores for ranking, as flat arrays; records no graph."""

@@ -109,6 +109,24 @@ class TestTrainEvaluate:
         for key in ("auc_all", "auc_delay", "nll_delay"):
             assert scored[key] == trained[key], key
 
+    @pytest.mark.parametrize("change,message", [
+        ({"cm_on_atc_only": False}, "unknown key 'cm_on_atc_only' for DelayConfig"),
+        ({"lambda_all": float("nan")}, "loss weights must be finite and non-negative"),
+        ({"lambda_cm": float("inf")}, "loss weights must be finite and non-negative"),
+    ], ids=["removed_key", "nan_weight", "inf_weight"])
+    def test_refused_delay_config_is_data_error(self, tiny_ini, tmp_path, capsys,
+                                                rewrite_checkpoint, change, message):
+        out = tmp_path / "train"
+        assert main(["train", "--config", str(tiny_ini), "--out", str(out),
+                     "--variant", "naive_finetune"]) == 0
+        ckpt = out / "naive_finetune_seed1.npz"
+        rewrite_checkpoint(ckpt, edit=lambda m: {**m, "config": {**m["config"], **change}})
+        code = main(["evaluate", "--config", str(tiny_ini), "--out", str(out),
+                     "--checkpoint", str(ckpt)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "field 'config' is malformed" in err and message in err
+
     def test_unknown_variant_is_config_error(self, tiny_ini, tmp_path):
         code = main(["train", "--config", str(tiny_ini), "--out",
                      str(tmp_path), "--variant", "wo_everything"])
@@ -276,6 +294,46 @@ class TestErrorCodes:
         key = setting.split(" = ")[0]
         assert (f"dataset.{key} sets the calendar of a csv event log"
                 in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("setting,role", [
+        ("events_path = x.csv", "the path"), ("delimiter = ;", "the delimiter"),
+        ("price_col = 5", "the price column"), ("discount_col = 6", "the discount column"),
+        ("count_intermediate_as_all = true", "the label policy")])
+    def test_csv_log_key_in_synthetic_mode_exit_2(self, tmp_path, capsys, setting, role):
+        cfg = tmp_path / "synthetic.ini"
+        cfg.write_text(f"[dataset]\n{setting}\n"
+                       "[experiment]\nseeds = 1\nvariants = pretrained_only\n")
+        code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        key = setting.split(" = ")[0]
+        assert f"dataset.{key} sets {role} of a csv event log" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["use_gates", "cm_on_atc_only", "nll_exclude_direct"])
+    def test_removed_model_key_exit_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "old.ini"
+        cfg.write_text(f"[model]\n{key} = false\n")
+        code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"unknown key '{key}' for ModelConfig" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("setting,message", [
+        ("lambda_all = nan", "model.lambda_all must be finite and non-negative, got nan"),
+        ("lambda_all = -1", "model.lambda_all must be finite and non-negative, got -1.0"),
+        ("lambda_cm = inf", "model.lambda_cm must be finite and non-negative, got inf"),
+        ("widths = 8,0", "model.widths entries must be at least 1, got (8, 0)"),
+        ("imputation_widths = 16,-2", "model.imputation_widths entries must be at least 1"),
+        ("embedding_dim = 0", "model.embedding_dim must be at least 1, got 0"),
+    ])
+    def test_bad_model_value_exit_2(self, tmp_path, capsys, setting, message):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[model]\n{setting}\n"
+                       "[experiment]\nseeds = 1\nvariants = pretrained_only,cmdcm\n")
+        code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_calendar_keys_at_their_defaults_are_accepted(self, tmp_path):

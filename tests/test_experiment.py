@@ -10,7 +10,7 @@ from prepromo.decode import decode
 from prepromo.errors import ConfigError
 from prepromo.experiment import (ABLATION_VARIANTS, VARIANT_NAMES, DatasetConfig,
                                  ExperimentConfig, ModelConfig, TrainingConfig,
-                                 acquire_data, apply_variant,
+                                 VariantPlan, acquire_data, apply_variant,
                                  config_hash, format_ablation_table,
                                  load_config, make_config, run_ablation,
                                  run_experiment, stage_seed)
@@ -80,6 +80,22 @@ class TestApplyVariant:
         assert wo.use_gates == full.use_gates
         assert wo.needs_imputation  # the model is still fitted
 
+    @pytest.mark.parametrize("name,switch", [
+        ("wo_allcvr", "lambda_all"), ("wo_pg", "use_gates"), ("wo_cm", "lambda_cm")])
+    def test_ablation_drops_only_its_component(self, name, switch):
+        cfg = make_config("desk")
+        full, ablated = apply_variant(cfg, "cmdcm"), apply_variant(cfg, name)
+        assert full.lambda_all > 0 and full.lambda_cm > 0 and full.use_gates
+        assert [f.name for f in fields(VariantPlan)
+                if getattr(full, f.name) != getattr(ablated, f.name)] == ["name", switch]
+        assert not getattr(ablated, switch)
+
+    def test_without_the_term_only_wo_cm_fits_imputation(self):
+        cfg = make_config("desk")
+        cfg.model = replace(cfg.model, lambda_cm=0.0)
+        assert [name for name in VARIANT_NAMES
+                if apply_variant(cfg, name).needs_imputation] == ["wo_cm"]
+
     def test_naive_disables_everything_extra(self):
         plan = apply_variant(make_config("desk"), "naive_finetune")
         assert (plan.lambda_all, plan.lambda_cm, plan.use_gates) == (0.0, 0.0, False)
@@ -101,7 +117,7 @@ class TestConfigFile:
             "[model]\n"
             "widths = 8,4\n"
             "lambda_cm = 0.25\n"
-            "use_gates = false\n"
+            "n_buckets = 5\n"
             "[training]\n"
             "epochs = 2\n"
             "[experiment]\n"
@@ -113,7 +129,7 @@ class TestConfigFile:
         assert cfg.dataset.tau == 1.5
         assert cfg.model.widths == (8, 4)
         assert cfg.model.lambda_cm == 0.25
-        assert cfg.model.use_gates is False
+        assert cfg.model.n_buckets == 5
         assert cfg.training.epochs == 2
         assert cfg.variants == ("pretrained_only", "cmdcm")
         assert cfg.seeds == (3, 4)
@@ -231,10 +247,11 @@ class TestDecode:
         assert value == 1.0 and type(value) is float
 
     @pytest.mark.parametrize("field,raw", [
-        ("epochs", "true"), ("epochs", "2.0"), ("use_gates", "2"), ("widths", "8,x"),
+        ("epochs", "true"), ("epochs", "2.0"), ("count_intermediate_as_all", "2"),
+        ("widths", "8,x"),
     ])
     def test_text_that_does_not_parse_is_refused(self, field, raw):
-        cls = TrainingConfig if field == "epochs" else ModelConfig
+        cls = {"epochs": TrainingConfig, "widths": ModelConfig}.get(field, DatasetConfig)
         with pytest.raises(ConfigError, match=f"bad value for {cls.__name__}.{field}"):
             decode(cls, {field: raw}, text=True)
 

@@ -13,7 +13,9 @@ A change that moves a number on purpose regenerates the goldens with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and names the fields that moved in CHANGES.md. `tests/golden/build.json`
+and names the fields that moved in CHANGES.md. A failure lists every JSON
+path and CSV cell that differs, up to MAX_LISTED per file, so it shows all
+that moved. `tests/golden/build.json`
 records the numpy and BLAS build the goldens came from: another build may
 round differently, so a failure prints both builds.
 """
@@ -77,6 +79,8 @@ seeds = 1
 variants = pretrained_only,cmdcm
 """
 REPORTS = ("report.json", "report.csv", "loss_traces.csv")
+# Differing fields listed per report file; a changed header can move them all.
+MAX_LISTED = 40
 HASHED = ("generate/events_daily.csv", "generate/events_prepromo.csv",
           "generate/truth_daily.csv", "generate/truth_prepromo.csv",
           "checkpoint/pretrained_seed1.npz", "checkpoint/cmdcm_seed1.npz",
@@ -116,37 +120,64 @@ def produce(work: Path) -> tuple[dict[str, bytes], dict[str, str]]:
     return reports, hashes
 
 
-def json_difference(want, got, path: str) -> str | None:
-    """The first place where two parsed JSON documents differ, or None."""
+def json_differences(want, got, path: str):
+    """Every JSON path at which two parsed documents differ, with both values."""
     if isinstance(want, dict) and isinstance(got, dict):
-        keys = list(want) + [k for k in got if k not in want]
-        pairs = [(f"{path}.{k}", want.get(k), got.get(k)) for k in keys]
+        for k in list(want) + [k for k in got if k not in want]:
+            if k not in got:
+                yield f"{path}.{k}: {want[k]!r} removed"
+            elif k not in want:
+                yield f"{path}.{k}: {got[k]!r} added"
+            else:
+                yield from json_differences(want[k], got[k], f"{path}.{k}")
     elif isinstance(want, list) and isinstance(got, list) and len(want) == len(got):
-        pairs = [(f"{path}[{k}]", a, b) for k, (a, b) in enumerate(zip(want, got))]
-    else:
-        return None if json.dumps(want) == json.dumps(got) else f"{path}: {want!r} -> {got!r}"
-    return next(filter(None, (json_difference(a, b, p) for p, a, b in pairs)), None)
+        for k, (a, b) in enumerate(zip(want, got)):
+            yield from json_differences(a, b, f"{path}[{k}]")
+    elif json.dumps(want) != json.dumps(got):
+        yield f"{path}: {want!r} -> {got!r}"
 
 
-def first_difference(name: str, want: bytes, got: bytes) -> str:
-    """The first field where a report file differs from its golden."""
-    if name.endswith(".json"):
-        found = json_difference(json.loads(want), json.loads(got), name)
-    else:
-        (header, *want_rows), got_rows = (list(csv.reader(io.StringIO(b.decode())))
-                                          for b in (want, got))
-        found = next((f"{name} row {r} {c}: {a!r} -> {b!r}"
-                      for r, (w, g) in enumerate(zip_longest(want_rows, got_rows[1:],
-                                                             fillvalue=[]), 1)
-                      for c, a, b in zip_longest(header, w, g) if a != b), None)
-    return found or f"{name}: the bytes differ"
+def csv_differences(name: str, want: bytes, got: bytes):
+    """Every CSV cell, by row and column name, where two files differ."""
+    (header, *want_rows), got_rows = (list(csv.reader(io.StringIO(b.decode())))
+                                      for b in (want, got))
+    for r, (w, g) in enumerate(zip_longest(want_rows, got_rows[1:], fillvalue=[]), 1):
+        for c, a, b in zip_longest(header, w, g):
+            if a != b:
+                yield f"{name} row {r} {c}: {a!r} -> {b!r}"
+
+
+def differences(name: str, want: bytes, got: bytes) -> list[str]:
+    """The fields where a report file differs from its golden, at most
+    MAX_LISTED of them and then a count of the rest."""
+    found = list(json_differences(json.loads(want), json.loads(got), name)
+                 if name.endswith(".json") else csv_differences(name, want, got))
+    if len(found) > MAX_LISTED:
+        found[MAX_LISTED:] = [f"{name}: {len(found) - MAX_LISTED} more differences"]
+    return found or [f"{name}: the bytes differ"]
+
+
+def test_differences_lists_every_field_up_to_the_cap():
+    want = {"a": 1, "b": [1, 2], "c": {"d": 3}}
+    got = {"a": 2, "b": [1, 5], "e": 4}
+    assert differences("r.json", *(json.dumps(d).encode() for d in (want, got))) == [
+        "r.json.a: 1 -> 2", "r.json.b[1]: 2 -> 5", "r.json.c: {'d': 3} removed",
+        "r.json.e: 4 added"]
+    assert differences("r.csv", b"x,y\n1,2\n3,4\n", b"x,y\n1,0\n5,4\n6,7\n") == [
+        "r.csv row 1 y: '2' -> '0'", "r.csv row 2 x: '3' -> '5'",
+        "r.csv row 3 x: None -> '6'", "r.csv row 3 y: None -> '7'"]
+    many = differences("r.json", json.dumps(list(range(50))).encode(),
+                       json.dumps(list(range(1, 51))).encode())
+    assert len(many) == MAX_LISTED + 1
+    assert many[-1] == f"r.json: {50 - MAX_LISTED} more differences"
 
 
 def test_outputs_match_goldens(tmp_path):
     reports, hashes = produce(tmp_path)
     recorded = json.loads((GOLDEN / "sha256.json").read_text(encoding="utf-8"))
-    problems = [first_difference(name, (GOLDEN / name).read_bytes(), got)
-                for name, got in reports.items() if (GOLDEN / name).read_bytes() != got]
+    problems = [line for name, got in reports.items()
+                if (GOLDEN / name).read_bytes() != got
+                for line in differences(name, (GOLDEN / name).read_bytes(), got)]
     problems += [f"{name}: sha256 {recorded.get(name)} -> {digest}"
                  for name, digest in hashes.items() if recorded.get(name) != digest]
     assert not problems, (

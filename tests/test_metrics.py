@@ -136,16 +136,6 @@ class TestNllDelay:
         for c in np.linspace(0.01, 0.99, 99):
             assert nll_delay(np.full(y.size, c), y) >= best - 1e-12
 
-    def test_exclude_direct_switch(self):
-        p = np.array([0.2, 0.9, 0.3])
-        y_delay = np.array([1.0, 0.0, 0.0])
-        y_all = np.array([1, 1, 0])
-        full = nll_delay(p, y_delay, y_all)
-        trimmed = nll_delay(p, y_delay, y_all, exclude_direct=True)
-        want = np.mean([-math.log(0.2), -math.log(0.7)])
-        assert trimmed == pytest.approx(want, abs=1e-12)
-        assert full != trimmed
-
     def test_empty_errors(self):
         with pytest.raises(DataError):
             nll_delay(np.array([]), np.array([]))

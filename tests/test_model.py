@@ -266,19 +266,6 @@ class TestLoss:
             delay_loss(pred, np.array([1.0]), np.array([1.0]), None,
                        lambda_all=1.0, lambda_cm=0.1)
 
-    def test_cm_on_atc_only_restricts_mean(self):
-        p = ad.constant(np.array([[0.5], [0.5]]))
-        pred = DelayPrediction(p_delay=p, p_all_raw=p, p_ori_cvr=p)
-        mu1 = np.array([0.1, 0.5])
-        a = np.array([1.0, 0.0])
-        _, parts = delay_loss(pred, np.zeros(2), np.zeros(2), mu1,
-                              lambda_all=0.0, lambda_cm=1.0,
-                              cm_on_atc_only=True, a=a)
-        assert parts["cm"] == pytest.approx(0.16, abs=1e-12)
-        _, parts = delay_loss(pred, np.zeros(2), np.zeros(2), mu1,
-                              lambda_all=0.0, lambda_cm=1.0)
-        assert parts["cm"] == pytest.approx(0.08, abs=1e-12)
-
 
 class TestStopGradientTotality:
     def test_no_gradient_reaches_frozen_base(self, setup):
