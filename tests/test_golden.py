@@ -4,10 +4,11 @@ Four tiny runs go through the command line: a desk experiment with all seven
 variants at seeds 1 and 2, a paper-width experiment, `prepromo generate`,
 and an experiment that reads the generated event logs back as one CSV log;
 then `pretrain`, `train --variant cmdcm` and `evaluate` on the desk config.
-Their `report.json`, `report.csv` and `loss_traces.csv` are compared byte
-for byte with the files under `tests/golden/`, and the generated CSVs, the
-checkpoints and `evaluate`'s report with the sha256 sums in
-`tests/golden/sha256.json`.
+Their `report.json`, `report.csv` and `loss_traces.csv`, and each
+checkpoint's `__meta__` as indented JSON (`checkpoint/<name>.meta.json`), are
+compared byte for byte with the files under `tests/golden/`, and the
+generated CSVs, the checkpoints and `evaluate`'s report with the sha256 sums
+in `tests/golden/sha256.json`.
 
 A change that moves a number on purpose regenerates the goldens with
 
@@ -79,7 +80,7 @@ seeds = 1
 variants = pretrained_only,cmdcm
 """
 REPORTS = ("report.json", "report.csv", "loss_traces.csv")
-# Differing fields listed per report file; a changed header can move them all.
+# Differing fields listed per golden file; a changed header can move them all.
 MAX_LISTED = 40
 HASHED = ("generate/events_daily.csv", "generate/events_prepromo.csv",
           "generate/truth_daily.csv", "generate/truth_prepromo.csv",
@@ -95,8 +96,8 @@ def build() -> dict:
 
 
 def produce(work: Path) -> tuple[dict[str, bytes], dict[str, str]]:
-    """Run everything in `work`: the report files by golden name, and the
-    sha256 of each HASHED file."""
+    """Run everything in `work`: the report files and checkpoint metadata
+    by golden name, and the sha256 of each HASHED file."""
     def run(*argv):
         assert main(list(argv)) == 0, argv
 
@@ -115,6 +116,12 @@ def produce(work: Path) -> tuple[dict[str, bytes], dict[str, str]]:
         run("evaluate", *seed, "--checkpoint", "checkpoint/cmdcm_seed1.npz")
         reports = {f"{run_}/{name}": Path(run_, name).read_bytes()
                    for run_ in ("desk", "paper", "csv_log") for name in REPORTS}
+        for name in HASHED:
+            if name.endswith(".npz"):
+                with np.load(name) as blob:
+                    meta = json.loads(bytes(blob["__meta__"]))
+                reports[name.removesuffix(".npz") + ".meta.json"] = (
+                    json.dumps(meta, indent=2) + "\n").encode()
         hashes = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
                   for name in HASHED}
     return reports, hashes
@@ -148,7 +155,7 @@ def csv_differences(name: str, want: bytes, got: bytes):
 
 
 def differences(name: str, want: bytes, got: bytes) -> list[str]:
-    """The fields where a report file differs from its golden, at most
+    """The fields where a golden file differs from its golden, at most
     MAX_LISTED of them and then a count of the rest."""
     found = list(json_differences(json.loads(want), json.loads(got), name)
                  if name.endswith(".json") else csv_differences(name, want, got))
