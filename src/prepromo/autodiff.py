@@ -79,22 +79,22 @@ def constant(value) -> Node:
 
 
 class Parameter(Node):
-    """Named trainable (or frozen) array, and the graph leaf that reads it:
-    ops read its .data when called. Frozen parameters are never stepped."""
+    """Named array, and the graph leaf that reads it: ops read its .data when
+    called. It changes only through an Adagrad it was given to; a parameter
+    read inside no_grad is on no graph, so no gradient reaches it."""
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str, data, trainable: bool = True):
+    def __init__(self, name: str, data):
         self.name = name
         # C order, so that Adagrad's flat views step the array itself.
         self.data = np.asarray(data, dtype=np.float64, order="C")
         self.op = "param"
         self.parents = ()
         self._backward = None
-        self.trainable = trainable
 
     def __repr__(self):
-        return f"Parameter({self.name}, shape={self.data.shape}, trainable={self.trainable})"
+        return f"Parameter({self.name}, shape={self.data.shape})"
 
 
 def _unbroadcast(grad: Array, shape: tuple) -> Array:
@@ -375,21 +375,21 @@ class Tape:
 
     def backward(self, root: Node, params: Iterable[Parameter] = (),
                  opt: "Adagrad | None" = None) -> dict[str, Array]:
-        """Gradients of the scalar root w.r.t. every trainable parameter.
+        """Gradients of the scalar root w.r.t. every parameter it reaches.
 
         One reverse sweep; each node's gradient is dropped once the node has
         passed it on. A parameter is visited after every node that reads it,
         so its gradient, summed over those readers like any shared node's,
         is final there and is handed on at once.
 
-        Without `opt` the gradients are returned by name; trainable
-        parameters unreachable from the root get an explicit zero entry when
-        listed in `params`. With `opt`, each gradient of a parameter that
-        opt holds goes to opt.update and is dropped, so no whole gradient set
-        is ever held, and {} is returned. A `dense` whose weight opt holds,
-        and which is that weight's only consumer, writes the weight gradient
-        into opt's shared scratch: the weight comes next in the sweep, so it
-        is applied before the next `dense` writes there.
+        Without `opt` the gradients are returned by name; parameters listed
+        in `params` that the root does not reach get an explicit zero entry.
+        With `opt`, each gradient of a parameter that opt holds goes to
+        opt.update and is dropped, so no whole gradient set is ever held, and
+        {} is returned; no other parameter changes. A `dense` whose weight
+        opt holds, and which is that weight's only consumer, writes the weight
+        gradient into opt's shared scratch: the weight comes next in the
+        sweep, so it is applied before the next `dense` writes there.
         """
         if root.data.shape != ():
             raise UsageError("backward requires a scalar loss node, got shape "
@@ -410,8 +410,6 @@ class Tape:
             if g is None:
                 continue
             if isinstance(node, Parameter):
-                if not node.trainable:
-                    continue
                 if opt is None:
                     out[node.name] = g
                 elif node.name in opt.accum:
@@ -420,8 +418,7 @@ class Tape:
             if node._backward is None:
                 continue
             w = node.parents[1] if opt is not None and node.op == "dense" else None
-            if (isinstance(w, Parameter) and w.trainable and w.name in opt.accum
-                    and uses[w] == 1):
+            if isinstance(w, Parameter) and w.name in opt.accum and uses[w] == 1:
                 pgs = node._backward(g, opt.weight_grad(w))
             else:
                 pgs = node._backward(g)
@@ -433,7 +430,7 @@ class Tape:
 
         if opt is None:
             for p in params:
-                if p.trainable and p.name not in out:
+                if p.name not in out:
                     out[p.name] = np.zeros_like(p.data)
         return out
 
@@ -450,33 +447,33 @@ def backward(loss: Node, params: Iterable[Parameter] = ()) -> dict[str, Array]:
 PROB_EPS = 1e-7
 
 
-def bce(p: Node, y, eps: float = PROB_EPS) -> Node:
+def bce(p: Node, y) -> Node:
     """Binary cross-entropy, averaged when batched, as one node.
 
-    p is clamped into [eps, 1 - eps] before the logs; additive probability
-    compositions can land outside (0, 1) and the logs must stay finite. No
-    gradient passes where the clamp binds. Value and gradient are those of
+    p is clamped into [PROB_EPS, 1 - PROB_EPS] before the logs; additive
+    probability compositions can land outside (0, 1) and the logs must stay
+    finite. No gradient passes where the clamp binds. Value and gradient are those of
     mean(-(y log(pc) + (1 - y) log(1 - pc))) built from elementwise nodes,
     operation for operation. y must broadcast to p's shape.
     """
     y = _as_array(y)
     if np.broadcast_shapes(p.data.shape, y.shape) != p.data.shape:
         raise ConfigError(f"bce labels {y.shape} do not fit predictions {p.data.shape}")
-    pc = np.clip(p.data, eps, 1.0 - eps)
-    inside = (p.data > eps) & (p.data < 1.0 - eps)
+    pc = np.clip(p.data, PROB_EPS, 1.0 - PROB_EPS)
+    inside = (p.data > PROB_EPS) & (p.data < 1.0 - PROB_EPS)
 
     def back(g):
         ga = np.full(p.data.shape, float(g) / p.data.size) * -1.0
         return (((ga * y) / pc + -((ga * (1.0 - y)) / (1.0 - pc))) * inside,)
-    return Node(bce_values(p.data, y, eps).mean(), op="bce", parents=(p,), backward=back)
+    return Node(bce_values(p.data, y).mean(), op="bce", parents=(p,), backward=back)
 
 
-def bce_values(p: Array, y: Array, eps: float = PROB_EPS) -> Array:
+def bce_values(p: Array, y: Array) -> Array:
     """Per-sample clipped binary cross-entropy on plain arrays (no graph).
 
     Same clamp as bce; used where a loss is only reported, never trained on.
     """
-    pc = np.clip(p, eps, 1.0 - eps)
+    pc = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
     return -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
 
 
@@ -548,12 +545,14 @@ class MLP:
 # Adagrad's block, in floats: 256 KB of float64, so the five arrays that a
 # block's seven passes touch stay in a core's cache.
 ADAGRAD_BLOCK = 1 << 15
+# Added to Adagrad's root-sum-of-squares denominator.
+ADAGRAD_EPS = 1e-10
 
 
 class Adagrad:
     """Per-coordinate Adagrad: accum += g^2; p -= lr * g / (sqrt(accum) + eps).
 
-    Only trainable parameters are registered; anything else is untouched.
+    It steps exactly the parameters it is given; no other one changes.
     step(loss) is one whole training step: Tape.backward hands each
     registered parameter's gradient to update() as soon as it is final, so
     the step never holds a whole gradient set. A weight that one `dense` alone
@@ -561,11 +560,9 @@ class Adagrad:
     parameter, allocated at the first step and shared by every step after.
     """
 
-    def __init__(self, params: Iterable[Parameter], lr: float = 0.001,
-                 eps: float = 1e-10):
+    def __init__(self, params: Iterable[Parameter], lr: float = 0.001):
         self.lr = lr
-        self.eps = eps
-        self._params = [p for p in params if p.trainable]
+        self._params = list(params)
         names = [p.name for p in self._params]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate parameter names: {sorted(names)}")
@@ -605,7 +602,7 @@ class Adagrad:
             ab += num
             np.multiply(self.lr, gb, out=num)
             np.sqrt(ab, out=den)
-            den += self.eps
+            den += ADAGRAD_EPS
             num /= den
             db -= num
 

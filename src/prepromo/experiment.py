@@ -11,9 +11,8 @@ Variants:
 
     pretrained_only   no fine-tuning; the frozen daily head scores everything
     naive_finetune    delay head, delay loss only (no gates, no extra terms)
-    reuse_relabel     unfreeze a copy of the daily model and fine-tune it on
-                      pre-promotion data with delayed conversions counted as
-                      positives
+    reuse_relabel     fine-tune a copy of the daily model on pre-promotion
+                      data with delayed conversions counted as positives
     cmdcm             full model: gates + additive head + both regularizers
     wo_allcvr         full model minus the additive-conversion term
     wo_pg             full model minus personalized gating (gates forced to 1)
@@ -183,8 +182,11 @@ class ExperimentConfig:
             if any(w < 1 for w in getattr(m, name)):
                 raise ConfigError(f"model.{name} entries must be at least 1, "
                                   f"got {getattr(m, name)}")
-        if m.embedding_dim < 1:
-            raise ConfigError(f"model.embedding_dim must be at least 1, got {m.embedding_dim}")
+        for name, value in (("model.embedding_dim", m.embedding_dim),
+                            ("model.n_buckets", m.n_buckets),
+                            ("dataset.max_seq_len", self.dataset.max_seq_len)):
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
         t = self.training
         for name in ("batch_size", "epochs", "pretrain_epochs", "imputation_epochs"):
             if getattr(t, name) < 1:
@@ -386,24 +388,19 @@ def fit_seed_imputation(cfg: ExperimentConfig, seed_data: SeedData,
 def run_reuse_baseline(pretrained: PretrainedModel, train: EncodedDataset,
                        training: TrainingConfig, seed: int
                        ) -> tuple[PretrainedModel, list[float], int]:
-    """Relabeling baseline: fine-tune an unfrozen copy of the daily model on
-    pre-promotion data, delayed conversions counted as positives (y_all)."""
-    clone = clone_unfrozen(pretrained)
+    """Relabeling baseline: fine-tune a copy of the daily model on
+    pre-promotion data, delayed conversions counted as positives (y_all).
+    The copy's parameters are new arrays, so the base stays as it was."""
+    clone = PretrainedModel(pretrained.encoder, pretrained.config,
+                            np.random.default_rng(0))
+    for src, dst in zip(pretrained.parameters(), clone.parameters()):
+        dst.data = src.data.copy()
 
     def loss_of(batch, rows):
         return ad.bce(clone.forward(batch).p_cvr, batch.y_all.reshape(-1, 1))
     trace, steps = ad.minimize(clone.parameters(), train, loss_of, training,
                                np.random.default_rng(seed), "reuse_relabel")
     return clone, trace, steps
-
-
-def clone_unfrozen(model: PretrainedModel) -> PretrainedModel:
-    clone = PretrainedModel(model.encoder, model.config, np.random.default_rng(0))
-    for src, dst in zip(model.parameters(), clone.parameters()):
-        dst.data = src.data.copy()
-        dst.trainable = True
-    clone.frozen = False
-    return clone
 
 
 def run_variant(cfg: ExperimentConfig, seed_data: SeedData, plan: VariantPlan,
@@ -488,8 +485,8 @@ class ExperimentResult:
     config_hash: str
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
-    """All variants over all seeds, plus report files under out_dir.
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """All variants over all seeds, plus report files under cfg.out_dir.
 
     A failing stage aborts the run with the stage name in the error; reports
     collected so far are flushed to report_partial.json first.
@@ -499,7 +496,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     reports: list[MetricReport] = []
     diagnostics: dict[int, dict[str, float]] = {}
     loss_traces: dict[tuple[str, int], list[float]] = {}
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(cfg.out_dir)
     try:
         for run_seed in cfg.seeds:
             seed_data = prepare_seed(cfg, run_seed, trace)
@@ -568,7 +565,7 @@ class AblationResult:
     experiment: ExperimentResult
 
 
-def run_ablation(cfg: ExperimentConfig, out_dir=None) -> AblationResult:
+def run_ablation(cfg: ExperimentConfig) -> AblationResult:
     """Component-removal sweep with the expected quality ordering checked.
 
     Expected: the full model has the best mean delayed-ranking score; each
@@ -577,7 +574,7 @@ def run_ablation(cfg: ExperimentConfig, out_dir=None) -> AblationResult:
     silent tolerance.
     """
     cfg = replace(cfg, variants=ABLATION_VARIANTS)
-    result = run_experiment(cfg, out_dir=out_dir)
+    result = run_experiment(cfg)
     summary = result.summary
     table = []
     for name in ABLATION_VARIANTS:
@@ -595,7 +592,7 @@ def run_ablation(cfg: ExperimentConfig, out_dir=None) -> AblationResult:
                             f"{summary[name]['auc_delay']['mean']:.4f} exceeds "
                             f"cmdcm {full:.4f}")
 
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_ablation_table(table, out / "ablation.csv")
     return AblationResult(table=table, ordering_ok=not failures,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import PROB_EPS, bce_values
+from .autodiff import bce_values
 from .errors import DataError, UsageError
 
 Array = np.ndarray
@@ -78,14 +78,14 @@ def auc_delay(p_delay: Array, y_all: Array, y_delay: Array) -> float:
     return auc(pos, neg)
 
 
-def nll_delay(p_delay: Array, y_delay: Array, eps: float = PROB_EPS) -> float:
+def nll_delay(p_delay: Array, y_delay: Array) -> float:
     """Mean binary cross-entropy of the delay score against y_delay, over
     every sample (a direct conversion counts with label 0)."""
     p = np.asarray(p_delay, dtype=np.float64)
     y = np.asarray(y_delay, dtype=np.float64)
     if p.size == 0:
         raise DataError("nll_delay: empty evaluation set")
-    return float(np.mean(bce_values(p, y, eps)))
+    return float(np.mean(bce_values(p, y)))
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,6 @@ class DelayModel:
 
     def __init__(self, pretrained: PretrainedModel, config: DelayConfig,
                  rng: np.random.Generator):
-        if not pretrained.frozen:
-            raise ConfigError("the base model must be frozen before fine-tuning")
         self.pretrained = pretrained
         self.config = config
         enc = pretrained.encoder
@@ -256,8 +254,8 @@ def save_checkpoint(model: PretrainedModel | DelayModel, path) -> None:
 
     Its `__meta__` entry is the JSON that rebuilds the model: the version,
     the kind ("pretrained" or "delay"), the configs and the encoder, plus the
-    base's frozen flag or the delay model's step count. Every parameter is
-    stored under its name, the delay model's before its base's.
+    delay model's step count. Every parameter is stored under its name, the
+    delay model's before its base's.
     """
     if isinstance(model, DelayModel):
         base = model.pretrained
@@ -268,8 +266,7 @@ def save_checkpoint(model: PretrainedModel | DelayModel, path) -> None:
         params = model.parameters() + base.parameters()
     else:
         meta = {"version": CHECKPOINT_VERSION, "kind": "pretrained",
-                "frozen": model.frozen, "config": asdict(model.config),
-                "encoder": model.encoder.to_dict()}
+                "config": asdict(model.config), "encoder": model.encoder.to_dict()}
         params = model.parameters()
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
              **{p.name: p.data for p in params})
@@ -282,7 +279,7 @@ def load_checkpoint(path) -> PretrainedModel | DelayModel:
     archive; when the metadata is missing or no JSON object, of another version
     or kind, lacks a field, or holds a value of the wrong type or a config its
     config class refuses; and when a parameter's array is missing, misshapen
-    or not float64.
+    or not float64. The `frozen` field of older base checkpoints is ignored.
     """
     try:
         blob = np.load(path)
@@ -313,9 +310,6 @@ def load_checkpoint(path) -> PretrainedModel | DelayModel:
             def config(cls):
                 return lambda d: cls(**decode(cls, d))
 
-            def attribute(cls, key):
-                return entry(key, lambda v: decode(cls, {key: v})[key])
-
             rng = np.random.default_rng(0)
             base = PretrainedModel(
                 entry("encoder", FeatureEncoder.from_dict),
@@ -323,10 +317,11 @@ def load_checkpoint(path) -> PretrainedModel | DelayModel:
                       config(PretrainConfig)), rng)
             _load_parameters(blob, base.parameters(), path)
             if kind == "pretrained":
-                return base.freeze() if attribute(PretrainedModel, "frozen") else base
-            model = DelayModel(base.freeze(), entry("config", config(DelayConfig)), rng)
+                return base
+            model = DelayModel(base, entry("config", config(DelayConfig)), rng)
             _load_parameters(blob, model.parameters(), path)
-            model.n_steps = attribute(DelayModel, "n_steps")
+            model.n_steps = entry("n_steps",
+                                  lambda v: decode(DelayModel, {"n_steps": v})["n_steps"])
             return model
     except FileNotFoundError as exc:
         raise DataError(f"checkpoint not found: {path}") from exc

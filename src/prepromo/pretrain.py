@@ -1,9 +1,10 @@
 """Two-headed base model trained on daily logs: same-day conversion + add-to-cart.
 
 Both towers sit on a shared input assembly (id embeddings plus dense
-context). After fitting it is frozen: every parameter becomes non-trainable
-and later stages read its per-layer activations from a pass that records no
-graph, so the daily task can never degrade during fine-tuning.
+context). After fitting it is the frozen base: later stages read its
+per-layer activations from a pass that records no graph and give its
+parameters to no optimizer, so the daily task can never degrade during
+fine-tuning.
 """
 
 from __future__ import annotations
@@ -40,13 +41,10 @@ class PretrainedForwardResult:
 
 class PretrainedModel:
 
-    frozen: bool
-
     def __init__(self, encoder: FeatureEncoder, config: PretrainConfig,
                  rng: np.random.Generator):
         self.encoder = encoder
         self.config = config
-        self.frozen = False
         emb = config.embedding_dim
 
         def table(name, rows):
@@ -93,18 +91,12 @@ class PretrainedModel:
             return out.p_cvr, out.p_atc
         return tuple(ad.score(data.n, heads, self.parameters()))
 
-    def freeze(self) -> "PretrainedModel":
-        for p in self.parameters():
-            p.trainable = False
-        self.frozen = True
-        return self
-
     def param_hash(self) -> str:
         return ad.param_hash(self.parameters())
 
 
 def pretrain_fit(daily: ClickTable, config: PretrainConfig, seed: int) -> PretrainedModel:
-    """Fit both heads on daily data by minibatch Adagrad, then freeze.
+    """Fit both heads on daily data by minibatch Adagrad.
 
     Daily samples must carry the same-day conversion label in y_all and the
     same-day cart label in A; the training objective is the sum of the two
@@ -124,4 +116,4 @@ def pretrain_fit(daily: ClickTable, config: PretrainConfig, seed: int) -> Pretra
                       ad.bce(out.p_atc, batch.A.reshape(-1, 1)))
     model.loss_trace, _ = ad.minimize(model.parameters(), data, loss_of, config,
                                       rng, "pretrain")
-    return model.freeze()
+    return model

@@ -98,12 +98,15 @@ def _solve_bias(z: np.ndarray, scale: float, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
+# Draws in sample_world's bias calibration.
+BIAS_MC = 20000
+
+
 def sample_world(seed: int, d: int = 16, tau: float = 2.0, scale: float = 0.3,
                  gamma: float = 1.5, confound_atc: float = 0.7,
                  confound_dir: float = 0.4, trait_scale: float = 1.2,
                  direct_rate_daily: float = 0.02, direct_rate_pre: float = 0.007,
-                 delayed_rate_pre: float = 0.012, bias_mc: int = 20000
-                 ) -> WorldParams:
+                 delayed_rate_pre: float = 0.012) -> WorldParams:
     """Draw world weights and solve biases for the configured base rates.
 
     Weights are i.i.d. normal scaled by 1/sqrt(d). The delayed head reuses
@@ -133,10 +136,10 @@ def sample_world(seed: int, d: int = 16, tau: float = 2.0, scale: float = 0.3,
              + np.sqrt(1.0 - rho2) * u_f)
 
     # Bias calibration on a dedicated Monte Carlo draw.
-    x = rng.standard_normal((bias_mc, d))
-    disc = rng.uniform(size=bias_mc)
-    a = (rng.uniform(size=bias_mc) < sigmoid_values(x @ w_a)).astype(np.float64)
-    t = trait_scale * rng.standard_normal(bias_mc)
+    x = rng.standard_normal((BIAS_MC, d))
+    disc = rng.uniform(size=BIAS_MC)
+    a = (rng.uniform(size=BIAS_MC) < sigmoid_values(x @ w_a)).astype(np.float64)
+    t = trait_scale * rng.standard_normal(BIAS_MC)
     b_dir_daily = _solve_bias(x @ w_dir, scale, direct_rate_daily)
     b_dir_pre = _solve_bias(x @ w_dir, scale, direct_rate_pre)
     b_del = _solve_bias(x @ w_del + tau * a + gamma * disc + t, scale,

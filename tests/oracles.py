@@ -29,8 +29,6 @@ def finite_difference_grads(loss_fn, params, step: float = 1e-5):
     """
     grads = {}
     for p in params:
-        if not p.trainable:
-            continue
         g = np.zeros_like(p.data)
         flat = p.data.reshape(-1)
         gflat = g.reshape(-1)
@@ -119,7 +117,7 @@ def hand_written_minimize(params, data, loss_of, config, rng, stage):
             epoch.append(value)
             grads = ad.backward(loss)
             for p in params:
-                if p.trainable and p.name in grads:
+                if p.name in grads:
                     opt.update(p, grads[p.name])
             steps += 1
         trace.append(float(np.mean(epoch)))

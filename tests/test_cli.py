@@ -113,7 +113,8 @@ class TestTrainEvaluate:
         ({"cm_on_atc_only": False}, "unknown key 'cm_on_atc_only' for DelayConfig"),
         ({"lambda_all": float("nan")}, "loss weights must be finite and non-negative"),
         ({"lambda_cm": float("inf")}, "loss weights must be finite and non-negative"),
-    ], ids=["removed_key", "nan_weight", "inf_weight"])
+        ({"use_gates": "no"}, "DelayConfig.use_gates: 'no'"),
+    ], ids=["removed_key", "nan_weight", "inf_weight", "use_gates_str"])
     def test_refused_delay_config_is_data_error(self, tiny_ini, tmp_path, capsys,
                                                 rewrite_checkpoint, change, message):
         out = tmp_path / "train"
@@ -126,6 +127,21 @@ class TestTrainEvaluate:
         assert code == 3
         err = capsys.readouterr().err
         assert "field 'config' is malformed" in err and message in err
+
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_base_checkpoint_with_old_frozen_field_evaluates(
+            self, tiny_ini, tmp_path, rewrite_checkpoint, frozen):
+        """Base checkpoints once stored a `frozen` flag; loading ignores it."""
+        out = tmp_path / "run"
+        assert main(["pretrain", "--config", str(tiny_ini), "--out", str(out)]) == 0
+        ckpt = out / "pretrained_seed1.npz"
+        evaluate = ["evaluate", "--config", str(tiny_ini), "--out", str(out),
+                    "--checkpoint", str(ckpt)]
+        assert main(evaluate) == 0
+        report = (out / "report_checkpoint.json").read_bytes()
+        rewrite_checkpoint(ckpt, frozen=frozen)
+        assert main(evaluate) == 0
+        assert (out / "report_checkpoint.json").read_bytes() == report
 
     def test_unknown_variant_is_config_error(self, tiny_ini, tmp_path):
         code = main(["train", "--config", str(tiny_ini), "--out",
@@ -198,7 +214,6 @@ class TestTrainEvaluate:
 
     @pytest.mark.parametrize("edit,message", [
         (lambda m: [m], "checkpoint metadata is not a JSON object"),
-        (lambda m: {**m, "frozen": "no"}, "PretrainedModel.frozen: 'no'"),
         (lambda m: {**m, "config": {**m["config"], "tower_widths": ["6", "4"]}},
          "PretrainConfig.tower_widths: ['6', '4']"),
         (lambda m: {**m, "config": {**m["config"], "embedding_dim": 2.0}},
@@ -224,7 +239,7 @@ class TestTrainEvaluate:
         (lambda m: _encoder(m, "disc_edges", lambda e: e[::-1]),
          "disc_edges must be finite non-decreasing floats"),
         (lambda m: {**m, "version": True}, "unsupported checkpoint version True"),
-    ], ids=["meta_list", "frozen_str", "widths_str", "dim_float", "dim_bool",
+    ], ids=["meta_list", "widths_str", "dim_float", "dim_bool",
             "lr_str", "dense_dim_str", "vocab_str_values", "vocab_str_indices",
             "vocab_bool_indices", "vocab_repeated_index", "edges_str", "edges_nan",
             "edges_decreasing", "version_bool"])
@@ -243,6 +258,13 @@ class TestTrainEvaluate:
 def _encoder(meta, key, change):
     """Checkpoint metadata with one field of its encoder changed."""
     return {**meta, "encoder": {**meta["encoder"], key: change(meta["encoder"][key])}}
+
+
+# The rest of a config whose run, were it not refused, takes seconds; it
+# ends in [dataset], so a dataset key can follow.
+SMALL_RUN = ("[training]\nepochs = 1\npretrain_epochs = 1\nimputation_epochs = 1\n"
+             "[experiment]\nseeds = 1\nvariants = pretrained_only,cmdcm\n"
+             "[dataset]\nn_daily = 1500\nn_prepromo = 3000\n")
 
 
 class TestErrorCodes:
@@ -326,14 +348,29 @@ class TestErrorCodes:
         ("widths = 8,0", "model.widths entries must be at least 1, got (8, 0)"),
         ("imputation_widths = 16,-2", "model.imputation_widths entries must be at least 1"),
         ("embedding_dim = 0", "model.embedding_dim must be at least 1, got 0"),
+        # Unrefused, 0 and -1 buckets (no bucket edges) ran and exited 0 under
+        # another config hash, and -2 failed inside numpy with exit 4.
+        ("n_buckets = 0", "model.n_buckets must be at least 1, got 0"),
+        ("n_buckets = -1", "model.n_buckets must be at least 1, got -1"),
+        ("n_buckets = -2", "model.n_buckets must be at least 1, got -2"),
     ])
     def test_bad_model_value_exit_2(self, tmp_path, capsys, setting, message):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text(f"[model]\n{setting}\n"
-                       "[experiment]\nseeds = 1\nvariants = pretrained_only,cmdcm\n")
+        cfg.write_text(f"[model]\n{setting}\n" + SMALL_RUN)
         code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_max_seq_len_below_one_exit_2(self, tmp_path, capsys, value):
+        """Unrefused, length 0 ran and exited 0 with every cart and purchase
+        history empty; -1 failed inside numpy with exit 4."""
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(SMALL_RUN + f"max_seq_len = {value}\n")
+        code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"dataset.max_seq_len must be at least 1, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_calendar_keys_at_their_defaults_are_accepted(self, tmp_path):

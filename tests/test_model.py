@@ -32,12 +32,12 @@ def tiny_samples(world, n, mode="prepromo", seed=1):
                                           max_seq_len=3))
 
 
-def tiny_pretrained(world, seed=2, epochs=1):
+def tiny_pretrained(world):
     daily = tiny_samples(world, 400, mode="daily", seed=7)
     cfg = PretrainConfig(tower_widths=(5, 3), embedding_dim=2, n_buckets=4,
-                         max_seq_len=3, learning_rate=0.05, epochs=epochs,
+                         max_seq_len=3, learning_rate=0.05, epochs=1,
                          batch_size=128)
-    return pretrain_fit(daily, cfg, seed=seed)
+    return pretrain_fit(daily, cfg, seed=2)
 
 
 @pytest.fixture(scope="module")
@@ -203,15 +203,6 @@ class TestForward:
         b = plain.forward(batch)
         assert np.allclose(a.p_delay.data, b.p_delay.data, atol=1e-12)
 
-    def test_rejects_unfrozen_base(self, setup):
-        world, _, _ = setup
-        unfrozen = tiny_pretrained(world, epochs=0)
-        for p in unfrozen.parameters():
-            p.trainable = True
-        unfrozen.frozen = False
-        with pytest.raises(ConfigError):
-            make_model(unfrozen)
-
 
 class TestLoss:
     def pred(self, p_delay, p_all, p_ori=0.3):
@@ -277,16 +268,9 @@ class TestStopGradientTotality:
         grads = ad.backward(total, model.parameters())
         assert not any(name.startswith("pretrained/") for name in grads)
         # Even when explicitly asked about the frozen side: nothing flows.
-        frozen_probe = [p for p in pretrained.parameters()]
-        for p in frozen_probe:
-            p.trainable = True
-        try:
-            grads = ad.backward(total, frozen_probe)
-            for p in frozen_probe:
-                assert np.all(grads[p.name] == 0.0), p.name
-        finally:
-            for p in frozen_probe:
-                p.trainable = False
+        grads = ad.backward(total, pretrained.parameters())
+        for p in pretrained.parameters():
+            assert np.all(grads[p.name] == 0.0), p.name
 
     def test_composite_loss_gradient_check(self, setup):
         _, pretrained, data = setup
@@ -307,7 +291,7 @@ class TestStopGradientTotality:
 class TestParametersAreLeaves:
     def test_cmdcm_step_reads_each_trainable_parameter_as_itself_once(self, setup):
         """One cmdcm training step at desk widths (32/16/8, the default
-        configs): every trainable parameter is on the tape once, as the
+        configs): every delay-model parameter is on the tape once, as the
         Parameter object itself; the frozen base, read inside no_grad, is
         not; and the step is the benchmark's 99 nodes."""
         world, _, _ = setup
@@ -319,11 +303,10 @@ class TestParametersAreLeaves:
         total, _ = model.loss(model.forward(batch), batch, np.full(batch.n, 0.2))
         nodes = ad.Tape.trace(total).nodes
         assert len(nodes) == 99
-        trainable = [p for p in model.parameters() if p.trainable]
-        for p in trainable:
+        for p in model.parameters():
             assert sum(node is p for node in nodes) == 1, p.name
         leaves = [node for node in nodes if node.op == "param"]
-        assert len(leaves) == len(trainable)
+        assert len(leaves) == len(model.parameters())
         assert not any(node is p for node in nodes for p in pretrained.parameters())
 
 
@@ -349,6 +332,22 @@ class TestFinetune:
         model = make_model(pretrained, lambda_cm=0.0)
         finetune(model, data, seed=4)
         assert pretrained.param_hash() == before
+
+    def test_changed_base_is_refused(self, setup, monkeypatch):
+        """finetune's param_hash check catches a base changed while it ran."""
+        _, pretrained, data = setup
+        base = PretrainedModel(pretrained.encoder, pretrained.config,
+                               np.random.default_rng(0))
+        model = make_model(base, lambda_cm=0.0, epochs=1)
+        minimize = ad.minimize
+
+        def nudging(*args, **kwargs):
+            out = minimize(*args, **kwargs)
+            base.emb_user.data[0, 0] += 1e-12
+            return out
+        monkeypatch.setattr(ad, "minimize", nudging)
+        with pytest.raises(RuntimeError, match="frozen base parameters changed"):
+            finetune(model, data, seed=4)
 
     def test_deterministic(self, setup):
         _, pretrained, data = setup
@@ -401,7 +400,7 @@ def desk_width_model(pretrained, **overrides):
     base = PretrainedModel(pretrained.encoder,
                            PretrainConfig(tower_widths=(32, 16, 8), embedding_dim=2,
                                           n_buckets=4, max_seq_len=3),
-                           np.random.default_rng(0)).freeze()
+                           np.random.default_rng(0))
     return DelayModel(base, DelayConfig(embedding_dim=4, **overrides),
                       np.random.default_rng(5))
 
@@ -616,7 +615,7 @@ class TestGraphFreeScoring:
         rng = np.random.default_rng(0)
         pretrained = PretrainedModel(
             encoder, PretrainConfig(tower_widths=(512, 256, 128), embedding_dim=16,
-                                    max_seq_len=50), rng).freeze()
+                                    max_seq_len=50), rng)
         model = DelayModel(pretrained, DelayConfig(embedding_dim=16), rng)
         tracemalloc.start()
         try:
@@ -650,17 +649,14 @@ _SCALES = st.sampled_from([1e-310, 1e-3, 0.5, 40.0])
 class TestCheckpointRoundTrip:
     """save then load restores every parameter byte and every score bit."""
 
-    @given(seed=st.integers(0, 2**32 - 1), scale=_SCALES, frozen=st.booleans())
-    def test_pretrained(self, setup, seed, scale, frozen):
+    @given(seed=st.integers(0, 2**32 - 1), scale=_SCALES)
+    def test_pretrained(self, setup, seed, scale):
         _, pretrained, data = setup
         model = PretrainedModel(pretrained.encoder, pretrained.config,
                                 np.random.default_rng(0))
         randomize(model.parameters(), seed, scale)
-        if frozen:
-            model.freeze()
         back = saved_and_loaded(model)
         same_parameter_bytes(model.parameters(), back.parameters())
-        assert back.frozen == frozen
         for got, want in zip(back.predict(data), model.predict(data)):
             assert np.array_equal(got, want)
 

@@ -26,7 +26,7 @@ def trained(world):
 
 
 class TestFit:
-    def test_zero_epochs_equals_init_and_is_frozen(self, world):
+    def test_zero_epochs_equals_init(self, world):
         daily = generate_dataset(world, 500, "daily", seed=3)
         cfg = PretrainConfig(epochs=0)
         model = pretrain_fit(daily, cfg, seed=5)
@@ -34,7 +34,6 @@ class TestFit:
         encoder = FeatureEncoder(n_buckets=cfg.n_buckets,
                                  max_seq_len=cfg.max_seq_len).fit(daily)
         fresh = PretrainedModel(encoder, cfg, rng)
-        assert model.frozen
         assert model.param_hash() == ad.param_hash(fresh.parameters())
 
     def test_empty_dataset_rejected(self):
@@ -133,8 +132,7 @@ class TestMultiTaskSharing:
         model = pretrain_fit(daily, PretrainConfig(learning_rate=0.05, epochs=1), seed=2)
         batch = model.encoder.encode(daily[:64])
         base = model.forward(batch)
-        # Pre-freeze mutation is simulated by editing the (frozen) table and
-        # restoring it; forward is identical either way.
+        # The user table is edited and restored; both heads must move.
         model.emb_user.data += 0.5
         bumped = model.forward(batch)
         model.emb_user.data -= 0.5
@@ -147,7 +145,6 @@ class TestCheckpoint:
         path = tmp_path / "pretrained.npz"
         save_checkpoint(trained, path)
         back = load_checkpoint(path)
-        assert back.frozen
         assert back.param_hash() == trained.param_hash()
         assert back.encoder.user_vocab == trained.encoder.user_vocab
 
