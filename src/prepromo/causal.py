@@ -15,46 +15,48 @@ the aggregate estimate ships as a validated diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import EncodedDataset
+from .decode import check_bounds
 from .errors import DataError, UsageError
 from .metrics import nll_delay
 
 Array = np.ndarray
 
 DEFAULT_PROPENSITY_CLIP = 0.05
+USER_DIM = 4
 
 
 @dataclass(slots=True)
 class ImputationConfig:
-    widths: tuple[int, ...] = (32, 16)
-    user_dim: int = 4
-    learning_rate: float = 0.001
-    batch_size: int = 1024
-    epochs: int = 6
-    val_fraction: float = 0.1
+    widths: tuple[int, ...] = field(default=(32, 16), metadata={"min": 1})
+    learning_rate: float = field(default=0.001, metadata={"above": 0.0})
+    batch_size: int = field(default=1024, metadata={"min": 1})
+    epochs: int = field(default=6, metadata={"min": 0})
+    val_fraction: float = field(default=0.1, metadata={"min": 0.0, "below": 1.0})
+    __post_init__ = check_bounds
 
 
 class ImputationModel:
     """MLP over (user embedding || dense features || A) predicting the
     delayed conversion.
 
-    The feature bundle includes the user id, embedded in a small table of
-    its own, so per-user conversion tendencies are part of the imputed
-    outcome. Both potential outcomes come from the same fit: evaluate with
-    the cart input forced to 0 or 1, no retraining.
+    The feature bundle includes the user id, embedded USER_DIM wide in a
+    table of its own, so per-user conversion tendencies are part of the
+    imputed outcome. Both potential outcomes come from the same fit:
+    evaluate with the cart input forced to 0 or 1, no retraining.
     """
 
     def __init__(self, dense_dim: int, n_users: int, config: ImputationConfig,
                  rng: np.random.Generator):
         self.config = config
         self.user_table = ad.Parameter(
-            "imputation/emb_user", ad.glorot_uniform(rng, n_users, config.user_dim))
-        sizes = [config.user_dim + dense_dim + 1, *config.widths, 1]
+            "imputation/emb_user", ad.glorot_uniform(rng, n_users, USER_DIM))
+        sizes = [USER_DIM + dense_dim + 1, *config.widths, 1]
         acts = ["tanh"] * len(config.widths) + ["linear"]
         self.net = ad.MLP("imputation/net", sizes, acts, rng, zero_last=True)
         self.val_bce = float("nan")

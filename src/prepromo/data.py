@@ -398,8 +398,6 @@ def user_histories(user: np.ndarray, ts: np.ndarray, item: np.ndarray,
 def partition_dataset(clicks: ClickTable, calendar: PromotionCalendar,
                       split_ratio: float = 0.8, seed: int = 0) -> DatasetSplit:
     """Daily clicks pass through; pre-promotion clicks are shuffled and split."""
-    if not 0.0 < split_ratio < 1.0:
-        raise ConfigError(f"split_ratio must be in (0, 1), got {split_ratio}")
     day = clicks.click_day
     (lo, hi), (p0, p1) = calendar.daily_train_range, calendar.pre_promo_range
     prepromo = np.flatnonzero((p0 <= day) & (day <= p1))

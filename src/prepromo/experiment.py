@@ -27,18 +27,17 @@ import csv
 import hashlib
 import json
 import logging
-import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .causal import (ImputationConfig, ImputationModel, dr_ate_from_model,
-                     fit_imputation, naive_diff_in_means, propensity)
+from .causal import (DEFAULT_PROPENSITY_CLIP, ImputationConfig, ImputationModel,
+                     dr_ate_from_model, fit_imputation, naive_diff_in_means, propensity)
 from .data import (CsvSchema, DatasetSplit, EncodedDataset, PromotionCalendar,
                    build_click_dataset, ingest_csv, partition_dataset)
-from .decode import decode
+from .decode import check_bounds, decode
 from .errors import ConfigError, DataError, PrepromoError, TrainingError
 from .metrics import (MetricReport, auc_delay, emit_report, evaluate_scores,
                       nll_delay, paired_comparisons, summarize)
@@ -71,22 +70,22 @@ ABLATION_VARIANTS = ("cmdcm", "wo_allcvr", "wo_pg", "wo_cm")
 class DatasetConfig:
     mode: str = "synthetic"
     # synthetic world
-    n_daily: int = 100_000
-    n_prepromo: int = 250_000
+    n_daily: int = field(default=100_000, metadata={"min": 1})
+    n_prepromo: int = field(default=250_000, metadata={"min": 1})
     feature_dim: int = 16
     tau: float = 2.0
     scale: float = 0.3
     gamma: float = 1.5
     confound_atc: float = 0.7
     confound_dir: float = 0.4
-    trait_scale: float = 1.2
+    trait_scale: float = field(default=1.2, metadata={"min": 0.0})
     direct_rate_daily: float = 0.02
     direct_rate_pre: float = 0.007
     delayed_rate_pre: float = 0.012
     world_seed: int = 7
-    n_users: int = 1000
-    n_items: int = 2000
-    n_categories: int = 50
+    n_users: int = field(default=1000, metadata={"min": 1})
+    n_items: int = field(default=2000, metadata={"min": 1})
+    n_categories: int = field(default=50, metadata={"min": 1})
     # csv log: columns 0-4 are user, item, category, action and timestamp;
     # price and discount sit at distinct columns from 5 up, -1 when absent
     events_path: str = ""
@@ -100,9 +99,10 @@ class DatasetConfig:
     promo_days: tuple[int, ...] = field(default=(7,), metadata={"day": True})
     tz_offset: int = 0
     # shared
-    split_ratio: float = 0.8
-    max_seq_len: int = 10
+    split_ratio: float = field(default=0.8, metadata={"above": 0.0, "below": 1.0})
+    max_seq_len: int = field(default=10, metadata={"min": 1})
     count_intermediate_as_all: bool = False
+    __post_init__ = check_bounds
 
     def calendar(self) -> PromotionCalendar:
         if self.mode == "synthetic":
@@ -123,22 +123,27 @@ _CSV_LOG_KEYS = {"events_path": "the path", "delimiter": "the delimiter",
 
 @dataclass(slots=True)
 class ModelConfig:
-    widths: tuple[int, ...] = (32, 16, 8)
-    embedding_dim: int = 8
-    n_buckets: int = 16
-    lambda_all: float = 1.0
-    lambda_cm: float = 0.1
-    imputation_widths: tuple[int, ...] = (32, 16)
+    widths: tuple[int, ...] = field(default=(32, 16, 8), metadata={"min": 1})
+    embedding_dim: int = field(default=8, metadata={"min": 1})
+    n_buckets: int = field(default=16, metadata={"min": 1})
+    lambda_all: float = field(default=1.0, metadata={"min": 0.0})
+    lambda_cm: float = field(default=0.1, metadata={"min": 0.0})
+    imputation_widths: tuple[int, ...] = field(default=(32, 16), metadata={"min": 1})
+    __post_init__ = check_bounds
 
 
 @dataclass(slots=True)
 class TrainingConfig:
-    learning_rate: float = 0.1
-    batch_size: int = 1024
-    epochs: int = 3
-    pretrain_epochs: int = 3
-    imputation_epochs: int = 6
-    propensity_clip: float = 0.05
+    learning_rate: float = field(default=0.1, metadata={"above": 0.0})
+    batch_size: int = field(default=1024, metadata={"min": 1})
+    epochs: int = field(default=3, metadata={"min": 1})
+    pretrain_epochs: int = field(default=3, metadata={"min": 1})
+    imputation_epochs: int = field(default=6, metadata={"min": 1})
+    # propensity() clips into [clip, 1 - clip]; from 0.5 up that interval
+    # is one point or empty, and every propensity becomes the same number.
+    propensity_clip: float = field(default=DEFAULT_PROPENSITY_CLIP,
+                                   metadata={"min": 0.0, "below": 0.5})
+    __post_init__ = check_bounds
 
 
 @dataclass(slots=True)
@@ -173,33 +178,6 @@ class ExperimentConfig:
         if len(self.dataset.delimiter) != 1:
             raise ConfigError("dataset.delimiter must be one character, "
                               f"got {self.dataset.delimiter!r}")
-        m = self.model
-        for name in ("lambda_all", "lambda_cm"):
-            if not 0.0 <= getattr(m, name) < math.inf:
-                raise ConfigError(f"model.{name} must be finite and non-negative, "
-                                  f"got {getattr(m, name)}")
-        for name in ("widths", "imputation_widths"):
-            if any(w < 1 for w in getattr(m, name)):
-                raise ConfigError(f"model.{name} entries must be at least 1, "
-                                  f"got {getattr(m, name)}")
-        for name, value in (("model.embedding_dim", m.embedding_dim),
-                            ("model.n_buckets", m.n_buckets),
-                            ("dataset.max_seq_len", self.dataset.max_seq_len)):
-            if value < 1:
-                raise ConfigError(f"{name} must be at least 1, got {value}")
-        t = self.training
-        for name in ("batch_size", "epochs", "pretrain_epochs", "imputation_epochs"):
-            if getattr(t, name) < 1:
-                raise ConfigError(f"training.{name} must be at least 1, "
-                                  f"got {getattr(t, name)}")
-        if not 0.0 < t.learning_rate < math.inf:
-            raise ConfigError("training.learning_rate must be finite and positive, "
-                              f"got {t.learning_rate}")
-        # propensity() clips into [clip, 1 - clip]; from 0.5 up that interval
-        # is one point or empty, and every propensity becomes the same number.
-        if not 0.0 <= t.propensity_clip < 0.5:
-            raise ConfigError("training.propensity_clip must be in [0, 0.5), "
-                              f"got {t.propensity_clip}")
 
 
 def make_config(profile: str = "desk") -> ExperimentConfig:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import EncodedDataset, FeatureEncoder
-from .decode import decode
+from .decode import check_bounds, decode
 from .errors import ConfigError, DataError
 from .pretrain import PretrainConfig, PretrainedModel
 
@@ -37,18 +37,14 @@ Array = np.ndarray
 
 @dataclass(slots=True)
 class DelayConfig:
-    embedding_dim: int = 8
-    lambda_all: float = 1.0
-    lambda_cm: float = 0.1
+    embedding_dim: int = field(default=8, metadata={"min": 1})
+    lambda_all: float = field(default=1.0, metadata={"min": 0.0})
+    lambda_cm: float = field(default=0.1, metadata={"min": 0.0})
     use_gates: bool = True
-    learning_rate: float = 0.001
-    batch_size: int = 1024
-    epochs: int = 3
-
-    def __post_init__(self):
-        if not (0 <= self.lambda_all < np.inf and 0 <= self.lambda_cm < np.inf):
-            raise ConfigError("loss weights must be finite and non-negative, got "
-                              f"lambda_all={self.lambda_all}, lambda_cm={self.lambda_cm}")
+    learning_rate: float = field(default=0.001, metadata={"above": 0.0})
+    batch_size: int = field(default=1024, metadata={"min": 1})
+    epochs: int = field(default=3, metadata={"min": 0})
+    __post_init__ = check_bounds
 
 
 @dataclass(slots=True)
@@ -96,8 +92,6 @@ def delay_loss(pred: DelayPrediction, y_delay: Array, y_all: Array,
 
     with the mean of the squared regularizer taken over the whole batch.
     """
-    if lambda_all < 0 or lambda_cm < 0:
-        raise ConfigError("loss weights must be non-negative")
     l_delay = ad.bce(pred.p_delay, np.asarray(y_delay).reshape(-1, 1))
     l_all = ad.bce(pred.p_all_raw, np.asarray(y_all).reshape(-1, 1))
     total = ad.add(l_delay, ad.mul(ad.constant(lambda_all), l_all))
@@ -277,8 +271,8 @@ def load_checkpoint(path) -> PretrainedModel | DelayModel:
 
     DataError, naming the file, when the file is missing or not an .npz
     archive; when the metadata is missing or no JSON object, of another version
-    or kind, lacks a field, or holds a value of the wrong type or a config its
-    config class refuses; and when a parameter's array is missing, misshapen
+    or kind, lacks a field, or holds a value of the wrong type or out of its
+    config field's bounds; and when a parameter's array is missing, misshapen
     or not float64. The `frozen` field of older base checkpoints is ignored.
     """
     try:

@@ -9,24 +9,26 @@ fine-tuning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import ClickTable, EncodedDataset, FeatureEncoder
+from .decode import check_bounds
 from .errors import DataError
 
 
 @dataclass(slots=True)
 class PretrainConfig:
-    tower_widths: tuple[int, ...] = (32, 16, 8)
-    embedding_dim: int = 8
-    n_buckets: int = 16
-    max_seq_len: int = 10
-    learning_rate: float = 0.001
-    batch_size: int = 1024
-    epochs: int = 3
+    tower_widths: tuple[int, ...] = field(default=(32, 16, 8), metadata={"min": 1})
+    embedding_dim: int = field(default=8, metadata={"min": 1})
+    n_buckets: int = field(default=16, metadata={"min": 1})
+    max_seq_len: int = field(default=10, metadata={"min": 1})
+    learning_rate: float = field(default=0.001, metadata={"above": 0.0})
+    batch_size: int = field(default=1024, metadata={"min": 1})
+    epochs: int = field(default=3, metadata={"min": 0})
+    __post_init__ = check_bounds
 
 
 @dataclass(slots=True)

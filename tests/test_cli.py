@@ -109,24 +109,35 @@ class TestTrainEvaluate:
         for key in ("auc_all", "auc_delay", "nll_delay"):
             assert scored[key] == trained[key], key
 
-    @pytest.mark.parametrize("change,message", [
-        ({"cm_on_atc_only": False}, "unknown key 'cm_on_atc_only' for DelayConfig"),
-        ({"lambda_all": float("nan")}, "loss weights must be finite and non-negative"),
-        ({"lambda_cm": float("inf")}, "loss weights must be finite and non-negative"),
-        ({"use_gates": "no"}, "DelayConfig.use_gates: 'no'"),
-    ], ids=["removed_key", "nan_weight", "inf_weight", "use_gates_str"])
+    # Unrefused, the zero_batch and base_negative rows evaluated with exit 0.
+    @pytest.mark.parametrize("key,change,message", [
+        ("config", {"cm_on_atc_only": False}, "unknown key 'cm_on_atc_only' for DelayConfig"),
+        ("config", {"lambda_all": float("nan")},
+         "DelayConfig.lambda_all must be finite and at least 0.0, got nan"),
+        ("config", {"lambda_cm": float("inf")},
+         "DelayConfig.lambda_cm must be finite and at least 0.0, got inf"),
+        ("config", {"use_gates": "no"}, "DelayConfig.use_gates: 'no'"),
+        ("config", {"batch_size": 0}, "DelayConfig.batch_size must be at least 1, got 0"),
+        ("pretrained_config", {"batch_size": -1},
+         "PretrainConfig.batch_size must be at least 1, got -1"),
+        ("pretrained_config", {"learning_rate": -5.0},
+         "PretrainConfig.learning_rate must be finite and greater than 0.0, got -5.0"),
+        ("pretrained_config", {"epochs": -3},
+         "PretrainConfig.epochs must be at least 0, got -3"),
+    ], ids=["removed_key", "nan_weight", "inf_weight", "use_gates_str", "zero_batch",
+            "base_negative_batch", "base_negative_lr", "base_negative_epochs"])
     def test_refused_delay_config_is_data_error(self, tiny_ini, tmp_path, capsys,
-                                                rewrite_checkpoint, change, message):
+                                                rewrite_checkpoint, key, change, message):
         out = tmp_path / "train"
         assert main(["train", "--config", str(tiny_ini), "--out", str(out),
                      "--variant", "naive_finetune"]) == 0
         ckpt = out / "naive_finetune_seed1.npz"
-        rewrite_checkpoint(ckpt, edit=lambda m: {**m, "config": {**m["config"], **change}})
+        rewrite_checkpoint(ckpt, edit=lambda m: {**m, key: {**m[key], **change}})
         code = main(["evaluate", "--config", str(tiny_ini), "--out", str(out),
                      "--checkpoint", str(ckpt)])
         assert code == 3
         err = capsys.readouterr().err
-        assert "field 'config' is malformed" in err and message in err
+        assert f"field '{key}' is malformed" in err and message in err
 
     @pytest.mark.parametrize("frozen", [True, False])
     def test_base_checkpoint_with_old_frozen_field_evaluates(
@@ -239,10 +250,15 @@ class TestTrainEvaluate:
         (lambda m: _encoder(m, "disc_edges", lambda e: e[::-1]),
          "disc_edges must be finite non-decreasing floats"),
         (lambda m: {**m, "version": True}, "unsupported checkpoint version True"),
+        # Unrefused, these out-of-bounds configs evaluated with exit 0.
+        (lambda m: {**m, "config": {**m["config"], "batch_size": -1}},
+         "PretrainConfig.batch_size must be at least 1, got -1"),
+        (lambda m: {**m, "config": {**m["config"], "tower_widths": [4, 0]}},
+         "PretrainConfig.tower_widths entries must be at least 1, got (4, 0)"),
     ], ids=["meta_list", "widths_str", "dim_float", "dim_bool",
             "lr_str", "dense_dim_str", "vocab_str_values", "vocab_str_indices",
             "vocab_bool_indices", "vocab_repeated_index", "edges_str", "edges_nan",
-            "edges_decreasing", "version_bool"])
+            "edges_decreasing", "version_bool", "batch_negative", "width_zero"])
     def test_mistyped_metadata_is_data_error(self, tiny_ini, tmp_path, capsys,
                                              rewrite_checkpoint, edit, message):
         out = tmp_path / "run"
@@ -258,6 +274,19 @@ class TestTrainEvaluate:
 def _encoder(meta, key, change):
     """Checkpoint metadata with one field of its encoder changed."""
     return {**meta, "encoder": {**meta["encoder"], key: change(meta["encoder"][key])}}
+
+
+# INI section -> the config class that checks its values. A message in the
+# tables below that starts with a section name, as "model.widths ...", is
+# printed with the class name, as "ModelConfig.widths ...".
+SECTION_CLASSES = {"dataset": "DatasetConfig", "model": "ModelConfig",
+                   "training": "TrainingConfig"}
+
+
+def refusal(message):
+    """`message` with a leading section name spelled as its config class."""
+    section, _, rest = message.partition(".")
+    return f"{SECTION_CLASSES[section]}.{rest}" if section in SECTION_CLASSES else message
 
 
 # The rest of a config whose run, were it not refused, takes seconds; it
@@ -342,9 +371,9 @@ class TestErrorCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("setting,message", [
-        ("lambda_all = nan", "model.lambda_all must be finite and non-negative, got nan"),
-        ("lambda_all = -1", "model.lambda_all must be finite and non-negative, got -1.0"),
-        ("lambda_cm = inf", "model.lambda_cm must be finite and non-negative, got inf"),
+        ("lambda_all = nan", "model.lambda_all must be finite and at least 0.0, got nan"),
+        ("lambda_all = -1", "model.lambda_all must be finite and at least 0.0, got -1.0"),
+        ("lambda_cm = inf", "model.lambda_cm must be finite and at least 0.0, got inf"),
         ("widths = 8,0", "model.widths entries must be at least 1, got (8, 0)"),
         ("imputation_widths = 16,-2", "model.imputation_widths entries must be at least 1"),
         ("embedding_dim = 0", "model.embedding_dim must be at least 1, got 0"),
@@ -359,6 +388,30 @@ class TestErrorCodes:
         cfg.write_text(f"[model]\n{setting}\n" + SMALL_RUN)
         code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
+        assert refusal(message) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # Unrefused, trait_scale = inf ran and exited 0; a nan tau, gamma or
+    # confound_atc exited 3 with no delayed conversions; 0 categories exited 4
+    # after numpy divided by zero; split_ratio was refused only after the data
+    # was built.
+    @pytest.mark.parametrize("setting,message", [
+        ("trait_scale = inf",
+         "DatasetConfig.trait_scale must be finite and at least 0.0, got inf"),
+        ("tau = nan", "DatasetConfig.tau must be finite, got nan"),
+        ("gamma = nan", "DatasetConfig.gamma must be finite, got nan"),
+        ("confound_atc = nan", "DatasetConfig.confound_atc must be finite, got nan"),
+        ("n_categories = 0", "DatasetConfig.n_categories must be at least 1, got 0"),
+        ("split_ratio = 1.2", "DatasetConfig.split_ratio must be finite and greater than 0.0 "
+         "and below 1.0, got 1.2"),
+        ("split_ratio = 0", "DatasetConfig.split_ratio must be finite and greater than 0.0"),
+    ], ids=["trait_scale_inf", "tau_nan", "gamma_nan", "confound_atc_nan",
+            "n_categories_0", "split_ratio_1.2", "split_ratio_0"])
+    def test_bad_dataset_value_exit_2(self, tmp_path, capsys, setting, message):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(SMALL_RUN + f"{setting}\n")
+        code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -370,7 +423,8 @@ class TestErrorCodes:
         cfg.write_text(SMALL_RUN + f"max_seq_len = {value}\n")
         code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
-        assert f"dataset.max_seq_len must be at least 1, got {value}" in capsys.readouterr().err
+        assert (f"DatasetConfig.max_seq_len must be at least 1, got {value}"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_calendar_keys_at_their_defaults_are_accepted(self, tmp_path):
@@ -434,14 +488,21 @@ class TestErrorCodes:
         ("experiment", "epochs = 0", "training.epochs must be at least 1, got 0"),
         ("experiment", "imputation_epochs = 0", "training.imputation_epochs must be at least 1"),
         ("pretrain", "pretrain_epochs = 0", "training.pretrain_epochs must be at least 1"),
-        ("experiment", "learning_rate = 0", "learning_rate must be finite and positive, got 0.0"),
-        ("experiment", "learning_rate = nan", "learning_rate must be finite and positive, got nan"),
-        ("experiment", "learning_rate = inf", "learning_rate must be finite and positive, got inf"),
+        ("experiment", "learning_rate = 0",
+         "learning_rate must be finite and greater than 0.0, got 0.0"),
+        ("experiment", "learning_rate = nan",
+         "learning_rate must be finite and greater than 0.0, got nan"),
+        ("experiment", "learning_rate = inf",
+         "learning_rate must be finite and greater than 0.0, got inf"),
         # np.clip(p, 0.7, 0.3) would make every propensity 0.3.
-        ("experiment", "propensity_clip = 0.7", "propensity_clip must be in [0, 0.5), got 0.7"),
-        ("experiment", "propensity_clip = 0.5", "propensity_clip must be in [0, 0.5), got 0.5"),
-        ("experiment", "propensity_clip = -0.1", "propensity_clip must be in [0, 0.5), got -0.1"),
-        ("experiment", "propensity_clip = nan", "propensity_clip must be in [0, 0.5), got nan"),
+        ("experiment", "propensity_clip = 0.7",
+         "propensity_clip must be finite and at least 0.0 and below 0.5, got 0.7"),
+        ("experiment", "propensity_clip = 0.5",
+         "propensity_clip must be finite and at least 0.0 and below 0.5, got 0.5"),
+        ("experiment", "propensity_clip = -0.1",
+         "propensity_clip must be finite and at least 0.0 and below 0.5, got -0.1"),
+        ("experiment", "propensity_clip = nan",
+         "propensity_clip must be finite and at least 0.0 and below 0.5, got nan"),
     ])
     def test_bad_training_size_exit_2(self, tmp_path, capsys, verb, setting, message):
         cfg = tmp_path / "bad.ini"
@@ -449,7 +510,7 @@ class TestErrorCodes:
                        "[experiment]\nseeds = 1\nvariants = pretrained_only\n")
         code = main([verb, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
-        assert message in capsys.readouterr().err
+        assert refusal(message) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_empty_training_split_exit_3(self, tmp_path, capsys):

@@ -318,10 +318,6 @@ class TestPartition:
         with pytest.raises(DataError, match="no pre-promotion samples"):
             partition_dataset(daily_only, CAL, 0.8, seed=0)
 
-    def test_bad_ratio(self):
-        with pytest.raises(ConfigError):
-            partition_dataset(click_table(self.make_samples(5)), CAL, 1.2, seed=0)
-
 
 class TestCsv:
     def test_action_mapping(self, tmp_path):

@@ -1,10 +1,14 @@
 import json
+import math
+import re
+import typing
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from prepromo.causal import ImputationConfig
 from prepromo.data import build_click_dataset, ingest_csv, CsvSchema
 from prepromo.decode import decode
 from prepromo.errors import ConfigError
@@ -273,6 +277,80 @@ class TestDecode:
             decode(ModelConfig, {"n_buckets": "1970-01-05"}, text=True)
         with pytest.raises(ConfigError, match="bad value for DatasetConfig.pre_start"):
             decode(DatasetConfig, {"pre_start": "1970-01-05"})
+
+
+CONFIG_CLASSES = (DatasetConfig, ModelConfig, TrainingConfig, PretrainConfig,
+                  ImputationConfig, DelayConfig)
+BOUND_KEYS = ("min", "above", "below")
+# DatasetConfig's numeric fields that declare no bound, and why.
+UNBOUNDED = {
+    "world_seed": "every int seeds a world",
+    "tz_offset": "every offset is a time zone",
+    **dict.fromkeys(("daily_start", "daily_end", "pre_start", "pre_end", "promo_days"),
+                    "a day index; PromotionCalendar checks the windows' order"),
+    **dict.fromkeys(("price_col", "discount_col"),
+                    "-1 means absent; CsvSchema checks the columns"),
+    **dict.fromkeys(("feature_dim", "scale", "confound_atc", "confound_dir",
+                     "direct_rate_daily", "direct_rate_pre", "delayed_rate_pre"),
+                    "sample_world checks it, for its direct callers too"),
+    **dict.fromkeys(("tau", "gamma"), "an effect in logits; any finite one is a world"),
+}
+
+
+def numeric_fields(cls):
+    hints = typing.get_type_hints(cls)
+    return [f for f in fields(cls) if hints[f.name] in (int, float, tuple[int, ...])]
+
+
+def refused_values(f, default):
+    """(value, message) pairs that the bounds of field `f` refuse."""
+    out = []
+    if isinstance(default, float):
+        out += [(math.nan, "must be finite"), (math.inf, "must be finite")]
+    for key, step in (("min", -1), ("above", 0), ("below", 0)):
+        if key in f.metadata:
+            bad = f.metadata[key] + step
+            out.append(((bad,) if isinstance(default, tuple) else bad, str(f.metadata[key])))
+    return out
+
+
+class TestBounds:
+    """Every config class checks its fields' bounds on construction."""
+
+    def test_every_numeric_field_declares_a_bound_or_a_reason(self):
+        unbounded = [f"{cls.__name__}.{f.name}" for cls in CONFIG_CLASSES
+                     for f in numeric_fields(cls)
+                     if not set(BOUND_KEYS) & set(f.metadata)
+                     and not (cls is DatasetConfig and f.name in UNBOUNDED)]
+        assert not unbounded, f"numeric config fields with no bound: {unbounded}"
+        listed = {f.name for f in numeric_fields(DatasetConfig)
+                  if not set(BOUND_KEYS) & set(f.metadata)}
+        assert set(UNBOUNDED) == listed
+
+    @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda c: c.__name__)
+    def test_construction_refuses_each_bound(self, cls):
+        default = cls()
+        cases = [(f, value, message) for f in numeric_fields(cls)
+                 for value, message in refused_values(f, getattr(default, f.name))]
+        assert cases
+        for f, value, message in cases:
+            with pytest.raises(ConfigError, match=rf"^{cls.__name__}\.{f.name}\b.*"
+                                                  + re.escape(message)):
+                cls(**{f.name: value})
+
+    def test_min_is_inclusive_and_above_and_below_are_not(self):
+        assert PretrainConfig(epochs=0).epochs == 0
+        assert TrainingConfig(propensity_clip=0.0).propensity_clip == 0.0
+        with pytest.raises(ConfigError, match="TrainingConfig.propensity_clip"):
+            TrainingConfig(propensity_clip=0.5)
+        with pytest.raises(ConfigError, match="DatasetConfig.split_ratio"):
+            DatasetConfig(split_ratio=0.0)
+
+    def test_a_tuple_bound_applies_to_each_entry(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "ModelConfig.imputation_widths entries must be at least 1, got (16, 0)")):
+            ModelConfig(imputation_widths=(16, 0))
+        assert ModelConfig(imputation_widths=()).imputation_widths == ()
 
 
 class TestStageSeeds:
